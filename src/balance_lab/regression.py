@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset, population_sd, standardize
 from .errors import ControlArmTooSmall, InsufficientRows, RankDeficient
@@ -49,6 +48,8 @@ class RegressionFit:
 
 def _qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Optional[int]]):
     """Solve min ||design b - y|| via pivoted QR; raise on rank deficiency."""
+    import scipy.linalg  # deferred: importing it costs every CLI call ~0.2 s
+
     q, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = RANK_RTOL * diag.max() if diag.size else 0.0

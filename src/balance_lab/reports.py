@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
+from .rng import STREAM_VERSION
 from .simulation import PowerStudyResult
 
 __all__ = [
@@ -54,6 +55,7 @@ class RunManifest:
     configuration: dict
     seed: int
     version: str
+    stream_version: int
     input_digest: Optional[str]
     started_at: str
     finished_at: str
@@ -88,6 +90,7 @@ def make_manifest(
         configuration=configuration,
         seed=seed,
         version=__version__,
+        stream_version=STREAM_VERSION,
         input_digest=input_digest,
         started_at=started_at,
         finished_at=utc_now(),

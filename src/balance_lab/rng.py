@@ -7,7 +7,13 @@ independently of execution order or worker count.
 
 import numpy as np
 
-__all__ = ["stream", "derive_seed"]
+__all__ = ["STREAM_VERSION", "stream", "derive_seed"]
+
+# Version of the mapping from seeds to drawn values (stream keys, draw
+# order, generator). Bump it whenever that mapping changes: run manifests
+# record it, and simulation checkpoints computed under another version are
+# recomputed instead of resumed.
+STREAM_VERSION = 1
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

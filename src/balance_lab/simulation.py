@@ -29,7 +29,7 @@ from .data import Dataset, population_sd
 from .errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from .permutation import STATISTIC_NAMES, permutation_pvalues
 from .regression import fit_ols
-from .rng import derive_seed, stream
+from .rng import STREAM_VERSION, derive_seed, stream
 
 __all__ = [
     "DgpConfig",
@@ -219,6 +219,7 @@ def _cell_fingerprint(cfg: DgpConfig, statistics, replicates, b, alpha, weight_p
             "permutations": b,
             "alpha": alpha,
             "weight_policy": weight_policy,
+            "stream_version": STREAM_VERSION,
         },
         sort_keys=True,
     )
@@ -259,24 +260,41 @@ def _result_from_payload(payload: dict) -> PowerStudyResult:
     )
 
 
-def _run_cell(
+def _load_checkpoint(path: str, fingerprint: str) -> Optional[PowerStudyResult]:
+    """The checkpointed result at ``path``, or None if absent or stale."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if payload.get("fingerprint") != fingerprint:
+        return None
+    return _result_from_payload(payload)
+
+
+def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(_result_to_payload(result, fingerprint), fh)
+    os.replace(tmp, path)
+
+
+def _chunksize(n_tasks: int, replicates: int, threads: int) -> int:
+    """Replicates per pool task: about four chunks per worker, none larger
+    than one cell, so a cell's checkpoint never waits on much later work."""
+    return max(1, min(replicates, math.ceil(n_tasks / (4 * threads))))
+
+
+def _summarize_cell(
     cfg: DgpConfig,
+    outcomes,
     statistics: Sequence[str],
     replicates: int,
     b: int,
     alpha: float,
-    weight_policy: str,
-    threads: int,
     keep_pvalues: bool,
 ) -> PowerStudyResult:
-    tasks = [(cfg, r, tuple(statistics), b, weight_policy) for r in range(replicates)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_replicate, tasks, chunksize=8))
-    else:
-        outcomes = [_run_replicate(t) for t in tasks]
-    outcomes.sort(key=lambda item: item[0])
-
+    """Aggregate one cell's ``_run_replicate`` outcomes into its result."""
     pvals = {name: np.full(replicates, np.nan) for name in statistics}
     bias = np.full(replicates, np.nan)
     n_failed = 0
@@ -336,39 +354,63 @@ def run_power_study(
     (cell seed, replicate index), aggregation is position-indexed, so the
     output is identical for any worker count. With ``checkpoint_dir`` each
     finished cell is persisted and (under ``resume=True``) reloaded instead
-    of recomputed, as long as its configuration fingerprint still matches.
+    of recomputed, as long as its fingerprint (configuration and random
+    stream version) still matches.
+
+    With ``threads > 1`` one worker pool serves the whole study: the
+    replicates of every cell still to compute are queued as one ordered
+    stream, so replicates of different cells run concurrently, while cells
+    are still summarized, checkpointed and reported to ``progress`` in grid
+    order. Any exception, interrupt included, cancels the queued work.
     """
     if not grid:
         raise ConfigError("grid must contain at least one cell")
-    results = []
-    for cell_index, cfg in enumerate(grid):
-        fingerprint = _cell_fingerprint(
-            cfg, statistics, replicates, b_permutations, alpha, weight_policy
-        )
-        path = None
-        if checkpoint_dir is not None:
-            path = os.path.join(checkpoint_dir, f"cell_{cell_index:04d}.json")
-        if resume and path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("fingerprint") == fingerprint:
-                results.append(_result_from_payload(payload))
-                if progress:
-                    progress(cell_index, len(grid), "resumed")
-                continue
-        result = _run_cell(
-            cfg, statistics, replicates, b_permutations, alpha,
-            weight_policy, threads, keep_pvalues,
-        )
-        if path:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(_result_to_payload(result, fingerprint), fh)
-            os.replace(tmp, path)
-        results.append(result)
-        if progress:
-            progress(cell_index, len(grid), "computed")
+    statistics = tuple(statistics)
+    fingerprints = [
+        _cell_fingerprint(cfg, statistics, replicates, b_permutations, alpha, weight_policy)
+        for cfg in grid
+    ]
+    paths = [None] * len(grid)
+    if checkpoint_dir is not None:
+        paths = [os.path.join(checkpoint_dir, f"cell_{i:04d}.json") for i in range(len(grid))]
+    resumed = [
+        _load_checkpoint(path, fp) if resume and path else None
+        for path, fp in zip(paths, fingerprints)
+    ]
+    tasks = [
+        (cfg, r, statistics, b_permutations, weight_policy)
+        for cfg, done in zip(grid, resumed)
+        if done is None
+        for r in range(replicates)
+    ]
+
+    pool = None
+    try:
+        if threads > 1 and tasks:
+            chunksize = _chunksize(len(tasks), replicates, threads)
+            workers = min(threads, math.ceil(len(tasks) / chunksize))
+            pool = ProcessPoolExecutor(max_workers=workers)
+            outcomes = pool.map(_run_replicate, tasks, chunksize=chunksize)
+        else:
+            outcomes = map(_run_replicate, tasks)
+        results = []
+        for cell_index, (cfg, result) in enumerate(zip(grid, resumed)):
+            status = "resumed"
+            if result is None:
+                cell_outcomes = itertools.islice(outcomes, replicates)
+                result = _summarize_cell(
+                    cfg, cell_outcomes, statistics, replicates, b_permutations,
+                    alpha, keep_pvalues,
+                )
+                if paths[cell_index]:
+                    _write_checkpoint(paths[cell_index], result, fingerprints[cell_index])
+                status = "computed"
+            results.append(result)
+            if progress:
+                progress(cell_index, len(grid), status)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return results
 
 

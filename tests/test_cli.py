@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,3 +244,14 @@ class TestThreadResolution:
     def test_auto(self, monkeypatch):
         monkeypatch.delenv("BALANCE_LAB_THREADS", raising=False)
         assert cli._resolve_threads(0) == (os.cpu_count() or 1)
+
+
+def test_cli_import_defers_scipy():
+    # scipy is needed only by the pivoted QR; importing it costs every call
+    package_root = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    probe = "import sys, balance_lab.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

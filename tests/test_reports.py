@@ -14,6 +14,7 @@ from balance_lab.reports import (
     power_curve_svg,
     results_table_rows,
 )
+from balance_lab.rng import STREAM_VERSION
 from balance_lab.simulation import PowerStudyResult
 
 
@@ -82,6 +83,10 @@ class TestManifest:
         int(digest, 16)
         assert digest == bytes_digest(b"hello")
         assert digest != bytes_digest(b"hello!")
+
+    def test_manifest_records_stream_version(self):
+        manifest = make_manifest("simulate", {}, 7, None, "2026-01-01T00:00:00+00:00")
+        assert manifest.to_dict()["stream_version"] == STREAM_VERSION
 
     def test_manifest_round_trips_through_json(self):
         manifest = make_manifest("test", {"alpha": 0.05}, 7, "aa" * 8, "2026-01-01T00:00:00+00:00")

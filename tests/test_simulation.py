@@ -1,9 +1,13 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
 from balance_lab import DgpConfig, StudyConfig, diagnostics, generate_dataset, run_power_study
+from balance_lab import simulation
 from balance_lab.data import Dataset, population_sd
-from balance_lab.errors import ConfigError, InfeasibleCorrelation
+from balance_lab.errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from balance_lab.simulation import build_grid
 
 
@@ -212,6 +216,50 @@ class TestRunPowerStudy:
         )
         assert how == ["computed"]
 
+    def test_checkpoint_from_other_stream_version_recomputed(self, tmp_path, monkeypatch):
+        grid = build_grid(tiny_study())[:1]
+        ckpt = str(tmp_path / "checkpoints")
+        kwargs = dict(replicates=25, b_permutations=50, checkpoint_dir=ckpt)
+        monkeypatch.setattr(simulation, "STREAM_VERSION", simulation.STREAM_VERSION - 1)
+        run_power_study(grid, **kwargs)
+        monkeypatch.undo()
+
+        how = []
+        record = lambda i, total, status: how.append(status)
+        run_power_study(grid, resume=True, progress=record, **kwargs)
+        run_power_study(grid, resume=True, progress=record, **kwargs)
+        assert how == ["computed", "resumed"]
+
+    def test_resume_with_pending_cells_on_both_sides(self, tmp_path):
+        study = tiny_study(prognosis_levels=(0.0, 0.3))
+        grid = build_grid(study)
+        assert len(grid) == 4
+        replicates = 7
+        # pending cells 1 and 3 give 14 tasks; chunks must straddle cells
+        assert replicates % simulation._chunksize(2 * replicates, replicates, 2) != 0
+        kwargs = dict(replicates=replicates, b_permutations=30, keep_pvalues=True)
+        base = run_power_study(grid, threads=1, **kwargs)
+
+        ckpt = tmp_path / "checkpoints"
+        run_power_study(grid, checkpoint_dir=str(ckpt), **kwargs)
+        for i in (1, 3):
+            (ckpt / f"cell_{i:04d}.json").unlink()
+        how = []
+        resumed = run_power_study(
+            grid,
+            threads=2,
+            checkpoint_dir=str(ckpt),
+            resume=True,
+            progress=lambda i, total, status: how.append((i, status)),
+            **kwargs,
+        )
+        assert how == list(enumerate(["resumed", "computed", "resumed", "computed"]))
+        assert resumed == base
+        for a, b in zip(base, resumed):
+            assert set(a.pvalues) == set(b.pvalues)
+            for name in a.pvalues:
+                assert np.array_equal(a.pvalues[name], b.pvalues[name])
+
     def test_keep_pvalues(self):
         study = tiny_study()
         results = run_power_study(
@@ -225,6 +273,43 @@ class TestRunPowerStudy:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_power_study([])
+
+
+class TestCellFailure:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_cell_aborts_study(self, tmp_path, monkeypatch, threads):
+        study = tiny_study(
+            imbalance_levels=(0.0,),
+            prognosis_levels=tuple(round(0.05 * k, 2) for k in range(12)),
+            n=20,
+        )
+        grid = build_grid(study)
+        failing = grid[2].seed
+        later = {cfg.seed for cfg in grid[3:]}
+        started = tmp_path / "started"
+        started.mkdir()
+        real_generate = simulation.generate_dataset
+
+        # forked pool workers inherit the patch; the marker files they leave
+        # show which replicates actually started
+        def flaky(cfg, replicate_index):
+            (started / f"{cfg.seed}_{replicate_index}").touch()
+            if cfg.seed == failing:
+                raise BalanceLabError("forced failure")
+            if cfg.seed in later:
+                time.sleep(0.05)
+            return real_generate(cfg, replicate_index)
+
+        monkeypatch.setattr(simulation, "generate_dataset", flaky)
+        ckpt = tmp_path / "checkpoints"
+        with pytest.raises(CellFailure):
+            run_power_study(
+                grid, replicates=4, b_permutations=10, threads=threads,
+                checkpoint_dir=str(ckpt),
+            )
+        assert sorted(os.listdir(ckpt)) == ["cell_0000.json", "cell_0001.json"]
+        # work queued for later cells was cancelled rather than computed
+        assert not list(started.glob(f"{grid[-1].seed}_*"))
 
 
 class TestDiagnostics:
