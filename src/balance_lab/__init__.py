@@ -13,7 +13,6 @@ from .balance import (
     compute_balance_report,
     covariate_differences,
     delta_regression_weighted,
-    delta_unweighted,
     hotelling_t2,
 )
 from .data import Dataset, GroupSizes, StandardizedView, load_dataset, standardize
@@ -37,8 +36,6 @@ from .simulation import (
 from .variance import (
     VarianceReport,
     enumeration_oracle,
-    exact_cov_delta,
-    exact_variance_delta_j,
     normal_approx_test,
     variance_report,
 )
@@ -59,13 +56,10 @@ __all__ = [
     "BalanceReport",
     "compute_balance_report",
     "covariate_differences",
-    "delta_unweighted",
     "delta_regression_weighted",
     "hotelling_t2",
     "VarianceReport",
     "variance_report",
-    "exact_variance_delta_j",
-    "exact_cov_delta",
     "enumeration_oracle",
     "normal_approx_test",
     "PermutationResult",

@@ -1,10 +1,13 @@
 """Per-covariate mean differences and the three omnibus balance statistics.
 
-The regression-weighted sum is computed two ways on every call: as the
-weighted sum of covariate differences and as the difference between the
-fitted treatment-group mean and the observed control-group mean. The two
-are algebraically identical (the intercept cancels in the difference) and
-the module verifies the identity numerically.
+Each statistic has one kernel over a batch of assignment columns: the
+observed assignment is a batch of one, permutation draws are larger
+batches, so both are computed by the same arithmetic.
+
+The observed regression-weighted sum is also computed as the difference
+between the fitted treatment-group mean and the observed control-group
+mean. The two are algebraically identical (the intercept cancels in the
+difference) and the module verifies the identity numerically.
 """
 
 from dataclasses import dataclass
@@ -12,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, standardize
-from .errors import InternalNumericalError, WeightDimensionMismatch
-from .regression import RegressionFit, control_arm_weights, treatment_arm_weights
+from .errors import BalanceLabError, InternalNumericalError, WeightDimensionMismatch
+from .regression import RegressionFit, control_arm_weights, fit_ols, treatment_arm_weights
 
 __all__ = [
     "BalanceReport",
     "covariate_differences",
-    "delta_unweighted",
     "delta_regression_weighted",
     "hotelling_t2",
     "scaled_covariates",
@@ -57,16 +59,129 @@ def scaled_covariates(d: Dataset, scale: str) -> np.ndarray:
     raise ValueError(f"unknown scale {scale!r}")
 
 
+def _centered(x: np.ndarray) -> np.ndarray:
+    return x - x.mean(axis=0)
+
+
+def _observed_column(d: Dataset) -> np.ndarray:
+    return d.z.astype(np.float64)[:, None]
+
+
+def _delta_columns(xs: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.ndarray:
+    """Per-covariate mean differences for each assignment column: (p, B)."""
+    treated_sums = xs.T @ z_cols
+    totals = xs.sum(axis=0)[:, None]
+    return treated_sums * (1.0 / n1 + 1.0 / n0) - totals / n0
+
+
+def _hotelling_columns(
+    xc: np.ndarray, z_cols: np.ndarray, n1: int, n0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hotelling T-squared and the pinv-fallback flag for each assignment column.
+
+    The pooled scatter depends on the assignment only through the arm
+    means: scatter_T + scatter_C = X'X - n1 m_T m_T' - n0 m_C m_C'. With
+    ``xc`` centered over all N units, that difference loses no precision to
+    the covariate levels, so T-squared is shift- and scale-invariant.
+    """
+    n = xc.shape[0]
+    treated_sums = xc.T @ z_cols  # (p, B)
+    mean_t = (treated_sums / n1).T  # (B, p)
+    mean_c = ((xc.sum(axis=0)[:, None] - treated_sums) / n0).T
+    diff = mean_t - mean_c
+    gram = xc.T @ xc
+    pooled = (
+        gram[None, :, :]
+        - n1 * mean_t[:, :, None] * mean_t[:, None, :]
+        - n0 * mean_c[:, :, None] * mean_c[:, None, :]
+    ) / (n - 2)
+
+    eigenvalues = np.linalg.eigvalsh(pooled)
+    singular = (eigenvalues[:, -1] <= 0.0) | (
+        eigenvalues[:, 0] <= 1e-12 * eigenvalues[:, -1]
+    )
+    t2 = np.empty(z_cols.shape[1])
+    regular = ~singular
+    if regular.any():
+        solved = np.linalg.solve(pooled[regular], diff[regular][:, :, None])[:, :, 0]
+        t2[regular] = np.einsum("bp,bp->b", diff[regular], solved)
+    for i in np.flatnonzero(singular):
+        t2[i] = float(diff[i] @ np.linalg.pinv(pooled[i]) @ diff[i])
+    return np.maximum((n1 * n0 / n) * t2, 0.0), singular
+
+
+def _refit_rw_columns(
+    xs: np.ndarray, y: np.ndarray, z_cols: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Regression-weighted sums with weights refit on each column's control arm."""
+    b = z_cols.shape[1]
+    values = np.empty(b)
+    failures = 0
+    for i in range(b):
+        control = z_cols[:, i] == 0.0
+        try:
+            fit = fit_ols(xs[control], y[control], include_intercept=True, arm="control")
+            values[i] = float(fit.coefficients @ deltas[:, i])
+        except BalanceLabError:
+            values[i] = np.inf
+            failures += 1
+    return values, failures
+
+
+def _statistic_columns(
+    statistics, xs, xc, y, n1, n0, weight_policy, w_fixed, z_cols
+) -> tuple[dict[str, np.ndarray], int]:
+    """Each requested statistic for every column of ``z_cols``, plus the
+    number of failed refits. ``xs`` is on the balance scale, ``xc`` centered."""
+    out: dict[str, np.ndarray] = {}
+    failures = 0
+    if "uw" in statistics or "rw" in statistics:
+        deltas = _delta_columns(xs, z_cols, n1, n0)
+    if "uw" in statistics:
+        out["uw"] = deltas.sum(axis=0)
+    if "rw" in statistics:
+        if weight_policy == "fixed":
+            out["rw"] = w_fixed @ deltas
+        else:
+            out["rw"], failures = _refit_rw_columns(xs, y, z_cols, deltas)
+    if "hotelling" in statistics:
+        out["hotelling"] = _hotelling_columns(xc, z_cols, n1, n0)[0]
+    return out, failures
+
+
+def _differences(d: Dataset, xs: np.ndarray) -> np.ndarray:
+    sizes = d.sizes
+    return _delta_columns(xs, _observed_column(d), sizes.n1, sizes.n0)[:, 0]
+
+
 def covariate_differences(d: Dataset, scale: str = "standardized") -> np.ndarray:
     """Treated-minus-control mean difference for every covariate."""
-    xs = scaled_covariates(d, scale)
-    treated = d.z == 1
-    return xs[treated].mean(axis=0) - xs[~treated].mean(axis=0)
+    return _differences(d, scaled_covariates(d, scale))
 
 
-def delta_unweighted(d: Dataset, scale: str = "standardized") -> float:
-    """Sum of covariate mean differences (equal weight per covariate)."""
-    return float(covariate_differences(d, scale).sum())
+def _checked_weighted_sum(
+    d: Dataset, weights: RegressionFit, xs: np.ndarray, delta: np.ndarray
+) -> tuple[float, float]:
+    """``w @ delta`` and the fitted-mean difference, required to agree."""
+    w = np.asarray(weights.coefficients, dtype=np.float64)
+    if w.shape != (d.p,):
+        raise WeightDimensionMismatch(f"expected {d.p} weights, got shape {w.shape}")
+    weighted_sum = float(w @ delta)
+    # Fitted mean in the unobserved arm minus the observed mean in the fit arm.
+    intercept = weights.intercept or 0.0
+    if weights.arm == "treatment":
+        fitted_control = float(np.mean(xs[d.control_rows()] @ w)) + intercept
+        fitted_diff = float(d.y_obs[d.treated_rows()].mean()) - fitted_control
+    else:
+        fitted_treated = float(np.mean(xs[d.treated_rows()] @ w)) + intercept
+        fitted_diff = fitted_treated - float(d.y_obs[d.control_rows()].mean())
+
+    if abs(weighted_sum - fitted_diff) > 1e-8 * max(1.0, abs(weighted_sum)):
+        raise InternalNumericalError(
+            "internal identity violated: weighted covariate sum "
+            f"{weighted_sum!r} != fitted-mean difference {fitted_diff!r}"
+        )
+    return weighted_sum, fitted_diff
 
 
 def delta_regression_weighted(
@@ -79,67 +194,27 @@ def delta_regression_weighted(
     computed as the fitted-mean difference between arms and the two paths
     are required to agree.
     """
-    w = np.asarray(weights.coefficients, dtype=np.float64)
-    if w.shape != (d.p,):
-        raise WeightDimensionMismatch(
-            f"expected {d.p} weights, got shape {w.shape}"
-        )
-    delta = covariate_differences(d, scale)
-    weighted_sum = float(w @ delta)
-
-    fitted_diff = _fitted_mean_difference(d, weights, scale)
-
-    if abs(weighted_sum - fitted_diff) > 1e-8 * max(1.0, abs(weighted_sum)):
-        raise InternalNumericalError(
-            "internal identity violated: weighted covariate sum "
-            f"{weighted_sum!r} != fitted-mean difference {fitted_diff!r}"
-        )
-    return weighted_sum
-
-
-def _fitted_mean_difference(d: Dataset, weights: RegressionFit, scale: str) -> float:
-    """Fitted mean in the unobserved arm minus the observed mean in the fit arm."""
     xs = scaled_covariates(d, scale)
-    w = np.asarray(weights.coefficients, dtype=np.float64)
-    intercept = weights.intercept or 0.0
-    if weights.arm == "treatment":
-        fitted_control = float(np.mean(xs[d.control_rows()] @ w)) + intercept
-        return float(d.y_obs[d.treated_rows()].mean()) - fitted_control
-    fitted_treated = float(np.mean(xs[d.treated_rows()] @ w)) + intercept
-    return fitted_treated - float(d.y_obs[d.control_rows()].mean())
+    return _checked_weighted_sum(d, weights, xs, _differences(d, xs))[0]
 
 
-def _hotelling(x: np.ndarray, z: np.ndarray) -> tuple[float, bool]:
-    treated = z == 1
-    xt, xc = x[treated], x[~treated]
-    n1, n0 = xt.shape[0], xc.shape[0]
-    n = n1 + n0
-    diff = xt.mean(axis=0) - xc.mean(axis=0)
-
-    ct = xt - xt.mean(axis=0)
-    cc = xc - xc.mean(axis=0)
-    pooled = (ct.T @ ct + cc.T @ cc) / (n - 2)
-
-    eigenvalues = np.linalg.eigvalsh(pooled)
-    lam_max = float(eigenvalues.max(initial=0.0))
-    used_pinv = lam_max <= 0.0 or float(eigenvalues.min()) <= 1e-12 * lam_max
-    if used_pinv:
-        solved = np.linalg.pinv(pooled) @ diff
-    else:
-        solved = np.linalg.solve(pooled, diff)
-    t2 = (n1 * n0 / n) * float(diff @ solved)
-    return max(t2, 0.0), used_pinv
+def _observed_hotelling(d: Dataset) -> tuple[float, bool]:
+    sizes = d.sizes
+    t2, used_pinv = _hotelling_columns(
+        _centered(d.x), _observed_column(d), sizes.n1, sizes.n0
+    )
+    return float(t2[0]), bool(used_pinv[0])
 
 
 def hotelling_t2(d: Dataset) -> float:
     """Two-sample Hotelling T-squared with pooled sample covariance.
 
     Affine-invariant in the covariates, so it is computed from the raw
-    matrix. A singular pooled covariance falls back to the pseudo-inverse;
-    the fallback is flagged in ``compute_balance_report``.
+    matrix centered over all N units. A singular pooled covariance falls
+    back to the pseudo-inverse; the fallback is flagged in
+    ``compute_balance_report``.
     """
-    value, _ = _hotelling(d.x, d.z)
-    return value
+    return _observed_hotelling(d)[0]
 
 
 def compute_balance_report(
@@ -161,10 +236,10 @@ def compute_balance_report(
         else:
             raise ValueError(f"unknown weight arm {weight_arm!r}")
 
-    delta = covariate_differences(d, scale)
-    delta_rw = delta_regression_weighted(d, weights, scale)
-    t2, used_pinv = _hotelling(d.x, d.z)
-    fitted_diff = _fitted_mean_difference(d, weights, scale)
+    xs = scaled_covariates(d, scale)
+    delta = _differences(d, xs)
+    delta_rw, fitted_diff = _checked_weighted_sum(d, weights, xs, delta)
+    t2, used_pinv = _observed_hotelling(d)
 
     return BalanceReport(
         delta=delta,

@@ -2,19 +2,22 @@
 
 Every permutation replicate draws its labels from a counter-based stream
 keyed by (seed, replicate_index), so results are bit-identical no matter
-how replicates are chunked or how many workers execute them.
+how replicates are chunked or how many workers execute them. The statistics
+themselves come from the column kernels in ``balance``, which evaluate the
+observed assignment as a batch of one.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import covariate_differences, hotelling_t2, scaled_covariates
+from .balance import _centered, _observed_column, _statistic_columns, scaled_covariates
 from .data import Dataset
-from .errors import BalanceLabError, WeightDimensionMismatch
-from .regression import RegressionFit, control_arm_weights, fit_ols
+from .errors import WeightDimensionMismatch
+from .regression import RegressionFit, control_arm_weights
 from .rng import stream
 
 __all__ = [
@@ -35,9 +38,11 @@ class PermutationResult:
     """Outcome of one permutation test.
 
     ``p_value`` is the plain fraction of permuted statistics at least as
-    extreme as the observed one (ties inclusive); it can be exactly zero.
-    ``p_conservative`` is the add-one variant (count+1)/(B+1), never zero.
-    Failed replicates are recorded as +inf (counted as extreme).
+    extreme as the observed one (ties inclusive, compared in floating
+    point); it can be exactly zero. ``p_conservative`` is the add-one
+    variant (count+1)/(B+1), never zero. Failed replicates are recorded as
+    +inf (counted as extreme). Hotelling is evaluated on covariates
+    centered over all N units, so it is shift- and scale-invariant.
     """
 
     statistic_name: str
@@ -78,85 +83,10 @@ def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _delta_columns(xs: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.ndarray:
-    """Per-covariate mean differences for each assignment column: (p, B)."""
-    treated_sums = xs.T @ z_cols
-    totals = xs.sum(axis=0)[:, None]
-    return treated_sums * (1.0 / n1 + 1.0 / n0) - totals / n0
-
-
-def _hotelling_columns(x: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.ndarray:
-    """Hotelling T-squared for each assignment column.
-
-    The pooled scatter depends on the permutation only through the arm
-    means: scatter_T + scatter_C = X'X - n1 m_T m_T' - n0 m_C m_C'.
-    Singularity is detected by the same spectral rule as the scalar path,
-    so observed and permuted values are always comparable.
-    """
-    n, p = x.shape
-    treated_sums = x.T @ z_cols  # (p, B)
-    mean_t = (treated_sums / n1).T  # (B, p)
-    mean_c = ((x.sum(axis=0)[:, None] - treated_sums) / n0).T
-    diff = mean_t - mean_c
-    gram = x.T @ x
-    pooled = (
-        gram[None, :, :]
-        - n1 * mean_t[:, :, None] * mean_t[:, None, :]
-        - n0 * mean_c[:, :, None] * mean_c[:, None, :]
-    ) / (n - 2)
-
-    eigenvalues = np.linalg.eigvalsh(pooled)
-    singular = (eigenvalues[:, -1] <= 0.0) | (
-        eigenvalues[:, 0] <= 1e-12 * eigenvalues[:, -1]
-    )
-    t2 = np.empty(z_cols.shape[1])
-    regular = ~singular
-    if regular.any():
-        solved = np.linalg.solve(pooled[regular], diff[regular][:, :, None])[:, :, 0]
-        t2[regular] = np.einsum("bp,bp->b", diff[regular], solved)
-    for i in np.flatnonzero(singular):
-        t2[i] = float(diff[i] @ np.linalg.pinv(pooled[i]) @ diff[i])
-    return np.maximum((n1 * n0 / n) * t2, 0.0)
-
-
-def _refit_rw_columns(
-    xs: np.ndarray, y: np.ndarray, z_cols: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Regression-weighted sums with weights refit on each permuted control arm."""
-    b = z_cols.shape[1]
-    values = np.empty(b)
-    failures = 0
-    for i in range(b):
-        control = z_cols[:, i] == 0.0
-        try:
-            fit = fit_ols(xs[control], y[control], include_intercept=True, arm="control")
-            values[i] = float(fit.coefficients @ deltas[:, i])
-        except BalanceLabError:
-            values[i] = np.inf
-            failures += 1
-    return values, failures
-
-
 def _evaluate_chunk(args) -> tuple[int, dict[str, np.ndarray], int]:
-    (d, statistics, scale, weight_policy, w_fixed, seed, start, count) = args
-    sizes = d.sizes
-    z_cols = _permuted_z(d.z, seed, start, count)
-    xs = scaled_covariates(d, scale)
-    out: dict[str, np.ndarray] = {}
-    failures = 0
-    deltas = None
-    if "uw" in statistics or "rw" in statistics:
-        deltas = _delta_columns(xs, z_cols, sizes.n1, sizes.n0)
-    if "uw" in statistics:
-        out["uw"] = deltas.sum(axis=0)
-    if "rw" in statistics:
-        if weight_policy == "fixed":
-            out["rw"] = w_fixed @ deltas
-        else:
-            out["rw"], failures = _refit_rw_columns(xs, d.y_obs, z_cols, deltas)
-    if "hotelling" in statistics:
-        out["hotelling"] = _hotelling_columns(d.x, z_cols, sizes.n1, sizes.n0)
-    return start, out, failures
+    evaluate, z, seed, start, count = args
+    values, failures = evaluate(_permuted_z(z, seed, start, count))
+    return start, values, failures
 
 
 def permutation_pvalues(
@@ -173,7 +103,10 @@ def permutation_pvalues(
 
     All statistics are evaluated on the same B permuted assignments (the
     streams depend only on seed and replicate index), which is both cheaper
-    and what the simulation protocol prescribes.
+    and what the simulation protocol prescribes. The observed statistics go
+    through the same evaluation as one more assignment, so under ``refit``
+    the observed ``rw`` is refit on the observed control arm and
+    ``weights`` applies to the ``fixed`` policy only.
     """
     if b < 1:
         raise ValueError("need at least one permutation")
@@ -183,20 +116,21 @@ def permutation_pvalues(
     if weight_policy not in ("fixed", "refit"):
         raise ValueError(f"unknown weight policy {weight_policy!r}")
 
-    observed: dict[str, float] = {}
     w_fixed = None
     if "rw" in statistics:
-        w_fixed = _weights_vector(d, weights, scale)
-        observed["rw"] = float(w_fixed @ covariate_differences(d, scale))
-    if "uw" in statistics:
-        observed["uw"] = float(covariate_differences(d, scale).sum())
-    if "hotelling" in statistics:
-        observed["hotelling"] = hotelling_t2(d)
+        # Under refit this fit of the observed control arm only raises the
+        # typed error of a dataset whose weights cannot be fit at all.
+        w_fixed = _weights_vector(d, weights if weight_policy == "fixed" else None, scale)
+    sizes = d.sizes
+    evaluate = partial(
+        _statistic_columns, tuple(statistics), scaled_covariates(d, scale), _centered(d.x),
+        d.y_obs, sizes.n1, sizes.n0, weight_policy, w_fixed,
+    )
+    observed_values, _ = evaluate(_observed_column(d))
+    observed = {name: float(observed_values[name][0]) for name in statistics}
 
-    chunks = [(start, min(_CHUNK, b - start)) for start in range(0, b, _CHUNK)]
     tasks = [
-        (d, tuple(statistics), scale, weight_policy, w_fixed, seed, start, count)
-        for start, count in chunks
+        (evaluate, d.z, seed, start, min(_CHUNK, b - start)) for start in range(0, b, _CHUNK)
     ]
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

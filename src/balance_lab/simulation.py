@@ -261,14 +261,24 @@ def _result_from_payload(payload: dict) -> PowerStudyResult:
 
 
 def _load_checkpoint(path: str, fingerprint: str) -> Optional[PowerStudyResult]:
-    """The checkpointed result at ``path``, or None if absent or stale."""
+    """The checkpointed result at ``path``, or None if absent or stale.
+
+    A file that does not decode (truncated, not JSON) or lacks a field the
+    result needs counts as stale, so its cell is computed again.
+    """
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("fingerprint") != fingerprint:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError:
         return None
-    return _result_from_payload(payload)
+    if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
+        return None
+    try:
+        return _result_from_payload(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str) -> None:

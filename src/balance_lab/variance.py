@@ -25,8 +25,6 @@ __all__ = [
     "VarianceReport",
     "OracleResult",
     "population_covariance",
-    "exact_variance_delta_j",
-    "exact_cov_delta",
     "variance_report",
     "enumeration_oracle",
     "normal_approx_test",
@@ -78,25 +76,6 @@ def population_covariance(x: np.ndarray) -> np.ndarray:
 
 def _factor(n: int, n1: int, n0: int) -> float:
     return n * n / ((n - 1) * n1 * n0)
-
-
-def exact_variance_delta_j(x_j: np.ndarray, n1: int, n0: int) -> float:
-    """Exact randomization variance of one covariate's mean difference."""
-    x_j = np.asarray(x_j, dtype=np.float64)
-    _check_sizes(x_j.size, n1, n0)
-    sigma2 = float(np.var(x_j, ddof=0))
-    return _factor(x_j.size, n1, n0) * sigma2
-
-
-def exact_cov_delta(x_j: np.ndarray, x_k: np.ndarray, n1: int, n0: int) -> float:
-    """Exact randomization covariance between two mean differences."""
-    x_j = np.asarray(x_j, dtype=np.float64)
-    x_k = np.asarray(x_k, dtype=np.float64)
-    if x_j.shape != x_k.shape:
-        raise ValueError("columns must have equal length")
-    _check_sizes(x_j.size, n1, n0)
-    sigma_jk = float(np.mean((x_j - x_j.mean()) * (x_k - x_k.mean())))
-    return _factor(x_j.size, n1, n0) * sigma_jk
 
 
 def variance_report(

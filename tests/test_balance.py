@@ -9,10 +9,8 @@ from balance_lab import (
     control_arm_weights,
     covariate_differences,
     delta_regression_weighted,
-    delta_unweighted,
     hotelling_t2,
 )
-from balance_lab.balance import _hotelling
 from balance_lab.errors import WeightDimensionMismatch
 from balance_lab.regression import RegressionFit
 from conftest import random_dataset
@@ -67,7 +65,7 @@ class TestDeltaUnweighted:
             z=np.array([1, 1, 1, 0, 0, 0]),
             y_obs=np.arange(6.0),
         )
-        assert delta_unweighted(d) == 0.0
+        assert covariate_differences(d).sum() == 0.0
 
     def test_sign_cancellation(self, rng):
         # deltas (0.3, -0.3) cancel: the statistic's known blind spot
@@ -79,17 +77,19 @@ class TestDeltaUnweighted:
         d = Dataset(x=np.column_stack([x1, x2]), z=z, y_obs=rng.normal(size=n))
         deltas = covariate_differences(d, "raw")
         assert deltas[0] == -deltas[1] != 0.0
-        assert abs(delta_unweighted(d, "raw")) < 1e-14
+        assert abs(covariate_differences(d, "raw").sum()) < 1e-14
 
     def test_single_covariate(self, rng):
         d = random_dataset(rng, p=1)
-        assert delta_unweighted(d) == covariate_differences(d)[0]
+        assert covariate_differences(d).sum() == covariate_differences(d)[0]
 
     def test_sign_flip_exact(self, rng):
         for _ in range(10):
             d = random_dataset(rng)
             flipped = Dataset(x=d.x, z=1 - d.z, y_obs=d.y_obs)
-            assert np.isclose(delta_unweighted(d), -delta_unweighted(flipped), atol=1e-12)
+            assert np.isclose(
+                covariate_differences(d).sum(), -covariate_differences(flipped).sum(), atol=1e-12
+            )
 
 
 def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None, scale="raw"):
@@ -202,10 +202,10 @@ class TestHotelling:
         x1 = rng.normal(size=n)
         x = np.column_stack([x1, x1 + z])  # collinear within each arm
         d = Dataset(x=x, z=z, y_obs=rng.normal(size=n))
-        t2, used_pinv = _hotelling(d.x, d.z)
-        assert used_pinv and np.isfinite(t2) and t2 >= 0.0
         weights = fixed_weight_fit([1.0, 1.0], d=d, scale="standardized")
         report = compute_balance_report(d, weights=weights)
+        t2, used_pinv = report.hotelling_t2, report.hotelling_used_pinv
+        assert used_pinv and np.isfinite(t2) and t2 >= 0.0
         assert report.hotelling_used_pinv
 
 

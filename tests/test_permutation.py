@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balance_lab import Dataset, control_arm_weights, permutation_test, permute_assignment
-from balance_lab.permutation import _refit_rw_columns, permutation_pvalues
+from balance_lab.balance import _refit_rw_columns
+from balance_lab.permutation import permutation_pvalues
 from balance_lab.rng import stream
 from conftest import random_dataset
 
@@ -187,3 +188,33 @@ class TestNullCalibration:
                     hits[name] += 1
         for name, count in hits.items():
             assert 0.02 <= count / replicates <= 0.08, (name, count / replicates)
+
+
+class TestHotellingAffineInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scales=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+        shifts=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+    )
+    def test_per_column_affine_map(self, seed, scales, shifts):
+        # The reference maps the stored covariates back, so both sides see
+        # the same inputs and only the arithmetic of the statistic differs.
+        g = np.random.default_rng(seed)
+        d = random_dataset(g, n=60, p=3)
+        a, c = np.array(scales), np.array(shifts)
+        mapped = Dataset(x=d.x * a + c, z=d.z, y_obs=d.y_obs)
+        back = Dataset(x=(mapped.x - c) / a, z=d.z, y_obs=d.y_obs)
+        moved = permutation_test(mapped, "hotelling", b=200, seed=seed)
+        base = permutation_test(back, "hotelling", b=200, seed=seed)
+        np.testing.assert_allclose(moved.observed, base.observed, rtol=1e-6)
+        np.testing.assert_allclose(moved.permuted_values, base.permuted_values, rtol=1e-6)
+        assert moved.p_value == base.p_value
+
+    def test_large_shift_keeps_p_value(self):
+        g = np.random.default_rng(44)
+        d = random_dataset(g, n=80, p=3)
+        shifted = Dataset(x=d.x + 1e8, z=d.z, y_obs=d.y_obs)
+        base = permutation_test(d, "hotelling", b=500, seed=17)
+        moved = permutation_test(shifted, "hotelling", b=500, seed=17)
+        assert moved.p_value == base.p_value

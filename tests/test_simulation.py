@@ -1,3 +1,4 @@
+import json
 import os
 import time
 
@@ -215,6 +216,30 @@ class TestRunPowerStudy:
             progress=lambda i, total, status: how.append(status),
         )
         assert how == ["computed"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing_key", "not_an_object"])
+    def test_unreadable_checkpoint_recomputed(self, tmp_path, damage):
+        grid = build_grid(tiny_study())[:1]
+        ckpt = tmp_path / "checkpoints"
+        kwargs = dict(replicates=25, b_permutations=50, checkpoint_dir=str(ckpt))
+        base = run_power_study(grid, **kwargs)
+        path = ckpt / "cell_0000.json"
+        text = path.read_text()
+        if damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        elif damage == "missing_key":
+            payload = json.loads(text)
+            del payload["rejection_rate"]
+            path.write_text(json.dumps(payload))
+        else:
+            path.write_text("[1, 2]")
+
+        how = []
+        resumed = run_power_study(
+            grid, resume=True, progress=lambda i, total, status: how.append(status), **kwargs
+        )
+        assert how == ["computed"]
+        assert resumed == base
 
     def test_checkpoint_from_other_stream_version_recomputed(self, tmp_path, monkeypatch):
         grid = build_grid(tiny_study())[:1]

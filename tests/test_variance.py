@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from balance_lab import (
     Dataset,
     enumeration_oracle,
-    exact_cov_delta,
-    exact_variance_delta_j,
     normal_approx_test,
     variance_report,
 )
@@ -23,11 +21,20 @@ def standardized(values):
     return (v - v.mean()) / v.std()
 
 
+def raw_report(columns, n1):
+    """``variance_report`` on the raw columns with the first n1 units treated."""
+    x = np.column_stack(columns)
+    z = np.zeros(x.shape[0], dtype=int)
+    z[:n1] = 1
+    d = Dataset(x=x, z=z, y_obs=np.zeros(x.shape[0]))
+    return variance_report(d, np.ones(x.shape[1]), scale="raw")
+
+
 class TestExactVarianceDeltaJ:
     def test_standardized_small_case(self):
         # N=4, n1=n0=2, unit population variance: 16 / (3*4) = 4/3
         col = standardized([1.0, 2.0, 3.0, 4.0])
-        assert np.isclose(exact_variance_delta_j(col, 2, 2), 4.0 / 3.0, rtol=1e-14)
+        assert np.isclose(raw_report([col], 2).var_delta_j[0], 4.0 / 3.0, rtol=1e-14)
 
     def test_matches_enumeration(self):
         col = standardized([1.0, 2.0, 3.0, 4.0])
@@ -39,33 +46,35 @@ class TestExactVarianceDeltaJ:
         assert np.isclose(np.var(values), 4.0 / 3.0, rtol=1e-12)
 
     def test_constant_column(self):
-        assert exact_variance_delta_j(np.full(6, 2.0), 3, 3) == 0.0
+        assert raw_report([np.full(6, 2.0)], 3).var_delta_j[0] == 0.0
 
     def test_scale_equivariance(self, rng):
         col = rng.normal(size=10)
         assert np.isclose(
-            exact_variance_delta_j(2 * col, 4, 6),
-            4 * exact_variance_delta_j(col, 4, 6),
+            raw_report([2 * col], 4).var_delta_j[0],
+            4 * raw_report([col], 4).var_delta_j[0],
             rtol=1e-12,
         )
 
     def test_degenerate(self):
         with pytest.raises(DegenerateAssignment):
-            exact_variance_delta_j(np.ones(4), 0, 4)
+            raw_report([np.ones(4)], 0)
 
 
 class TestExactCovDelta:
     def test_self_covariance_is_variance(self, rng):
         col = rng.normal(size=8)
         assert np.isclose(
-            exact_cov_delta(col, col, 3, 5), exact_variance_delta_j(col, 3, 5), rtol=1e-14
+            raw_report([col, col], 3).cov_delta[0, 1],
+            raw_report([col], 3).var_delta_j[0],
+            rtol=1e-14,
         )
 
     def test_orthogonal_columns(self):
         a = standardized([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         b = standardized([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
         b = b - (b @ a) / (a @ a) * a  # exact zero population covariance
-        assert abs(exact_cov_delta(a, b, 3, 3)) < 1e-15
+        assert abs(raw_report([a, b], 3).cov_delta[0, 1]) < 1e-15
 
     def test_correlated_pair_n6(self, rng):
         # Cov = rho * 36 / (5*9); with rho = 0.5 this is 0.4
@@ -74,12 +83,12 @@ class TestExactCovDelta:
         a_std, b_std = standardized(a), standardized(b)
         rho = float(np.mean(a_std * b_std))
         formula = 36.0 / 45.0 * rho
-        assert np.isclose(exact_cov_delta(a_std, b_std, 3, 3), formula, rtol=1e-12)
+        assert np.isclose(raw_report([a_std, b_std], 3).cov_delta[0, 1], formula, rtol=1e-12)
         oracle = enumeration_oracle(np.column_stack([a_std, b_std]), 3, "uw")
         var_uw = (
-            exact_variance_delta_j(a_std, 3, 3)
-            + exact_variance_delta_j(b_std, 3, 3)
-            + 2 * exact_cov_delta(a_std, b_std, 3, 3)
+            raw_report([a_std], 3).var_delta_j[0]
+            + raw_report([b_std], 3).var_delta_j[0]
+            + 2 * raw_report([a_std, b_std], 3).cov_delta[0, 1]
         )
         assert np.isclose(oracle.variance, var_uw, rtol=1e-10)
         assert np.isclose(36.0 / 45.0 * 0.5, 0.4)
@@ -159,7 +168,7 @@ class TestEnumerationOracle:
     def test_variance_matches_formula_n8(self, rng):
         col = standardized(rng.normal(size=8))
         res = enumeration_oracle(col[:, None], 4, "delta_j", j=0)
-        assert np.isclose(res.variance, exact_variance_delta_j(col, 4, 4), rtol=1e-12)
+        assert np.isclose(res.variance, raw_report([col], 4).var_delta_j[0], rtol=1e-12)
 
     def test_rw_variance_matches_quadratic_form(self, rng):
         x = rng.normal(size=(8, 3))
