@@ -198,14 +198,6 @@ def delta_regression_weighted(
     return _checked_weighted_sum(d, weights, xs, _differences(d, xs))[0]
 
 
-def _observed_hotelling(d: Dataset) -> tuple[float, bool]:
-    sizes = d.sizes
-    t2, used_pinv = _hotelling_columns(
-        _centered(d.x), _observed_column(d), sizes.n1, sizes.n0
-    )
-    return float(t2[0]), bool(used_pinv[0])
-
-
 def hotelling_t2(d: Dataset) -> float:
     """Two-sample Hotelling T-squared with pooled sample covariance.
 
@@ -214,7 +206,9 @@ def hotelling_t2(d: Dataset) -> float:
     back to the pseudo-inverse; the fallback is flagged in
     ``compute_balance_report``.
     """
-    return _observed_hotelling(d)[0]
+    sizes = d.sizes
+    t2, _ = _hotelling_columns(_centered(d.x), _observed_column(d), sizes.n1, sizes.n0)
+    return float(t2[0])
 
 
 def compute_balance_report(
@@ -239,15 +233,16 @@ def compute_balance_report(
     xs = scaled_covariates(d, scale)
     delta = _differences(d, xs)
     delta_rw, fitted_diff = _checked_weighted_sum(d, weights, xs, delta)
-    t2, used_pinv = _observed_hotelling(d)
+    sizes = d.sizes
+    t2, used_pinv = _hotelling_columns(_centered(d.x), _observed_column(d), sizes.n1, sizes.n0)
 
     return BalanceReport(
         delta=delta,
         delta_uw=float(delta.sum()),
         delta_rw=delta_rw,
-        hotelling_t2=t2,
+        hotelling_t2=float(t2[0]),
         weights_used=weights,
         scale=scale,
-        hotelling_used_pinv=used_pinv,
+        hotelling_used_pinv=bool(used_pinv[0]),
         fitted_mean_difference=fitted_diff,
     )

@@ -199,7 +199,7 @@ def cmd_test(args) -> int:
         seed,
         weight_policy=args.weight_policy,
         scale=args.scale,
-        weights=weights,
+        weights=weights if args.weight_policy == "fixed" else None,
         threads=threads,
     )
     diag = diagnostics(d, lag)

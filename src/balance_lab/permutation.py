@@ -16,7 +16,7 @@ import numpy as np
 
 from .balance import _centered, _observed_column, _statistic_columns, scaled_covariates
 from .data import Dataset
-from .errors import WeightDimensionMismatch
+from .errors import InternalNumericalError, WeightDimensionMismatch
 from .regression import RegressionFit, control_arm_weights
 from .rng import stream
 
@@ -105,8 +105,8 @@ def permutation_pvalues(
     streams depend only on seed and replicate index), which is both cheaper
     and what the simulation protocol prescribes. The observed statistics go
     through the same evaluation as one more assignment, so under ``refit``
-    the observed ``rw`` is refit on the observed control arm and
-    ``weights`` applies to the ``fixed`` policy only.
+    the observed ``rw`` is refit on the observed control arm; ``weights``
+    applies to the ``fixed`` policy only and is refused under ``refit``.
     """
     if b < 1:
         raise ValueError("need at least one permutation")
@@ -116,17 +116,22 @@ def permutation_pvalues(
     if weight_policy not in ("fixed", "refit"):
         raise ValueError(f"unknown weight policy {weight_policy!r}")
 
+    if weight_policy == "refit" and weights is not None:
+        raise ValueError("weights apply to the fixed policy only; refit fits its own")
+
     w_fixed = None
-    if "rw" in statistics:
-        # Under refit this fit of the observed control arm only raises the
-        # typed error of a dataset whose weights cannot be fit at all.
-        w_fixed = _weights_vector(d, weights if weight_policy == "fixed" else None, scale)
+    if "rw" in statistics and weight_policy == "fixed":
+        w_fixed = _weights_vector(d, weights, scale)
     sizes = d.sizes
     evaluate = partial(
         _statistic_columns, tuple(statistics), scaled_covariates(d, scale), _centered(d.x),
         d.y_obs, sizes.n1, sizes.n0, weight_policy, w_fixed,
     )
-    observed_values, _ = evaluate(_observed_column(d))
+    observed_values, observed_failures = evaluate(_observed_column(d))
+    if observed_failures:
+        # The observed control arm cannot be fit; raise that fit's typed error.
+        control_arm_weights(d, scale=scale)
+        raise InternalNumericalError("observed control-arm refit failed")
     observed = {name: float(observed_values[name][0]) for name in statistics}
 
     tasks = [

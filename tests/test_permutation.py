@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from balance_lab import Dataset, control_arm_weights, permutation_test, permute_assignment
 from balance_lab.balance import _refit_rw_columns
+from balance_lab.errors import ControlArmTooSmall
 from balance_lab.permutation import permutation_pvalues
 from balance_lab.rng import stream
 from conftest import random_dataset
@@ -105,6 +106,19 @@ class TestPermutationTest:
         assert failures == 2
         assert np.isinf(values).all()
 
+    def test_refit_refuses_explicit_weights(self, rng):
+        d = random_dataset(rng, n=40, p=2)
+        with pytest.raises(ValueError, match="fixed policy only"):
+            permutation_test(d, "rw", b=10, seed=1, weight_policy="refit", weights=np.ones(2))
+
+    def test_observed_refit_failure_raises_typed_error(self):
+        # 3 control units cannot identify 2 covariates plus intercept
+        g = np.random.default_rng(6)
+        z = np.array([1] * 7 + [0] * 3)
+        d = Dataset(x=g.normal(size=(10, 2)), z=z, y_obs=g.normal(size=10))
+        with pytest.raises(ControlArmTooSmall):
+            permutation_test(d, "rw", b=10, seed=1, weight_policy="refit")
+
     def test_bad_arguments(self, rng):
         d = random_dataset(rng)
         with pytest.raises(ValueError):
@@ -115,13 +129,26 @@ class TestPermutationTest:
             permutation_test(d, "uw", b=10, seed=1, weight_policy="sometimes")
 
 
+def naive_differences(d):
+    """Arm-mean difference of each standardized covariate, taken directly."""
+    xs = (d.x - d.x.mean(axis=0)) / d.x.std(axis=0)
+    treated = d.z == 1
+    return xs[treated].mean(axis=0) - xs[~treated].mean(axis=0)
+
+
+def naive_hotelling(d):
+    """Two-sample T-squared: each arm centered on its own mean, scatters pooled."""
+    arms = [d.x[d.z == 1], d.x[d.z == 0]]
+    n1, n0 = (len(arm) for arm in arms)
+    scatter = sum((arm - arm.mean(axis=0)).T @ (arm - arm.mean(axis=0)) for arm in arms)
+    diff = arms[0].mean(axis=0) - arms[1].mean(axis=0)
+    return n1 * n0 / (n1 + n0) * float(diff @ np.linalg.solve(scatter / (n1 + n0 - 2), diff))
+
+
 class TestEngineAgainstScratch:
     def test_vectorized_values_match_recomputed_statistics(self, rng):
         # rebuild each permuted dataset and recompute every statistic the
         # slow way; the batched engine must agree
-        from balance_lab import compute_balance_report, hotelling_t2
-        from balance_lab.balance import covariate_differences
-
         d = random_dataset(rng, n=50, p=3)
         weights = control_arm_weights(d)
         seed, b = 31337, 16
@@ -130,16 +157,23 @@ class TestEngineAgainstScratch:
         for i in range(b):
             z_i = permute_assignment(d.z, stream(seed, i))
             d_i = Dataset(x=d.x, z=z_i, y_obs=d.y_obs)
-            deltas = covariate_differences(d_i, "standardized")
+            deltas = naive_differences(d_i)
             assert np.isclose(results["uw"].permuted_values[i], deltas.sum(), atol=1e-12)
             assert np.isclose(results["rw"].permuted_values[i], w @ deltas, atol=1e-12)
             assert np.isclose(
-                results["hotelling"].permuted_values[i], hotelling_t2(d_i), rtol=1e-9
+                results["hotelling"].permuted_values[i], naive_hotelling(d_i), rtol=1e-9
             )
 
-    def test_refit_values_match_scratch_fits(self, rng):
-        from balance_lab.balance import covariate_differences
+    def test_observed_values_match_recomputed_statistics(self, rng):
+        d = random_dataset(rng, n=50, p=3)
+        w = control_arm_weights(d).coefficients
+        results = permutation_pvalues(d, ("uw", "rw", "hotelling"), 8, seed=4)
+        deltas = naive_differences(d)
+        assert np.isclose(results["uw"].observed, deltas.sum(), atol=1e-12)
+        assert np.isclose(results["rw"].observed, w @ deltas, atol=1e-12)
+        assert np.isclose(results["hotelling"].observed, naive_hotelling(d), rtol=1e-9)
 
+    def test_refit_values_match_scratch_fits(self, rng):
         d = random_dataset(rng, n=48, p=2)
         seed, b = 2718, 12
         res = permutation_test(d, "rw", b, seed, weight_policy="refit")
@@ -147,7 +181,7 @@ class TestEngineAgainstScratch:
             z_i = permute_assignment(d.z, stream(seed, i))
             d_i = Dataset(x=d.x, z=z_i, y_obs=d.y_obs)
             w_i = control_arm_weights(d_i).coefficients
-            expected = float(w_i @ covariate_differences(d_i, "standardized"))
+            expected = float(w_i @ naive_differences(d_i))
             assert np.isclose(res.permuted_values[i], expected, atol=1e-10)
 
 
