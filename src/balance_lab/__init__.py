@@ -8,13 +8,7 @@ diagnostics, and a Monte Carlo power engine.
 __version__ = "0.1.0"
 
 from . import errors
-from .balance import (
-    BalanceReport,
-    compute_balance_report,
-    covariate_differences,
-    delta_regression_weighted,
-    hotelling_t2,
-)
+from .balance import BalanceReport, compute_balance_report
 from .data import Dataset, GroupSizes, StandardizedView, load_dataset, standardize
 from .permutation import PermutationResult, permutation_test, permute_assignment
 from .regression import (
@@ -55,9 +49,6 @@ __all__ = [
     "residualize",
     "BalanceReport",
     "compute_balance_report",
-    "covariate_differences",
-    "delta_regression_weighted",
-    "hotelling_t2",
     "VarianceReport",
     "variance_report",
     "enumeration_oracle",

@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, standardize
+from .data import Dataset, scaled_covariates
 from .errors import BalanceLabError, InternalNumericalError, WeightDimensionMismatch
-from .regression import RegressionFit, control_arm_weights, fit_ols, treatment_arm_weights
+from .regression import RegressionFit, control_arm_weights, fit_ols
 
 __all__ = [
     "BalanceReport",
-    "covariate_differences",
-    "delta_regression_weighted",
-    "hotelling_t2",
-    "scaled_covariates",
     "compute_balance_report",
 ]
 
@@ -40,23 +36,6 @@ class BalanceReport:
     scale: str
     hotelling_used_pinv: bool
     fitted_mean_difference: float
-
-
-def scaled_covariates(d: Dataset, scale: str) -> np.ndarray:
-    """Covariate matrix on the requested scale, always N x p.
-
-    On the standardized scale, constant columns (population SD zero)
-    become all-zero columns rather than dividing by zero; they carry no
-    balance information either way.
-    """
-    if scale == "raw":
-        return d.x
-    if scale == "standardized":
-        view = standardize(d)
-        out = np.zeros_like(d.x)
-        out[:, list(view.retained_columns)] = view.x_std
-        return out
-    raise ValueError(f"unknown scale {scale!r}")
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -149,16 +128,6 @@ def _statistic_columns(
     return out, failures
 
 
-def _differences(d: Dataset, xs: np.ndarray) -> np.ndarray:
-    sizes = d.sizes
-    return _delta_columns(xs, _observed_column(d), sizes.n1, sizes.n0)[:, 0]
-
-
-def covariate_differences(d: Dataset, scale: str = "standardized") -> np.ndarray:
-    """Treated-minus-control mean difference for every covariate."""
-    return _differences(d, scaled_covariates(d, scale))
-
-
 def _checked_weighted_sum(
     d: Dataset, weights: RegressionFit, xs: np.ndarray, delta: np.ndarray
 ) -> tuple[float, float]:
@@ -184,57 +153,26 @@ def _checked_weighted_sum(
     return weighted_sum, fitted_diff
 
 
-def delta_regression_weighted(
-    d: Dataset, weights: RegressionFit, scale: str = "standardized"
-) -> float:
-    """Weighted sum of covariate differences with prognosis weights.
-
-    ``weights`` must come from an arm regression fit on the same
-    covariates and scale (see ``control_arm_weights``). The value is also
-    computed as the fitted-mean difference between arms and the two paths
-    are required to agree.
-    """
-    xs = scaled_covariates(d, scale)
-    return _checked_weighted_sum(d, weights, xs, _differences(d, xs))[0]
-
-
-def hotelling_t2(d: Dataset) -> float:
-    """Two-sample Hotelling T-squared with pooled sample covariance.
-
-    Affine-invariant in the covariates, so it is computed from the raw
-    matrix centered over all N units. A singular pooled covariance falls
-    back to the pseudo-inverse; the fallback is flagged in
-    ``compute_balance_report``.
-    """
-    sizes = d.sizes
-    t2, _ = _hotelling_columns(_centered(d.x), _observed_column(d), sizes.n1, sizes.n0)
-    return float(t2[0])
-
-
 def compute_balance_report(
-    d: Dataset,
-    scale: str = "standardized",
-    weights: RegressionFit | None = None,
-    weight_arm: str = "control",
+    d: Dataset, scale: str = "standardized", weights: RegressionFit | None = None
 ) -> BalanceReport:
     """Assemble every balance statistic for one dataset.
 
-    Weights default to a fresh fit on the requested arm; pass an existing
-    ``RegressionFit`` to reuse one (e.g. inside a permutation loop).
+    Weights default to a fresh control-arm fit; pass an existing
+    ``RegressionFit`` from an arm fit on the same scale to reuse one, e.g.
+    ``treatment_arm_weights(d)`` for the Y(1) analogue. Hotelling is
+    affine-invariant, so it uses the raw covariates centered over all N
+    units; ``hotelling_used_pinv`` flags a singular pooled covariance.
     """
     if weights is None:
-        if weight_arm == "control":
-            weights = control_arm_weights(d, scale=scale)
-        elif weight_arm == "treatment":
-            weights = treatment_arm_weights(d, scale=scale)
-        else:
-            raise ValueError(f"unknown weight arm {weight_arm!r}")
+        weights = control_arm_weights(d, scale=scale)
 
     xs = scaled_covariates(d, scale)
-    delta = _differences(d, xs)
-    delta_rw, fitted_diff = _checked_weighted_sum(d, weights, xs, delta)
     sizes = d.sizes
-    t2, used_pinv = _hotelling_columns(_centered(d.x), _observed_column(d), sizes.n1, sizes.n0)
+    z_obs = _observed_column(d)
+    delta = _delta_columns(xs, z_obs, sizes.n1, sizes.n0)[:, 0]
+    delta_rw, fitted_diff = _checked_weighted_sum(d, weights, xs, delta)
+    t2, used_pinv = _hotelling_columns(_centered(d.x), z_obs, sizes.n1, sizes.n0)
 
     return BalanceReport(
         delta=delta,

@@ -47,6 +47,22 @@ from .variance import normal_approx_test, variance_report
 _DELIMITERS = {"comma": ",", "tab": "\t"}
 
 
+def _checked(convert, ok, requirement: str):
+    """argparse type: ``convert(raw)``, refused unless ``ok`` holds for it."""
+
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {raw}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "at least 0")
+
+
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="delimiter-separated input file")
     parser.add_argument("--treatment", required=True, help="treatment column name")
@@ -82,8 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--statistic", choices=[*STATISTIC_NAMES, "all"], default="all",
         help="which omnibus statistic to test (default all)",
     )
-    p_test.add_argument("--permutations", type=int, default=1000, help="number of label permutations B")
-    p_test.add_argument("--seed", type=int, default=None, help="64-bit reproducibility seed")
+    p_test.add_argument(
+        "--permutations", type=_checked(int, lambda v: v >= 1, "at least 1"), default=1000,
+        help="number of label permutations B",
+    )
+    p_test.add_argument("--seed", type=_NON_NEGATIVE, default=None, help="64-bit reproducibility seed")
     p_test.add_argument(
         "--weight-policy", choices=["fixed", "refit"], default="fixed",
         help="hold prognosis weights fixed or refit them per permutation",
@@ -92,7 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", choices=["standardized", "raw"], default="standardized",
         help="covariate scale for the difference statistics",
     )
-    p_test.add_argument("--alpha", type=float, default=0.05, help="nominal test level (reporting only)")
+    p_test.add_argument(
+        "--alpha", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), default=0.05,
+        help="nominal test level in (0, 1) (reporting only)",
+    )
     p_test.add_argument("--threads", type=int, default=None, help="worker count (0 = auto)")
     p_test.add_argument("--out-dir", default=".", help="directory for report files")
     p_test.add_argument(
@@ -105,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-dir", required=True, help="output directory")
     p_sim.add_argument("--resume", action="store_true", help="reuse finished cell checkpoints")
     p_sim.add_argument("--threads", type=int, default=None, help="worker count (0 = auto)")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_sim.add_argument("--seed", type=_NON_NEGATIVE, default=None, help="override the config seed")
 
     p_diag = sub.add_parser("diagnose", help="prognosis/imbalance diagnostics only")
     _add_input_flags(p_diag)
@@ -116,7 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_threads(value) -> int:
     if value is None:
-        value = int(os.environ.get("BALANCE_LAB_THREADS", "0") or "0")
+        raw = os.environ.get("BALANCE_LAB_THREADS", "0") or "0"
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"BALANCE_LAB_THREADS must be an integer, got {raw!r}") from None
     if value <= 0:
         return os.cpu_count() or 1
     return value

@@ -9,6 +9,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "load_dataset",
     "standardize",
     "standardize_columns",
+    "scaled_covariates",
     "population_sd",
 ]
 
@@ -68,6 +70,8 @@ class Dataset:
 
     Arrays are converted to float64 / int64, validated, and frozen
     (write flag cleared), so instances are safe to share across workers.
+    The standardized covariates are computed on first use and cached on
+    the instance, equally read-only.
     """
 
     x: np.ndarray
@@ -130,6 +134,18 @@ class Dataset:
     def control_rows(self) -> np.ndarray:
         return np.flatnonzero(self.z == 0)
 
+    @cached_property
+    def _standardized_view(self) -> "StandardizedView":
+        return standardize_columns(self.x)
+
+    @cached_property
+    def _standardized_x(self) -> np.ndarray:
+        view = self._standardized_view
+        out = np.zeros_like(self.x)
+        out[:, list(view.retained_columns)] = view.x_std
+        out.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True)
 class StandardizedView:
@@ -165,7 +181,8 @@ def standardize_columns(x: np.ndarray) -> StandardizedView:
     if not retained:
         raise AllColumnsConstant("every covariate column is constant")
     x_std = (x[:, retained] - means[retained]) / sds[retained]
-    x_std.setflags(write=False)
+    for arr in (x_std, means, sds):
+        arr.setflags(write=False)
     return StandardizedView(
         x_std=x_std,
         means=means,
@@ -176,8 +193,22 @@ def standardize_columns(x: np.ndarray) -> StandardizedView:
 
 
 def standardize(d: Dataset) -> StandardizedView:
-    """Standardize a Dataset's covariates over all N units."""
-    return standardize_columns(d.x)
+    """Standardize a Dataset's covariates over all N units (cached on ``d``)."""
+    return d._standardized_view
+
+
+def scaled_covariates(d: Dataset, scale: str) -> np.ndarray:
+    """Read-only covariate matrix on the requested scale, always N x p.
+
+    On the standardized scale, constant columns (population SD zero)
+    become all-zero columns rather than dividing by zero; they carry no
+    balance information either way.
+    """
+    if scale == "raw":
+        return d.x
+    if scale == "standardized":
+        return d._standardized_x
+    raise ValueError(f"unknown scale {scale!r}")
 
 
 def _parse_cell(raw: str, row: int, column: str) -> float:

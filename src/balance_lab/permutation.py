@@ -14,8 +14,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import _centered, _observed_column, _statistic_columns, scaled_covariates
-from .data import Dataset
+from .balance import _centered, _observed_column, _statistic_columns
+from .data import Dataset, scaled_covariates
 from .errors import InternalNumericalError, WeightDimensionMismatch
 from .regression import RegressionFit, control_arm_weights
 from .rng import stream

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, population_sd, standardize
+from .data import Dataset, population_sd, scaled_covariates
 from .errors import ControlArmTooSmall, InsufficientRows, RankDeficient
 
 __all__ = [
@@ -161,26 +161,16 @@ def _arm_weights(d: Dataset, rows: np.ndarray, arm: str, scale: str) -> Regressi
             f"{arm} arm has {n_arm} units; need more than p + 1 = {d.p + 1} to fit weights"
         )
     y_arm = d.y_obs[rows]
-
-    if scale == "standardized":
-        view = standardize(d)
-        fit = fit_ols(view.x_std[rows], y_arm, include_intercept=True, arm=arm)
-        coefficients = np.zeros(d.p)
-        coefficients[list(view.retained_columns)] = fit.coefficients
-    elif scale == "raw":
-        fit = fit_ols(d.x[rows], y_arm, include_intercept=True, arm=arm)
-        coefficients = fit.coefficients
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
+    fit = fit_ols(scaled_covariates(d, scale)[rows], y_arm, include_intercept=True, arm=arm)
 
     # Prognosis weights on the fully standardized scale: x scaled by its
     # population SD over all N units, y by the arm's own SD.
     sd_y = population_sd(y_arm)
-    per_sd = coefficients if scale == "standardized" else coefficients * population_sd(d.x)
+    per_sd = fit.coefficients if scale == "standardized" else fit.coefficients * population_sd(d.x)
     standardized = per_sd / sd_y if sd_y > 0.0 else np.zeros(d.p)
 
     return RegressionFit(
-        coefficients=coefficients,
+        coefficients=fit.coefficients,
         intercept=fit.intercept,
         standardized_coefficients=standardized,
         residuals=fit.residuals,

@@ -128,6 +128,8 @@ class StudyConfig:
             raise ConfigError("replicates and permutations must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.weight_policy not in ("fixed", "refit"):
             raise ConfigError(f"unknown weight policy {self.weight_policy!r}")
         unknown = set(self.statistics) - set(STATISTIC_NAMES)

@@ -12,8 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balance import scaled_covariates
-from .data import Dataset
+from .data import Dataset, scaled_covariates
 from .errors import (
     DegenerateAssignment,
     TooManyAssignments,

@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import (
-    Dataset,
-    compute_balance_report,
-    control_arm_weights,
-    covariate_differences,
-    delta_regression_weighted,
-    hotelling_t2,
-)
+from balance_lab import Dataset, compute_balance_report, control_arm_weights
+from balance_lab.data import scaled_covariates
 from balance_lab.errors import WeightDimensionMismatch
 from balance_lab.regression import RegressionFit
 from conftest import random_dataset
@@ -30,75 +24,11 @@ def naive_differences(d, scale):
     return out
 
 
-class TestCovariateDifferences:
-    def test_identical_arms_zero(self):
-        block = np.array([[1.0], [2.0], [3.0]])
-        x = np.vstack([block, block])
-        z = np.array([1, 1, 1, 0, 0, 0])
-        d = Dataset(x=x, z=z, y_obs=np.arange(6.0))
-        assert covariate_differences(d, "raw")[0] == 0.0
-
-    def test_assignment_indicator_covariate(self):
-        z = np.array([1, 1, 0, 0, 1, 0])
-        d = Dataset(x=z[:, None].astype(float), z=z, y_obs=np.arange(6.0))
-        assert covariate_differences(d, "raw")[0] == 1.0
-
-    def test_matches_naive_oracle(self, rng):
-        for _ in range(20):
-            d = random_dataset(rng)
-            for scale in ("raw", "standardized"):
-                np.testing.assert_allclose(
-                    covariate_differences(d, scale), naive_differences(d, scale), atol=1e-12
-                )
-
-    def test_constant_column_zero(self, rng):
-        x = np.column_stack([np.full(8, 3.0), rng.normal(size=8)])
-        d = Dataset(x=x, z=np.array([1, 0] * 4), y_obs=rng.normal(size=8))
-        assert covariate_differences(d, "standardized")[0] == 0.0
-
-
-class TestDeltaUnweighted:
-    def test_balanced_is_zero(self):
-        block = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
-        d = Dataset(
-            x=np.vstack([block, block]),
-            z=np.array([1, 1, 1, 0, 0, 0]),
-            y_obs=np.arange(6.0),
-        )
-        assert covariate_differences(d).sum() == 0.0
-
-    def test_sign_cancellation(self, rng):
-        # deltas (0.3, -0.3) cancel: the statistic's known blind spot
-        n = 100
-        z = np.array([1, 0] * (n // 2))
-        zc = (z - z.mean()) / z.std()
-        x1 = 0.15 * zc + 0.1 * rng.normal(size=n)
-        x2 = -x1
-        d = Dataset(x=np.column_stack([x1, x2]), z=z, y_obs=rng.normal(size=n))
-        deltas = covariate_differences(d, "raw")
-        assert deltas[0] == -deltas[1] != 0.0
-        assert abs(covariate_differences(d, "raw").sum()) < 1e-14
-
-    def test_single_covariate(self, rng):
-        d = random_dataset(rng, p=1)
-        assert covariate_differences(d).sum() == covariate_differences(d)[0]
-
-    def test_sign_flip_exact(self, rng):
-        for _ in range(10):
-            d = random_dataset(rng)
-            flipped = Dataset(x=d.x, z=1 - d.z, y_obs=d.y_obs)
-            assert np.isclose(
-                covariate_differences(d).sum(), -covariate_differences(flipped).sum(), atol=1e-12
-            )
-
-
 def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None, scale="raw"):
     """Weight container for tests; with ``d`` the intercept is chosen so the
     fitted control mean matches the observed one (the arm-fit precondition)."""
     w = np.asarray(vector, dtype=float)
     if d is not None:
-        from balance_lab.balance import scaled_covariates
-
         xs = scaled_covariates(d, scale)
         intercept = float(d.y_obs[d.z == 0].mean() - np.mean(xs[d.z == 0] @ w))
     return RegressionFit(
@@ -113,11 +43,80 @@ def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None, scale="raw"):
     )
 
 
+def zero_weight_report(d, scale="standardized"):
+    """The balance report under zero weights, so that no arm fit is needed
+    (collinear covariates cannot be fit)."""
+    zero = fixed_weight_fit(np.zeros(d.p), d=d, scale=scale)
+    return compute_balance_report(d, scale, weights=zero)
+
+
+class TestCovariateDifferences:
+    def test_identical_arms_zero(self):
+        block = np.array([[1.0], [2.0], [3.0]])
+        x = np.vstack([block, block])
+        z = np.array([1, 1, 1, 0, 0, 0])
+        d = Dataset(x=x, z=z, y_obs=np.arange(6.0))
+        assert zero_weight_report(d, "raw").delta[0] == 0.0
+
+    def test_assignment_indicator_covariate(self):
+        z = np.array([1, 1, 0, 0, 1, 0])
+        d = Dataset(x=z[:, None].astype(float), z=z, y_obs=np.arange(6.0))
+        assert zero_weight_report(d, "raw").delta[0] == 1.0
+
+    def test_matches_naive_oracle(self, rng):
+        for _ in range(20):
+            d = random_dataset(rng)
+            for scale in ("raw", "standardized"):
+                np.testing.assert_allclose(
+                    zero_weight_report(d, scale).delta, naive_differences(d, scale), atol=1e-12
+                )
+
+    def test_constant_column_zero(self, rng):
+        x = np.column_stack([np.full(8, 3.0), rng.normal(size=8)])
+        d = Dataset(x=x, z=np.array([1, 0] * 4), y_obs=rng.normal(size=8))
+        assert zero_weight_report(d, "standardized").delta[0] == 0.0
+
+
+class TestDeltaUnweighted:
+    def test_balanced_is_zero(self):
+        block = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+        d = Dataset(
+            x=np.vstack([block, block]),
+            z=np.array([1, 1, 1, 0, 0, 0]),
+            y_obs=np.arange(6.0),
+        )
+        assert zero_weight_report(d).delta_uw == 0.0
+
+    def test_sign_cancellation(self, rng):
+        # deltas (0.3, -0.3) cancel: the statistic's known blind spot
+        n = 100
+        z = np.array([1, 0] * (n // 2))
+        zc = (z - z.mean()) / z.std()
+        x1 = 0.15 * zc + 0.1 * rng.normal(size=n)
+        x2 = -x1
+        d = Dataset(x=np.column_stack([x1, x2]), z=z, y_obs=rng.normal(size=n))
+        deltas = zero_weight_report(d, "raw").delta
+        assert deltas[0] == -deltas[1] != 0.0
+        assert abs(zero_weight_report(d, "raw").delta_uw) < 1e-14
+
+    def test_single_covariate(self, rng):
+        d = random_dataset(rng, p=1)
+        assert zero_weight_report(d).delta_uw == zero_weight_report(d).delta[0]
+
+    def test_sign_flip_exact(self, rng):
+        for _ in range(10):
+            d = random_dataset(rng)
+            flipped = Dataset(x=d.x, z=1 - d.z, y_obs=d.y_obs)
+            assert np.isclose(
+                zero_weight_report(d).delta_uw, -zero_weight_report(flipped).delta_uw, atol=1e-12
+            )
+
+
 class TestDeltaRegressionWeighted:
     def test_zero_weights(self, rng):
         d = random_dataset(rng, p=3)
         w = fixed_weight_fit([0.0, 0.0, 0.0], intercept=float(d.y_obs[d.z == 0].mean()))
-        assert delta_regression_weighted(d, w, "raw") == 0.0
+        assert compute_balance_report(d, "raw", weights=w).delta_rw == 0.0
 
     def test_prognostic_covariate_collapses(self, rng):
         n = 60
@@ -125,8 +124,8 @@ class TestDeltaRegressionWeighted:
         z = np.array([1, 0] * (n // 2))
         d = Dataset(x=x, z=z, y_obs=x[:, 0])
         weights = control_arm_weights(d, scale="raw")
-        value = delta_regression_weighted(d, weights, "raw")
-        assert np.isclose(value, covariate_differences(d, "raw")[0], atol=1e-10)
+        value = compute_balance_report(d, "raw", weights=weights).delta_rw
+        assert np.isclose(value, zero_weight_report(d, "raw").delta[0], atol=1e-10)
 
     def test_two_paths_agree(self, rng):
         for _ in range(50):
@@ -142,21 +141,22 @@ class TestDeltaRegressionWeighted:
         # refitting weights on either scale yields the same statistic
         for _ in range(10):
             d = random_dataset(rng)
-            v_std = delta_regression_weighted(d, control_arm_weights(d, "standardized"), "standardized")
-            v_raw = delta_regression_weighted(d, control_arm_weights(d, "raw"), "raw")
+            w_std, w_raw = control_arm_weights(d, "standardized"), control_arm_weights(d, "raw")
+            v_std = compute_balance_report(d, "standardized", weights=w_std).delta_rw
+            v_raw = compute_balance_report(d, "raw", weights=w_raw).delta_rw
             assert np.isclose(v_std, v_raw, rtol=1e-8, atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         d = random_dataset(rng, p=3)
         with pytest.raises(WeightDimensionMismatch):
-            delta_regression_weighted(d, fixed_weight_fit([1.0, 2.0]), "raw")
+            compute_balance_report(d, "raw", weights=fixed_weight_fit([1.0, 2.0]))
 
     def test_sign_flip_fixed_weights(self, rng):
         d = random_dataset(rng, p=2)
         w = fixed_weight_fit(rng.normal(size=2))
         flipped = Dataset(x=d.x, z=1 - d.z, y_obs=d.y_obs)
-        a = float(np.asarray(w.coefficients) @ covariate_differences(d, "raw"))
-        b = float(np.asarray(w.coefficients) @ covariate_differences(flipped, "raw"))
+        a = float(np.asarray(w.coefficients) @ zero_weight_report(d, "raw").delta)
+        b = float(np.asarray(w.coefficients) @ zero_weight_report(flipped, "raw").delta)
         assert np.isclose(a, -b, atol=1e-12)
 
     def test_treatment_arm_weights_path(self, rng):
@@ -178,7 +178,7 @@ class TestHotelling:
             z=np.array([1] * 5 + [0] * 5),
             y_obs=rng.normal(size=10),
         )
-        assert hotelling_t2(d) < 1e-18
+        assert zero_weight_report(d).hotelling_t2 < 1e-18
 
     def test_p1_reduces_to_squared_t(self, rng):
         for _ in range(10):
@@ -189,12 +189,13 @@ class TestHotelling:
             s2 = ((a - a.mean()) ** 2).sum() + ((b - b.mean()) ** 2).sum()
             s2 /= n1 + n0 - 2
             t = (a.mean() - b.mean()) / np.sqrt(s2 * (1 / n1 + 1 / n0))
-            assert np.isclose(hotelling_t2(d), t**2, rtol=1e-10)
+            assert np.isclose(zero_weight_report(d).hotelling_t2, t**2, rtol=1e-10)
 
     def test_affine_invariance(self, rng):
         d = random_dataset(rng, p=3)
         scaled = Dataset(x=d.x * np.array([10.0, 1.0, 1.0]), z=d.z, y_obs=d.y_obs)
-        assert np.isclose(hotelling_t2(d), hotelling_t2(scaled), rtol=1e-8)
+        t2, t2_scaled = zero_weight_report(d).hotelling_t2, zero_weight_report(scaled).hotelling_t2
+        assert np.isclose(t2, t2_scaled, rtol=1e-8)
 
     def test_singular_covariance_falls_back_to_pinv(self, rng):
         n = 40
@@ -231,4 +232,4 @@ class TestReport:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_hotelling_nonnegative(self, seed):
         d = random_dataset(np.random.default_rng(seed))
-        assert hotelling_t2(d) >= 0.0
+        assert zero_weight_report(d).hotelling_t2 >= 0.0

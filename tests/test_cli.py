@@ -246,6 +246,49 @@ class TestCmdSimulate:
         assert run_cli(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def _small_config(tmp_path, **overrides) -> str:
+    path = tmp_path / "config.json"
+    config = {"imbalance_levels": [0.0], "prognosis_levels": [0.0], "replicates": 2}
+    path.write_text(json.dumps({**config, **overrides}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "test-seed-negative",
+        "test-permutations-zero",
+        "test-alpha-above-one",
+        "test-alpha-zero",
+        "threads-env-not-int",
+        "simulate-seed-negative",
+        "config-seed-negative",
+        "config-seed-fractional",
+    ],
+)
+def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BALANCE_LAB_THREADS", "abc" if case == "threads-env-not-int" else "1")
+    test = BASE_ARGS + ["--out-dir", str(tmp_path / "out")]
+    simulate = ["simulate", "--out-dir", str(tmp_path / "out")]
+    args = {
+        "test-seed-negative": test + ["--seed", "-1"],
+        "test-permutations-zero": test + ["--permutations", "0"],
+        "test-alpha-above-one": test + ["--alpha", "7"],
+        "test-alpha-zero": test + ["--alpha", "0"],
+        "threads-env-not-int": test,
+        "simulate-seed-negative": simulate + ["--config", _small_config(tmp_path), "--seed", "-1"],
+        "config-seed-negative": simulate + ["--config", _small_config(tmp_path, seed=-1)],
+        "config-seed-fractional": simulate + ["--config", _small_config(tmp_path, seed=1.5)],
+    }[case]
+    try:
+        code = run_cli(args)
+    except SystemExit as exc:  # argparse rejects a flag value before any command runs
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error:") or ": error: " in line for line in err)
+
+
 class TestThreadResolution:
     def test_explicit_value(self):
         assert cli._resolve_threads(3) == 3

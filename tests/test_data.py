@@ -1,12 +1,13 @@
 import io
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, load_dataset, standardize
-from balance_lab.data import MissingRowsDropped, standardize_columns
+from balance_lab import Dataset, cli, data, load_dataset, simulation, standardize
+from balance_lab.data import MissingRowsDropped, scaled_covariates, standardize_columns
 from balance_lab.errors import (
     AllColumnsConstant,
     DegenerateAssignment,
@@ -189,3 +190,48 @@ class TestStandardize:
         view = standardize(d)
         assert view.x_std.shape == (10, 2)
         assert np.abs(view.x_std.mean(axis=0)).max() < 1e-12
+
+    @pytest.fixture
+    def standardize_calls(self, monkeypatch):
+        calls = []
+        original = data.standardize_columns
+
+        def counting(x):
+            calls.append(1)
+            return original(x)
+
+        monkeypatch.setattr(data, "standardize_columns", counting)
+        return calls
+
+    @pytest.mark.parametrize("policy", ["fixed", "refit"])
+    @pytest.mark.parametrize("scale", ["standardized", "raw"])
+    def test_cli_test_standardizes_once(self, policy, scale, standardize_calls, tmp_path):
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "null_small.csv"
+        args = [
+            "test", "--input", str(fixture), "--treatment", "z", "--outcome", "y",
+            "--covariates", "x1,x2,x3", "--seed", "1", "--permutations", "50",
+            "--weight-policy", policy, "--scale", scale, "--out-dir", str(tmp_path),
+        ]
+        assert cli.main(args) == 0
+        assert len(standardize_calls) == 1
+
+    def test_replicate_standardizes_once(self, standardize_calls):
+        cfg = simulation.DgpConfig(n=40, p=3, rho_x1_y=0.3, seed=5)
+        _, pvals, _ = simulation._run_replicate((cfg, 0, ("uw", "rw", "hotelling"), 20, "fixed"))
+        assert pvals is not None
+        assert len(standardize_calls) == 1
+
+    def test_scaled_view_is_cached_and_read_only(self, rng):
+        x = np.column_stack([np.full(10, 4.0), rng.normal(size=(10, 2))])
+        d = Dataset(x=x, z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
+        xs = scaled_covariates(d, "standardized")
+        assert xs is scaled_covariates(d, "standardized")
+        assert standardize(d) is standardize(d)
+        assert xs.shape == (10, 3) and not xs[:, 0].any()
+        np.testing.assert_array_equal(xs[:, 1:], standardize(d).x_std)
+        for arr in (xs, standardize(d).x_std, standardize(d).means, standardize(d).sds):
+            with pytest.raises(ValueError):
+                arr[0, ...] = 1.0
+        assert scaled_covariates(d, "raw") is d.x
+        with pytest.raises(ValueError):
+            scaled_covariates(d, "log")

@@ -165,3 +165,19 @@ class TestArmWeights:
         np.testing.assert_allclose(
             std.standardized_coefficients, raw.standardized_coefficients, rtol=1e-8
         )
+
+    def test_rank_deficient_names_covariates_on_both_scales(self, rng):
+        # column 0 is constant, so on the standardized scale the retained
+        # columns are shifted by one against the covariates
+        n = 40
+        x = rng.normal(size=(n, 4))
+        x[:, 0] = 2.0
+        x[:, 3] = -x[:, 2]
+        d = Dataset(x=x, z=np.array([1, 0] * (n // 2)), y_obs=rng.normal(size=n))
+        named = {}
+        for scale in ("standardized", "raw"):
+            with pytest.raises(RankDeficient) as info:
+                control_arm_weights(d, scale=scale)
+            named[scale] = info.value.columns
+            assert str(info.value.columns) in str(info.value)
+        assert named["standardized"] == named["raw"] == (3,)
