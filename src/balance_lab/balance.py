@@ -2,7 +2,11 @@
 
 Each statistic has one kernel over a batch of assignment columns: the
 observed assignment is a batch of one, permutation draws are larger
-batches, so both are computed by the same arithmetic.
+batches, so both are computed by the same arithmetic. Under the ``refit``
+weight policy the control-arm regressions of a batch are solved together,
+one stacked QR per block of columns; a design that is ill-conditioned or
+that the stack cannot hold goes through ``regression.fit_ols`` instead,
+and the number of such columns is reported.
 
 The observed regression-weighted sum is also computed as the difference
 between the fitted treatment-group mean and the observed control-group
@@ -89,14 +93,58 @@ def _hotelling_columns(
     return np.maximum((n1 * n0 / n) * t2, 0.0), singular
 
 
+# Control arms refit together in one stacked QR. The (block, n0, p + 2) gather
+# is a few hundred kB at n0 = 500, and it does not grow with B.
+_REFIT_BLOCK = 16
+# A control design is solved in the stack only if its condition number is
+# below 1 / _REFIT_RCOND. The diagonal of any triangular factor lies between
+# the smallest and the largest singular value, so the pivoted QR of fit_ols
+# would find no diagonal entry below RANK_RTOL times the largest and would
+# keep every column: both paths fit the same model.
+_REFIT_RCOND = 1e-6
+
+
 def _refit_rw_columns(
     xs: np.ndarray, y: np.ndarray, z_cols: np.ndarray, deltas: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Regression-weighted sums with weights refit on each column's control arm."""
+) -> tuple[np.ndarray, int, int]:
+    """Regression-weighted sums with weights refit on each column's control arm.
+
+    Returns the sums, the number of failed refits (their sums are +inf, so
+    they count as extreme) and the number of columns refit through
+    ``fit_ols``. The control designs ``[1 | xs]`` of a block of columns go
+    through one unpivoted QR with ``y`` as a last column: the top rows of
+    each R hold the design's R and Q'y, so the coefficients come from a
+    triangular solve, and neither Q nor the normal equations are formed.
+    ``fit_ols`` and its pivoted QR, which decides rank and raises the typed
+    errors, take the rest: ill-conditioned designs (a covariate constant
+    within the arm lands here), and every column when the control arms
+    differ in size or have at most p + 1 units.
+    """
+    n, p = xs.shape
     b = z_cols.shape[1]
     values = np.empty(b)
+    pending = np.ones(b, dtype=bool)
+    n0 = n - np.count_nonzero(z_cols, axis=0)
+    if b and n0.min() == n0.max() and n0[0] > p + 1:
+        # fit_ols gives an all-zero column (a constant covariate on the
+        # standardized scale) a zero weight; the stack leaves it out too.
+        live = np.flatnonzero(xs.any(axis=0))
+        k = live.size + 1
+        data = np.column_stack([np.ones(n), xs[:, live], y])
+        for start in range(0, b, _REFIT_BLOCK):
+            cols = np.arange(start, min(start + _REFIT_BLOCK, b))
+            rows = np.flatnonzero(z_cols[:, cols].T == 0.0) % n
+            r = np.linalg.qr(data[rows.reshape(cols.size, n0[0])], mode="r")
+            design_r, qty = r[:, :k, :k], r[:, :k, k]
+            singular_values = np.linalg.svd(design_r, compute_uv=False)
+            ok = singular_values[:, -1] > _REFIT_RCOND * singular_values[:, 0]
+            coefficients = np.linalg.solve(design_r[ok], qty[ok, :, None])[:, 1:, 0]
+            solved = cols[ok]
+            values[solved] = (coefficients * deltas[np.ix_(live, solved)].T).sum(axis=1)
+            pending[solved] = False
+
     failures = 0
-    for i in range(b):
+    for i in np.flatnonzero(pending):
         control = z_cols[:, i] == 0.0
         try:
             fit = fit_ols(xs[control], y[control], include_intercept=True, arm="control")
@@ -104,16 +152,17 @@ def _refit_rw_columns(
         except BalanceLabError:
             values[i] = np.inf
             failures += 1
-    return values, failures
+    return values, failures, int(np.count_nonzero(pending))
 
 
 def _statistic_columns(
     statistics, xs, xc, y, n1, n0, weight_policy, w_fixed, z_cols
-) -> tuple[dict[str, np.ndarray], int]:
+) -> tuple[dict[str, np.ndarray], int, int]:
     """Each requested statistic for every column of ``z_cols``, plus the
-    number of failed refits. ``xs`` is on the balance scale, ``xc`` centered."""
+    numbers of failed refits and of refits through ``fit_ols``. ``xs`` is on
+    the balance scale, ``xc`` centered."""
     out: dict[str, np.ndarray] = {}
-    failures = 0
+    failures = fallbacks = 0
     if "uw" in statistics or "rw" in statistics:
         deltas = _delta_columns(xs, z_cols, n1, n0)
     if "uw" in statistics:
@@ -122,10 +171,10 @@ def _statistic_columns(
         if weight_policy == "fixed":
             out["rw"] = w_fixed @ deltas
         else:
-            out["rw"], failures = _refit_rw_columns(xs, y, z_cols, deltas)
+            out["rw"], failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
     if "hotelling" in statistics:
         out["hotelling"] = _hotelling_columns(xc, z_cols, n1, n0)[0]
-    return out, failures
+    return out, failures, fallbacks
 
 
 def _checked_weighted_sum(

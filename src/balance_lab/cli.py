@@ -253,18 +253,19 @@ def cmd_test(args) -> int:
     stat_rows = []
     for name in statistics:
         res = perms[name]
-        stat_rows.append(
-            {
-                "name": name,
-                "observed": res.observed,
-                "exact_variance": exact_var[name],
-                "permutation_p": res.p_value,
-                "p_conservative": res.p_conservative,
-                "asymptotic_p": _maybe_asymptotic(res.observed, exact_var[name]),
-                "b": res.b,
-                "n_failed": res.n_failed,
-            }
-        )
+        row = {
+            "name": name,
+            "observed": res.observed,
+            "exact_variance": exact_var[name],
+            "permutation_p": res.p_value,
+            "p_conservative": res.p_conservative,
+            "asymptotic_p": _maybe_asymptotic(res.observed, exact_var[name]),
+            "b": res.b,
+            "n_failed": res.n_failed,
+        }
+        if res.weight_policy == "refit":
+            row["n_refit_fallback"] = res.n_refit_fallback
+        stat_rows.append(row)
 
     configuration = {
         "input": args.input,

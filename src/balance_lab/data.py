@@ -115,6 +115,12 @@ class Dataset:
         object.__setattr__(self, "y_obs", y)
         object.__setattr__(self, "column_names", names)
 
+    def __reduce__(self):
+        # Rebuild through the constructor: numpy unpickles arrays writeable,
+        # and the cached scaled views are recomputed on first use instead of
+        # travelling with the pickle.
+        return (type(self), (self.x, self.z, self.y_obs, self.column_names))
+
     @property
     def n(self) -> int:
         return self.x.shape[0]

@@ -41,8 +41,11 @@ class PermutationResult:
     extreme as the observed one (ties inclusive, compared in floating
     point); it can be exactly zero. ``p_conservative`` is the add-one
     variant (count+1)/(B+1), never zero. Failed replicates are recorded as
-    +inf (counted as extreme). Hotelling is evaluated on covariates
-    centered over all N units, so it is shift- and scale-invariant.
+    +inf (counted as extreme). ``n_refit_fallback`` counts the replicates
+    whose ``refit`` weights came from the pivoted ``fit_ols`` path instead
+    of the stacked QR, failed ones included. Hotelling is evaluated on
+    covariates centered over all N units, so it is shift- and
+    scale-invariant.
     """
 
     statistic_name: str
@@ -54,6 +57,7 @@ class PermutationResult:
     seed: int
     weight_policy: str
     n_failed: int = 0
+    n_refit_fallback: int = 0
 
 
 def permute_assignment(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -83,10 +87,9 @@ def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _evaluate_chunk(args) -> tuple[int, dict[str, np.ndarray], int]:
+def _evaluate_chunk(args) -> tuple[int, dict[str, np.ndarray], int, int]:
     evaluate, z, seed, start, count = args
-    values, failures = evaluate(_permuted_z(z, seed, start, count))
-    return start, values, failures
+    return (start, *evaluate(_permuted_z(z, seed, start, count)))
 
 
 def permutation_pvalues(
@@ -127,7 +130,7 @@ def permutation_pvalues(
         _statistic_columns, tuple(statistics), scaled_covariates(d, scale), _centered(d.x),
         d.y_obs, sizes.n1, sizes.n0, weight_policy, w_fixed,
     )
-    observed_values, observed_failures = evaluate(_observed_column(d))
+    observed_values, observed_failures, _ = evaluate(_observed_column(d))
     if observed_failures:
         # The observed control arm cannot be fit; raise that fit's typed error.
         control_arm_weights(d, scale=scale)
@@ -145,9 +148,10 @@ def permutation_pvalues(
     pieces.sort(key=lambda item: item[0])
 
     values = {name: np.empty(b) for name in statistics}
-    n_failed = 0
-    for start, chunk_values, failures in pieces:
+    n_failed = n_refit_fallback = 0
+    for start, chunk_values, failures, fallbacks in pieces:
         n_failed += failures
+        n_refit_fallback += fallbacks
         for name in statistics:
             arr = chunk_values[name]
             values[name][start : start + arr.size] = arr
@@ -166,6 +170,7 @@ def permutation_pvalues(
             seed=seed,
             weight_policy=weight_policy if name == "rw" else "fixed",
             n_failed=n_failed if name == "rw" else 0,
+            n_refit_fallback=n_refit_fallback if name == "rw" else 0,
         )
     return results
 

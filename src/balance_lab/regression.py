@@ -5,6 +5,11 @@ equations; rank is decided by a relative 1e-10 tolerance on the magnitudes
 of the triangular factor's diagonal. Constant columns are dropped (their
 effect is absorbed by the intercept) and receive a zero coefficient, so
 only genuine collinearity raises.
+
+The permutation test's ``refit`` policy solves most control-arm fits in
+batches with an unpivoted QR (``balance._refit_rw_columns``), also without
+the normal equations. Any design that batch cannot certify as well
+conditioned comes here, so pivoted QR stays the arbiter of rank.
 """
 
 from dataclasses import dataclass

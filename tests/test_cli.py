@@ -71,6 +71,17 @@ class TestCmdTest:
         report = json.load(open(tmp_path / "balance_report.json"))
         assert [row["name"] for row in report["statistics"]] == ["uw"]
 
+    def test_refit_fallback_count_in_rw_row(self, tmp_path):
+        for policy in ("refit", "fixed"):
+            run_cli(BASE_ARGS + ["--weight-policy", policy, "--out-dir", str(tmp_path / policy)])
+        reports = {
+            policy: json.load(open(tmp_path / policy / "balance_report.json"))["statistics"]
+            for policy in ("refit", "fixed")
+        }
+        refit = {row["name"]: row for row in reports["refit"]}
+        assert refit["rw"]["n_refit_fallback"] == refit["rw"]["n_failed"] == 0
+        assert not any("n_refit_fallback" in row for row in (refit["uw"], *reports["fixed"]))
+
     def test_dump_permutations(self, tmp_path):
         run_cli(BASE_ARGS + ["--statistic", "rw", "--dump-permutations", "--out-dir", str(tmp_path)])
         values = np.load(tmp_path / "permuted_rw.npy")

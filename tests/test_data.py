@@ -1,5 +1,6 @@
 import io
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -127,6 +128,19 @@ class TestDataset:
         d = load_dataset(csv_stream(MINIMAL), "z", "y", ["x1"])
         with pytest.raises(ValueError):
             d.x[0, 0] = 99.0
+
+    def test_unpickled_copy_is_frozen(self, rng):
+        d = Dataset(x=rng.normal(size=(10, 2)), z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
+        scaled_covariates(d, "standardized")
+        copy = pickle.loads(pickle.dumps(d))
+        assert "_standardized_x" not in vars(copy)
+        np.testing.assert_array_equal(copy.x, d.x)
+        np.testing.assert_array_equal(copy.z, d.z)
+        np.testing.assert_array_equal(copy.y_obs, d.y_obs)
+        assert copy.column_names == d.column_names
+        for arr in (copy.x, copy.z, copy.y_obs, scaled_covariates(copy, "standardized")):
+            with pytest.raises(ValueError):
+                arr[0, ...] = 1
 
     def test_direct_construction_validates(self):
         with pytest.raises(NonBinaryTreatment):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, control_arm_weights, permutation_test, permute_assignment
+from balance_lab import Dataset, balance, control_arm_weights, permutation_test, permute_assignment
 from balance_lab.balance import _refit_rw_columns
-from balance_lab.errors import ControlArmTooSmall
+from balance_lab.errors import BalanceLabError, ControlArmTooSmall
 from balance_lab.permutation import permutation_pvalues
+from balance_lab.regression import fit_ols
 from balance_lab.rng import stream
 from conftest import random_dataset
 
@@ -102,7 +103,7 @@ class TestPermutationTest:
         z_cols[:5, 0] = 1.0
         z_cols[:5, 1] = 1.0
         deltas = np.zeros((3, 2))
-        values, failures = _refit_rw_columns(xs, y, z_cols, deltas)
+        values, failures, _ = _refit_rw_columns(xs, y, z_cols, deltas)
         assert failures == 2
         assert np.isinf(values).all()
 
@@ -183,6 +184,130 @@ class TestEngineAgainstScratch:
             w_i = control_arm_weights(d_i).coefficients
             expected = float(w_i @ naive_differences(d_i))
             assert np.isclose(res.permuted_values[i], expected, atol=1e-10)
+
+
+def looped_refit(xs, y, z_cols, deltas):
+    """One pivoted fit_ols per column, failures as +inf: the reference for
+    the stacked refit kernel."""
+    values = np.empty(z_cols.shape[1])
+    for i in range(z_cols.shape[1]):
+        control = z_cols[:, i] == 0.0
+        try:
+            fit = fit_ols(xs[control], y[control], include_intercept=True, arm="control")
+            values[i] = fit.coefficients @ deltas[:, i]
+        except BalanceLabError:
+            values[i] = np.inf
+    return values
+
+
+def refit_design(kind, g, n, p):
+    """Covariates of one kind: ``binary`` makes some control arms hold a
+    constant column, ``collinear`` nearly repeats a column, ``zero`` holds
+    a constant covariate as the standardized scale stores it, and
+    ``offset`` is a raw column whose spread is tiny next to its level
+    (fit_ols calls it rank deficient although its diagonal ratio looks
+    harmless)."""
+    if kind == "binary":
+        return (g.random((n, p)) < 0.04).astype(float)
+    x = g.normal(size=(n, p))
+    if kind == "collinear" and p > 1:
+        x[:, -1] = x[:, 0] + 1e-3 * g.normal(size=n)
+    if kind == "zero":
+        x[:, 0] = 0.0
+    if kind == "offset":
+        x[:, -1] = 1e3 + 1e-5 * g.normal(size=n)
+    return x
+
+
+class TestStackedRefit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gaussian", "binary", "collinear", "zero", "offset"]),
+        p=st.integers(1, 4),
+        b=st.integers(1, 40),
+        mixed_sizes=st.booleans(),
+    )
+    def test_matches_pivoted_loop(self, seed, kind, p, b, mixed_sizes):
+        g = np.random.default_rng(seed)
+        n = int(g.integers(2 * p + 8, 80))
+        xs = refit_design(kind, g, n, p)
+        y = xs @ g.normal(size=p) + g.normal(size=n)
+        n1 = n // 2
+        z_cols = np.zeros((n, b))
+        for i in range(b):
+            treated = n1 + 1 if mixed_sizes and i == b - 1 else n1
+            z_cols[g.permutation(n)[:treated], i] = 1.0
+        deltas = g.normal(size=(p, b))
+
+        values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+        expected = looped_refit(xs, y, z_cols, deltas)
+        failed = np.isinf(expected)
+        np.testing.assert_array_equal(np.isinf(values), failed)
+        assert failures == np.count_nonzero(failed) <= fallbacks <= b
+        np.testing.assert_allclose(values[~failed], expected[~failed], rtol=1e-10, atol=1e-12)
+        if mixed_sizes and b > 1:
+            assert fallbacks == b
+        if kind == "offset":
+            assert failures == b
+
+    def test_counts_fallbacks(self, rng):
+        xs = rng.normal(size=(60, 2))
+        xs[:5, 1] = 1.0
+        xs[5:, 1] = 0.0
+        y = rng.normal(size=60)
+        z_cols = np.zeros((60, 3))
+        z_cols[:30, 0] = 1.0  # control arm rows 30..59: column 1 constant
+        z_cols[30:, 1] = 1.0
+        z_cols[::2, 2] = 1.0
+        values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, np.ones((2, 3)))
+        assert (failures, fallbacks) == (0, 1)
+        np.testing.assert_allclose(values, looped_refit(xs, y, z_cols, np.ones((2, 3))), rtol=1e-10)
+
+    def test_rw_independent_of_block_size_and_threads(self, rng, monkeypatch):
+        # a sparse binary covariate sends some columns of every chunk to the
+        # pivoted path, so both routes meet the chunk and block boundaries
+        x = np.column_stack([rng.normal(size=(60, 2)), rng.random(60) < 0.06])
+        d = Dataset(x=x, z=np.array([1, 0] * 30), y_obs=rng.normal(size=60))
+        reference = permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit")
+        assert 0 < reference.n_refit_fallback < reference.b
+        runs = [permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit", threads=2)]
+        for block in (1, 7):
+            monkeypatch.setattr(balance, "_REFIT_BLOCK", block)
+            runs.append(permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit"))
+        for res in runs:
+            assert np.array_equal(res.permuted_values, reference.permuted_values)
+            assert res.observed == reference.observed
+            assert (res.n_failed, res.n_refit_fallback) == (
+                reference.n_failed,
+                reference.n_refit_fallback,
+            )
+
+
+class TestRefitFallbackCount:
+    def test_gaussian_covariates_never_fall_back(self):
+        g = np.random.default_rng(301)
+        x = g.standard_normal((1000, 5))
+        y = x @ np.linspace(0.5, 0.05, 5) + g.standard_normal(1000)
+        d = Dataset(x=x, z=g.permutation(np.repeat([1, 0], 500)), y_obs=y)
+        res = permutation_test(d, "rw", b=200, seed=3, weight_policy="refit")
+        assert (res.n_failed, res.n_refit_fallback) == (0, 0)
+
+    def test_constant_covariate_stays_in_stack(self):
+        g = np.random.default_rng(303)
+        x = np.column_stack([g.standard_normal((100, 2)), np.full(100, 4.0)])
+        d = Dataset(x=x, z=np.array([1, 0] * 50), y_obs=g.standard_normal(100))
+        res = permutation_test(d, "rw", b=50, seed=3, weight_policy="refit")
+        assert (res.n_failed, res.n_refit_fallback) == (0, 0)
+
+    def test_binary_covariates_fall_back(self):
+        g = np.random.default_rng(302)
+        x = (g.random((80, 3)) < 0.05).astype(float)
+        d = Dataset(x=x, z=np.array([1, 0] * 40), y_obs=g.standard_normal(80))
+        res = permutation_test(d, "rw", b=200, seed=3, weight_policy="refit")
+        assert res.n_refit_fallback > 0
+        assert res.n_failed <= res.n_refit_fallback
+        assert permutation_test(d, "rw", b=200, seed=3).n_refit_fallback == 0
 
 
 class TestIrrelevantCovariate:
