@@ -15,7 +15,6 @@ from .regression import (
     RegressionFit,
     control_arm_weights,
     fit_ols,
-    residualize,
     treatment_arm_weights,
 )
 from .simulation import (
@@ -46,7 +45,6 @@ __all__ = [
     "fit_ols",
     "control_arm_weights",
     "treatment_arm_weights",
-    "residualize",
     "BalanceReport",
     "compute_balance_report",
     "VarianceReport",

@@ -30,7 +30,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """All balance statistics for one dataset on one covariate scale."""
+    """All balance statistics for one dataset on one covariate scale.
+
+    ``hotelling_t2`` is +inf when the covariates separate the arms perfectly.
+    """
 
     delta: np.ndarray
     delta_uw: float
@@ -40,10 +43,6 @@ class BalanceReport:
     scale: str
     hotelling_used_pinv: bool
     fitted_mean_difference: float
-
-
-def _centered(x: np.ndarray) -> np.ndarray:
-    return x - x.mean(axis=0)
 
 
 def _observed_column(d: Dataset) -> np.ndarray:
@@ -57,40 +56,30 @@ def _delta_columns(xs: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.n
     return treated_sums * (1.0 / n1 + 1.0 / n0) - totals / n0
 
 
-def _hotelling_columns(
-    xc: np.ndarray, z_cols: np.ndarray, n1: int, n0: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hotelling T-squared and the pinv-fallback flag for each assignment column.
+def _whitened(d: Dataset) -> tuple[np.ndarray, bool]:
+    """Standardized covariates whitened over all N units, and whether their
+    Gram matrix is singular (directions with eigenvalue at most 1e-12 of the
+    largest are dropped). The columns are re-centered first: the Hotelling
+    closed form needs them to sum to zero."""
+    xs = scaled_covariates(d, "standardized")
+    xs = xs - xs.mean(axis=0)
+    eigenvalues, vectors = np.linalg.eigh(xs.T @ xs)
+    kept = eigenvalues > 1e-12 * eigenvalues[-1]
+    return xs @ (vectors[:, kept] / np.sqrt(eigenvalues[kept])), not kept.all()
 
-    The pooled scatter depends on the assignment only through the arm
-    means: scatter_T + scatter_C = X'X - n1 m_T m_T' - n0 m_C m_C'. With
-    ``xc`` centered over all N units, that difference loses no precision to
-    the covariate levels, so T-squared is shift- and scale-invariant.
+
+def _hotelling_columns(xw: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.ndarray:
+    """Hotelling T-squared for each assignment column.
+
+    The pooled scatter is G - k S S' (S the treated sums, G the Gram matrix,
+    k = N / (n1 n0)), so by Sherman-Morrison T-squared = (N - 2) kq / (1 - kq)
+    with q = S' G^+ S = |xw' z|^2. kq = 1 is perfect separation: +inf.
     """
-    n = xc.shape[0]
-    treated_sums = xc.T @ z_cols  # (p, B)
-    mean_t = (treated_sums / n1).T  # (B, p)
-    mean_c = ((xc.sum(axis=0)[:, None] - treated_sums) / n0).T
-    diff = mean_t - mean_c
-    gram = xc.T @ xc
-    pooled = (
-        gram[None, :, :]
-        - n1 * mean_t[:, :, None] * mean_t[:, None, :]
-        - n0 * mean_c[:, :, None] * mean_c[:, None, :]
-    ) / (n - 2)
-
-    eigenvalues = np.linalg.eigvalsh(pooled)
-    singular = (eigenvalues[:, -1] <= 0.0) | (
-        eigenvalues[:, 0] <= 1e-12 * eigenvalues[:, -1]
-    )
-    t2 = np.empty(z_cols.shape[1])
-    regular = ~singular
-    if regular.any():
-        solved = np.linalg.solve(pooled[regular], diff[regular][:, :, None])[:, :, 0]
-        t2[regular] = np.einsum("bp,bp->b", diff[regular], solved)
-    for i in np.flatnonzero(singular):
-        t2[i] = float(diff[i] @ np.linalg.pinv(pooled[i]) @ diff[i])
-    return np.maximum((n1 * n0 / n) * t2, 0.0), singular
+    n = n1 + n0
+    kq = (n / (n1 * n0)) * np.square(xw.T @ z_cols).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t2 = (n - 2) * kq / (1.0 - kq)
+    return np.where(kq >= 1.0 - 1e-12, np.inf, t2)
 
 
 # Control arms refit together in one stacked QR. The (block, n0, p + 2) gather
@@ -126,9 +115,9 @@ def _refit_rw_columns(
     pending = np.ones(b, dtype=bool)
     n0 = n - np.count_nonzero(z_cols, axis=0)
     if b and n0.min() == n0.max() and n0[0] > p + 1:
-        # fit_ols gives an all-zero column (a constant covariate on the
-        # standardized scale) a zero weight; the stack leaves it out too.
-        live = np.flatnonzero(xs.any(axis=0))
+        # fit_ols gives a constant column a zero weight; the stack leaves
+        # out the columns constant over all units.
+        live = np.flatnonzero(np.ptp(xs, axis=0) > 0.0)
         k = live.size + 1
         data = np.column_stack([np.ones(n), xs[:, live], y])
         for start in range(0, b, _REFIT_BLOCK):
@@ -156,11 +145,11 @@ def _refit_rw_columns(
 
 
 def _statistic_columns(
-    statistics, xs, xc, y, n1, n0, weight_policy, w_fixed, z_cols
+    statistics, xs, xw, y, n1, n0, weight_policy, w_fixed, z_cols
 ) -> tuple[dict[str, np.ndarray], int, int]:
     """Each requested statistic for every column of ``z_cols``, plus the
     numbers of failed refits and of refits through ``fit_ols``. ``xs`` is on
-    the balance scale, ``xc`` centered."""
+    the balance scale, ``xw`` whitened (see ``_whitened``)."""
     out: dict[str, np.ndarray] = {}
     failures = fallbacks = 0
     if "uw" in statistics or "rw" in statistics:
@@ -173,7 +162,7 @@ def _statistic_columns(
         else:
             out["rw"], failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
     if "hotelling" in statistics:
-        out["hotelling"] = _hotelling_columns(xc, z_cols, n1, n0)[0]
+        out["hotelling"] = _hotelling_columns(xw, z_cols, n1, n0)
     return out, failures, fallbacks
 
 
@@ -210,8 +199,8 @@ def compute_balance_report(
     Weights default to a fresh control-arm fit; pass an existing
     ``RegressionFit`` from an arm fit on the same scale to reuse one, e.g.
     ``treatment_arm_weights(d)`` for the Y(1) analogue. Hotelling is
-    affine-invariant, so it uses the raw covariates centered over all N
-    units; ``hotelling_used_pinv`` flags a singular pooled covariance.
+    affine-invariant and ignores ``scale``; ``hotelling_used_pinv`` flags
+    covariates collinear over all N units.
     """
     if weights is None:
         weights = control_arm_weights(d, scale=scale)
@@ -221,7 +210,8 @@ def compute_balance_report(
     z_obs = _observed_column(d)
     delta = _delta_columns(xs, z_obs, sizes.n1, sizes.n0)[:, 0]
     delta_rw, fitted_diff = _checked_weighted_sum(d, weights, xs, delta)
-    t2, used_pinv = _hotelling_columns(_centered(d.x), z_obs, sizes.n1, sizes.n0)
+    xw, collinear = _whitened(d)
+    t2 = _hotelling_columns(xw, z_obs, sizes.n1, sizes.n0)
 
     return BalanceReport(
         delta=delta,
@@ -230,6 +220,6 @@ def compute_balance_report(
         hotelling_t2=float(t2[0]),
         weights_used=weights,
         scale=scale,
-        hotelling_used_pinv=bool(used_pinv[0]),
+        hotelling_used_pinv=collinear,
         fitted_mean_difference=fitted_diff,
     )

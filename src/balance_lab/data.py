@@ -176,14 +176,15 @@ def population_sd(values: np.ndarray, axis: int = 0) -> np.ndarray:
 def standardize_columns(x: np.ndarray) -> StandardizedView:
     """Standardize each column of ``x`` by its population mean and SD.
 
-    Columns with zero variance cannot be scaled and are dropped from
-    ``x_std``; their indices are reported instead of dividing by zero.
+    Constant columns (every value equal; ``np.std`` of 0.1 repeated is not
+    0) are dropped from ``x_std`` with SD 0, and their indices reported.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     means = x.mean(axis=0)
-    sds = np.std(x, axis=0, ddof=0)
-    retained = [int(j) for j in np.flatnonzero(sds > 0.0)]
-    dropped = [int(j) for j in np.flatnonzero(sds == 0.0)]
+    varying = np.ptp(x, axis=0) > 0.0
+    sds = np.where(varying, np.std(x, axis=0, ddof=0), 0.0)
+    retained = [int(j) for j in np.flatnonzero(varying)]
+    dropped = [int(j) for j in np.flatnonzero(~varying)]
     if not retained:
         raise AllColumnsConstant("every covariate column is constant")
     x_std = (x[:, retained] - means[retained]) / sds[retained]
@@ -206,7 +207,7 @@ def standardize(d: Dataset) -> StandardizedView:
 def scaled_covariates(d: Dataset, scale: str) -> np.ndarray:
     """Read-only covariate matrix on the requested scale, always N x p.
 
-    On the standardized scale, constant columns (population SD zero)
+    On the standardized scale, constant columns (every value equal)
     become all-zero columns rather than dividing by zero; they carry no
     balance information either way.
     """

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import _centered, _observed_column, _statistic_columns
+from .balance import _observed_column, _statistic_columns, _whitened
 from .data import Dataset, scaled_covariates
 from .errors import InternalNumericalError, WeightDimensionMismatch
 from .regression import RegressionFit, control_arm_weights
@@ -44,8 +44,8 @@ class PermutationResult:
     +inf (counted as extreme). ``n_refit_fallback`` counts the replicates
     whose ``refit`` weights came from the pivoted ``fit_ols`` path instead
     of the stacked QR, failed ones included. Hotelling is evaluated on
-    covariates centered over all N units, so it is shift- and
-    scale-invariant.
+    covariates whitened over all N units, so it is shift- and
+    scale-invariant; perfect separation gives +inf, counted as extreme.
     """
 
     statistic_name: str
@@ -126,8 +126,9 @@ def permutation_pvalues(
     if "rw" in statistics and weight_policy == "fixed":
         w_fixed = _weights_vector(d, weights, scale)
     sizes = d.sizes
+    xw = _whitened(d)[0] if "hotelling" in statistics else None
     evaluate = partial(
-        _statistic_columns, tuple(statistics), scaled_covariates(d, scale), _centered(d.x),
+        _statistic_columns, tuple(statistics), scaled_covariates(d, scale), xw,
         d.y_obs, sizes.n1, sizes.n0, weight_policy, w_fixed,
     )
     observed_values, observed_failures, _ = evaluate(_observed_column(d))

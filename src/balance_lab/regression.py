@@ -25,7 +25,6 @@ __all__ = [
     "fit_ols",
     "control_arm_weights",
     "treatment_arm_weights",
-    "residualize",
 ]
 
 RANK_RTOL = 1e-10
@@ -108,7 +107,7 @@ def fit_ols(x: np.ndarray, y: np.ndarray, include_intercept: bool = True, arm: s
 
     sds_x = np.std(x, axis=0, ddof=0)
     if include_intercept:
-        retained = [j for j in range(p) if sds_x[j] > 0.0]
+        retained = [int(j) for j in np.flatnonzero(np.ptp(x, axis=0) > 0.0)]
     else:
         retained = list(range(p))
 
@@ -200,30 +199,3 @@ def treatment_arm_weights(d: Dataset, scale: str = "standardized") -> Regression
     """Symmetric fit on the treatment arm, for testing the Y(1) analogue."""
     return _arm_weights(d, d.treated_rows(), "treatment", scale)
 
-
-def residualize(x: np.ndarray, j: int) -> np.ndarray:
-    """Residual of column ``j`` after regressing it on the other columns.
-
-    The auxiliary regression includes an intercept, so with p = 1 the
-    result is simply the centered column. Raises RankDeficient when the
-    column is (numerically) perfectly explained by the others, since the
-    partial-regression ratio is then undefined.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n, p = x.shape
-    if not 0 <= j < p:
-        raise ValueError(f"column index {j} out of range for p={p}")
-    target = x[:, j]
-    centered = target - target.mean()
-    if p == 1:
-        residual = centered
-    else:
-        others = np.delete(x, j, axis=1)
-        fit = fit_ols(others, target, include_intercept=True)
-        residual = fit.residuals
-    scale = float(np.sqrt(centered @ centered))
-    if float(np.sqrt(residual @ residual)) <= 1e-10 * max(scale, 1.0):
-        raise RankDeficient(
-            f"column {j} is collinear with the remaining columns", columns=(j,)
-        )
-    return residual

@@ -21,12 +21,11 @@ from balance_lab import (
     control_arm_weights,
     enumeration_oracle,
     fit_ols,
-    residualize,
     run_power_study,
     variance_report,
 )
 from balance_lab.simulation import StudyConfig, build_grid
-from conftest import random_dataset
+from conftest import random_dataset, residualize
 
 ALPHA = 0.05
 

@@ -43,6 +43,17 @@ def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None, scale="raw"):
     )
 
 
+def pinv_hotelling(x, z):
+    """Two-sample Hotelling T-squared from the per-arm pooled scatter, with
+    its pseudo-inverse (directions below 1e-10 of the largest dropped)."""
+    treated, control = x[z == 1], x[z == 0]
+    n1, n0 = len(treated), len(control)
+    scatter = sum((a - a.mean(axis=0)).T @ (a - a.mean(axis=0)) for a in (treated, control))
+    diff = treated.mean(axis=0) - control.mean(axis=0)
+    pooled_inverse = np.linalg.pinv(scatter / (n1 + n0 - 2), rcond=1e-10, hermitian=True)
+    return n1 * n0 / (n1 + n0) * float(diff @ pooled_inverse @ diff)
+
+
 def zero_weight_report(d, scale="standardized"):
     """The balance report under zero weights, so that no arm fit is needed
     (collinear covariates cannot be fit)."""
@@ -197,7 +208,7 @@ class TestHotelling:
         t2, t2_scaled = zero_weight_report(d).hotelling_t2, zero_weight_report(scaled).hotelling_t2
         assert np.isclose(t2, t2_scaled, rtol=1e-8)
 
-    def test_singular_covariance_falls_back_to_pinv(self, rng):
+    def test_within_arm_collinearity_is_perfect_separation(self, rng):
         n = 40
         z = np.array([1, 0] * (n // 2))
         x1 = rng.normal(size=n)
@@ -205,9 +216,27 @@ class TestHotelling:
         d = Dataset(x=x, z=z, y_obs=rng.normal(size=n))
         weights = fixed_weight_fit([1.0, 1.0], d=d, scale="standardized")
         report = compute_balance_report(d, weights=weights)
-        t2, used_pinv = report.hotelling_t2, report.hotelling_used_pinv
-        assert used_pinv and np.isfinite(t2) and t2 >= 0.0
+        assert report.hotelling_t2 == np.inf
+        assert not report.hotelling_used_pinv
+
+    @pytest.mark.parametrize("scale", ["standardized", "raw"])
+    def test_collinear_over_all_units_matches_pinv(self, rng, scale):
+        n = 50
+        z = np.zeros(n, dtype=int)
+        z[rng.permutation(n)[:20]] = 1
+        x1 = rng.normal(size=n)
+        x = np.column_stack([x1, 2.0 * x1 + 3.0, np.full(n, 0.1), rng.normal(size=n)])
+        d = Dataset(x=x, z=z, y_obs=rng.normal(size=n))
+        report = zero_weight_report(d, scale)
         assert report.hotelling_used_pinv
+        np.testing.assert_allclose(report.hotelling_t2, pinv_hotelling(x, z), rtol=1e-9)
+
+    def test_matches_pinv_reference_when_regular(self, rng):
+        for _ in range(10):
+            d = random_dataset(rng)
+            report = zero_weight_report(d)
+            assert not report.hotelling_used_pinv
+            np.testing.assert_allclose(report.hotelling_t2, pinv_hotelling(d.x, d.z), rtol=1e-9)
 
 
 class TestReport:

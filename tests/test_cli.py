@@ -26,7 +26,7 @@ BASE_ARGS = [
 FROZEN = {
     "uw": (-0.22412536691045684, 0.356),
     "rw": (-0.004336305130310892, 0.83),
-    "hotelling": (3.2437838001616335, 0.362),
+    "hotelling": (3.243783800161633, 0.362),
 }
 FIXTURE_DIGEST = "db58519ff829825d"
 
@@ -81,6 +81,29 @@ class TestCmdTest:
         refit = {row["name"]: row for row in reports["refit"]}
         assert refit["rw"]["n_refit_fallback"] == refit["rw"]["n_failed"] == 0
         assert not any("n_refit_fallback" in row for row in (refit["uw"], *reports["fixed"]))
+        texts = {
+            policy: (tmp_path / policy / "balance_report.txt").read_text()
+            for policy in ("refit", "fixed")
+        }
+        assert "(n_refit_fallback): {'rw': 0}\n" in texts["refit"]
+        assert "n_refit_fallback" not in texts["fixed"]
+
+    @pytest.mark.parametrize("scale", ["standardized", "raw"])
+    def test_constant_covariate_dropped(self, tmp_path, scale):
+        # 0.1 repeated leaves a rounding residue in np.std; it is still constant.
+        lines = open(FIXTURE).read().splitlines()
+        path = tmp_path / "constant.csv"
+        path.write_text("\n".join([lines[0] + ",c"] + [line + ",0.1" for line in lines[1:]]) + "\n")
+        code = run_cli(
+            ["test", "--input", str(path), "--treatment", "z", "--outcome", "y",
+             "--covariates", "x1,x2,c", "--scale", scale, "--weight-policy", "refit",
+             "--seed", "3", "--permutations", "500", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        report = json.load(open(tmp_path / "balance_report.json"))
+        assert report["dataset"]["dropped_constant_columns"] == ["c"]
+        rw = next(row for row in report["statistics"] if row["name"] == "rw")
+        assert rw["n_refit_fallback"] == rw["n_failed"] == 0
 
     def test_dump_permutations(self, tmp_path):
         run_cli(BASE_ARGS + ["--statistic", "rw", "--dump-permutations", "--out-dir", str(tmp_path)])

@@ -377,3 +377,29 @@ class TestHotellingAffineInvariance:
         base = permutation_test(d, "hotelling", b=500, seed=17)
         moved = permutation_test(shifted, "hotelling", b=500, seed=17)
         assert moved.p_value == base.p_value
+
+
+class TestHotellingSeparation:
+    def test_covariate_equal_to_assignment(self, rng):
+        n = 60
+        z = np.zeros(n, dtype=int)
+        z[rng.permutation(n)[:30]] = 1
+        d = Dataset(x=np.column_stack([z, rng.normal(size=n)]), z=z, y_obs=rng.normal(size=n))
+        res = permutation_test(d, "hotelling", b=300, seed=5)
+        assert res.observed == np.inf
+        assert np.isfinite(res.permuted_values).all()
+        assert res.p_value == 0.0
+
+    def test_separating_permutation_counted_as_extreme(self, rng):
+        n, b, seed = 8, 200, 11
+        x1 = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+        z = np.array([1, 0, 1, 0, 1, 0, 1, 0])
+        d = Dataset(x=np.column_stack([x1, rng.normal(size=n)]), z=z, y_obs=rng.normal(size=n))
+        drawn = np.column_stack([permute_assignment(z, stream(seed, i)) for i in range(b)])
+        separating = (drawn == x1[:, None]).all(axis=0) | (drawn == 1 - x1[:, None]).all(axis=0)
+        assert separating.any()
+        res = permutation_test(d, "hotelling", b=b, seed=seed)
+        assert np.isfinite(res.observed)
+        np.testing.assert_array_equal(np.isinf(res.permuted_values), separating)
+        extreme = np.count_nonzero(res.permuted_values[~separating] >= res.observed)
+        assert res.p_value == (separating.sum() + extreme) / b

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, control_arm_weights, fit_ols, residualize, treatment_arm_weights
+from balance_lab import Dataset, control_arm_weights, fit_ols, treatment_arm_weights
 from balance_lab.data import population_sd
 from balance_lab.errors import ControlArmTooSmall, InsufficientRows, RankDeficient
+from conftest import residualize
 
 
 class TestFitOls:
