@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .balance import BalanceReport, compute_balance_report
-from .data import Dataset, GroupSizes, StandardizedView, load_dataset, standardize
+from .data import Dataset, GroupSizes, load_dataset
 from .permutation import PermutationResult, permutation_test, permute_assignment
 from .regression import (
     RegressionFit,
@@ -38,9 +38,7 @@ __all__ = [
     "errors",
     "Dataset",
     "GroupSizes",
-    "StandardizedView",
     "load_dataset",
-    "standardize",
     "RegressionFit",
     "fit_ols",
     "control_arm_weights",

@@ -8,6 +8,11 @@ one stacked QR per block of columns; a design that is ill-conditioned or
 that the stack cannot hold goes through ``regression.fit_ols`` instead,
 and the number of such columns is reported.
 
+Every kernel reads the covariate views cached on the ``Dataset``: the
+balance-scale matrix from ``data.scaled_covariates`` and the whitened one
+of the Hotelling statistic from ``data.whitened_covariates``, so one call
+standardizes and whitens each dataset once.
+
 The observed regression-weighted sum is also computed as the difference
 between the fitted treatment-group mean and the observed control-group
 mean. The two are algebraically identical (the intercept cancels in the
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, scaled_covariates
+from .data import Dataset, scaled_covariates, varying_columns, whitened_covariates
 from .errors import BalanceLabError, InternalNumericalError, WeightDimensionMismatch
 from .regression import RegressionFit, control_arm_weights, fit_ols
 
@@ -54,18 +59,6 @@ def _delta_columns(xs: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.n
     treated_sums = xs.T @ z_cols
     totals = xs.sum(axis=0)[:, None]
     return treated_sums * (1.0 / n1 + 1.0 / n0) - totals / n0
-
-
-def _whitened(d: Dataset) -> tuple[np.ndarray, bool]:
-    """Standardized covariates whitened over all N units, and whether their
-    Gram matrix is singular (directions with eigenvalue at most 1e-12 of the
-    largest are dropped). The columns are re-centered first: the Hotelling
-    closed form needs them to sum to zero."""
-    xs = scaled_covariates(d, "standardized")
-    xs = xs - xs.mean(axis=0)
-    eigenvalues, vectors = np.linalg.eigh(xs.T @ xs)
-    kept = eigenvalues > 1e-12 * eigenvalues[-1]
-    return xs @ (vectors[:, kept] / np.sqrt(eigenvalues[kept])), not kept.all()
 
 
 def _hotelling_columns(xw: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.ndarray:
@@ -117,7 +110,7 @@ def _refit_rw_columns(
     if b and n0.min() == n0.max() and n0[0] > p + 1:
         # fit_ols gives a constant column a zero weight; the stack leaves
         # out the columns constant over all units.
-        live = np.flatnonzero(np.ptp(xs, axis=0) > 0.0)
+        live = np.flatnonzero(varying_columns(xs))
         k = live.size + 1
         data = np.column_stack([np.ones(n), xs[:, live], y])
         for start in range(0, b, _REFIT_BLOCK):
@@ -136,7 +129,7 @@ def _refit_rw_columns(
     for i in np.flatnonzero(pending):
         control = z_cols[:, i] == 0.0
         try:
-            fit = fit_ols(xs[control], y[control], include_intercept=True, arm="control")
+            fit = fit_ols(xs[control], y[control], arm="control")
             values[i] = float(fit.coefficients @ deltas[:, i])
         except BalanceLabError:
             values[i] = np.inf
@@ -149,7 +142,7 @@ def _statistic_columns(
 ) -> tuple[dict[str, np.ndarray], int, int]:
     """Each requested statistic for every column of ``z_cols``, plus the
     numbers of failed refits and of refits through ``fit_ols``. ``xs`` is on
-    the balance scale, ``xw`` whitened (see ``_whitened``)."""
+    the balance scale, ``xw`` whitened (see ``data.whitened_covariates``)."""
     out: dict[str, np.ndarray] = {}
     failures = fallbacks = 0
     if "uw" in statistics or "rw" in statistics:
@@ -175,12 +168,11 @@ def _checked_weighted_sum(
         raise WeightDimensionMismatch(f"expected {d.p} weights, got shape {w.shape}")
     weighted_sum = float(w @ delta)
     # Fitted mean in the unobserved arm minus the observed mean in the fit arm.
-    intercept = weights.intercept or 0.0
     if weights.arm == "treatment":
-        fitted_control = float(np.mean(xs[d.control_rows()] @ w)) + intercept
+        fitted_control = float(np.mean(xs[d.control_rows()] @ w)) + weights.intercept
         fitted_diff = float(d.y_obs[d.treated_rows()].mean()) - fitted_control
     else:
-        fitted_treated = float(np.mean(xs[d.treated_rows()] @ w)) + intercept
+        fitted_treated = float(np.mean(xs[d.treated_rows()] @ w)) + weights.intercept
         fitted_diff = fitted_treated - float(d.y_obs[d.control_rows()].mean())
 
     if abs(weighted_sum - fitted_diff) > 1e-8 * max(1.0, abs(weighted_sum)):
@@ -210,7 +202,7 @@ def compute_balance_report(
     z_obs = _observed_column(d)
     delta = _delta_columns(xs, z_obs, sizes.n1, sizes.n0)[:, 0]
     delta_rw, fitted_diff = _checked_weighted_sum(d, weights, xs, delta)
-    xw, collinear = _whitened(d)
+    xw, collinear = whitened_covariates(d)
     t2 = _hotelling_columns(xw, z_obs, sizes.n1, sizes.n0)
 
     return BalanceReport(

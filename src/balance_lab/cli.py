@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .balance import compute_balance_report
-from .data import Dataset, MissingRowsDropped, load_dataset, standardize
+from .data import Dataset, MissingRowsDropped, load_dataset
 from .errors import (
     BalanceLabError,
     CellFailure,
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), default=0.05,
         help="nominal test level in (0, 1) (reporting only)",
     )
-    p_test.add_argument("--threads", type=int, default=None, help="worker count (0 = auto)")
+    p_test.add_argument("--threads", type=_NON_NEGATIVE, default=None, help="worker count (0 = auto)")
     p_test.add_argument("--out-dir", default=".", help="directory for report files")
     p_test.add_argument(
         "--dump-permutations", action="store_true",
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON study configuration")
     p_sim.add_argument("--out-dir", required=True, help="output directory")
     p_sim.add_argument("--resume", action="store_true", help="reuse finished cell checkpoints")
-    p_sim.add_argument("--threads", type=int, default=None, help="worker count (0 = auto)")
+    p_sim.add_argument("--threads", type=_NON_NEGATIVE, default=None, help="worker count (0 = auto)")
     p_sim.add_argument("--seed", type=_NON_NEGATIVE, default=None, help="override the config seed")
 
     p_diag = sub.add_parser("diagnose", help="prognosis/imbalance diagnostics only")
@@ -140,12 +140,12 @@ def _resolve_threads(value) -> int:
     if value is None:
         raw = os.environ.get("BALANCE_LAB_THREADS", "0") or "0"
         try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"BALANCE_LAB_THREADS must be an integer, got {raw!r}") from None
-    if value <= 0:
-        return os.cpu_count() or 1
-    return value
+            value = _NON_NEGATIVE(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ConfigError(
+                f"BALANCE_LAB_THREADS must be an integer of at least 0, got {raw!r}"
+            ) from None
+    return value or os.cpu_count() or 1
 
 
 def _resolve_seed(value):
@@ -186,7 +186,7 @@ def _load_from_args(args):
     return d, lag, dropped
 
 
-def _dataset_summary(d, view_dropped, rows_dropped) -> dict:
+def _dataset_summary(d, rows_dropped) -> dict:
     sizes = d.sizes
     return {
         "n": d.n,
@@ -194,7 +194,7 @@ def _dataset_summary(d, view_dropped, rows_dropped) -> dict:
         "n0": sizes.n0,
         "p": d.p,
         "columns": list(d.column_names),
-        "dropped_constant_columns": [d.column_names[j] for j in view_dropped],
+        "dropped_constant_columns": [d.column_names[j] for j in d.constant_columns],
         "rows_dropped_missing": rows_dropped,
     }
 
@@ -229,7 +229,6 @@ def cmd_test(args) -> int:
         threads=threads,
     )
     diag = diagnostics(d, lag)
-    view = standardize(d)
     per_covariate = []
     for j, name in enumerate(d.column_names):
         delta_j = float(balance.delta[j])
@@ -288,7 +287,7 @@ def cmd_test(args) -> int:
 
     report = {
         "manifest": manifest.to_dict(),
-        "dataset": _dataset_summary(d, view.dropped_constant_columns, rows_dropped),
+        "dataset": _dataset_summary(d, rows_dropped),
         "scale": args.scale,
         "weight_policy": args.weight_policy,
         "per_covariate": per_covariate,
@@ -417,7 +416,6 @@ def cmd_diagnose(args) -> int:
     started = utc_now()
     d, lag, rows_dropped = _load_from_args(args)
     diag = diagnostics(d, lag)
-    view = standardize(d)
     configuration = {
         "input": args.input,
         "treatment": args.treatment,
@@ -430,7 +428,7 @@ def cmd_diagnose(args) -> int:
     manifest = make_manifest("diagnose", configuration, 0, file_digest(args.input), started)
     report = {
         "manifest": manifest.to_dict(),
-        "dataset": _dataset_summary(d, view.dropped_constant_columns, rows_dropped),
+        "dataset": _dataset_summary(d, rows_dropped),
         "diagnostics": {
             "prognosis_r2": diag.prognosis_r2,
             "imbalance_r2": diag.imbalance_r2,

@@ -3,6 +3,13 @@
 The population is completely enumerated: every unit's covariate vector is
 observed regardless of its arm, and the arm sizes n1/n0 are treated as fixed
 constants. All second moments use the population (divide-by-N) convention.
+
+A ``Dataset`` owns the covariate views derived from it, each computed on
+first use and cached read-only: the standardized N x p matrix
+(``scaled_covariates``), the whitened matrix of the Hotelling statistic
+(``whitened_covariates``) and the indices of its constant columns
+(``Dataset.constant_columns``). ``varying_columns`` is the one rule that
+decides which columns are constant, here and in the regression fits.
 """
 
 import csv
@@ -26,12 +33,12 @@ from .errors import (
 __all__ = [
     "Dataset",
     "GroupSizes",
-    "StandardizedView",
     "MissingRowsDropped",
     "load_dataset",
-    "standardize",
     "standardize_columns",
     "scaled_covariates",
+    "whitened_covariates",
+    "varying_columns",
     "population_sd",
 ]
 
@@ -70,8 +77,10 @@ class Dataset:
 
     Arrays are converted to float64 / int64, validated, and frozen
     (write flag cleared), so instances are safe to share across workers.
-    The standardized covariates are computed on first use and cached on
-    the instance, equally read-only.
+    ``x`` is stored C-contiguous: the reductions and matrix products give
+    the same bits whatever the layout of the input. The derived covariate
+    views are computed on first use and cached on the instance, equally
+    read-only.
     """
 
     x: np.ndarray
@@ -80,7 +89,7 @@ class Dataset:
     column_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
+        x = np.ascontiguousarray(np.atleast_2d(np.asarray(self.x, dtype=np.float64)))
         z = np.asarray(self.z)
         y = np.asarray(self.y_obs, dtype=np.float64)
         names = tuple(self.column_names) or tuple(f"x{j + 1}" for j in range(x.shape[1]))
@@ -117,8 +126,8 @@ class Dataset:
 
     def __reduce__(self):
         # Rebuild through the constructor: numpy unpickles arrays writeable,
-        # and the cached scaled views are recomputed on first use instead of
-        # travelling with the pickle.
+        # and the cached covariate views are recomputed on first use instead
+        # of travelling with the pickle.
         return (type(self), (self.x, self.z, self.y_obs, self.column_names))
 
     @property
@@ -141,31 +150,34 @@ class Dataset:
         return np.flatnonzero(self.z == 0)
 
     @cached_property
-    def _standardized_view(self) -> "StandardizedView":
-        return standardize_columns(self.x)
+    def constant_columns(self) -> tuple[int, ...]:
+        """Indices of the covariates whose values are all equal."""
+        return tuple(int(j) for j in np.flatnonzero(~varying_columns(self.x)))
 
     @cached_property
     def _standardized_x(self) -> np.ndarray:
-        view = self._standardized_view
-        out = np.zeros_like(self.x)
-        out[:, list(view.retained_columns)] = view.x_std
-        out.setflags(write=False)
-        return out
+        return standardize_columns(self.x)
+
+    @cached_property
+    def _whitened(self) -> tuple[np.ndarray, bool]:
+        # The columns are re-centered first: the Hotelling closed form needs
+        # them to sum to zero.
+        xs = self._standardized_x
+        xs = xs - xs.mean(axis=0)
+        eigenvalues, vectors = np.linalg.eigh(xs.T @ xs)
+        kept = eigenvalues > 1e-12 * eigenvalues[-1]
+        xw = xs @ (vectors[:, kept] / np.sqrt(eigenvalues[kept]))
+        xw.setflags(write=False)
+        return xw, not kept.all()
 
 
-@dataclass(frozen=True)
-class StandardizedView:
-    """Covariates centered and scaled by population (1/N) moments.
+def varying_columns(x: np.ndarray) -> np.ndarray:
+    """Boolean mask of the columns of ``x`` that are not constant.
 
-    ``x_std`` contains only the retained (non-constant) columns, in the
-    original order; ``means`` and ``sds`` cover all original columns.
+    A column is constant when all its values are equal. ``np.std`` is not a
+    test for that: 0.1 repeated 200 times has a nonzero SD.
     """
-
-    x_std: np.ndarray
-    means: np.ndarray
-    sds: np.ndarray
-    dropped_constant_columns: tuple[int, ...]
-    retained_columns: tuple[int, ...]
+    return np.ptp(x, axis=0) > 0.0
 
 
 def population_sd(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -173,49 +185,43 @@ def population_sd(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.std(np.asarray(values, dtype=np.float64), axis=axis, ddof=0)
 
 
-def standardize_columns(x: np.ndarray) -> StandardizedView:
-    """Standardize each column of ``x`` by its population mean and SD.
-
-    Constant columns (every value equal; ``np.std`` of 0.1 repeated is not
-    0) are dropped from ``x_std`` with SD 0, and their indices reported.
-    """
+def standardize_columns(x: np.ndarray) -> np.ndarray:
+    """Each column of ``x`` centered and scaled by its population mean and
+    SD, as a read-only N x p matrix; constant columns become zero columns."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    means = x.mean(axis=0)
-    varying = np.ptp(x, axis=0) > 0.0
-    sds = np.where(varying, np.std(x, axis=0, ddof=0), 0.0)
-    retained = [int(j) for j in np.flatnonzero(varying)]
-    dropped = [int(j) for j in np.flatnonzero(~varying)]
-    if not retained:
+    varying = varying_columns(x)
+    if not varying.any():
         raise AllColumnsConstant("every covariate column is constant")
-    x_std = (x[:, retained] - means[retained]) / sds[retained]
-    for arr in (x_std, means, sds):
-        arr.setflags(write=False)
-    return StandardizedView(
-        x_std=x_std,
-        means=means,
-        sds=sds,
-        dropped_constant_columns=tuple(dropped),
-        retained_columns=tuple(retained),
-    )
-
-
-def standardize(d: Dataset) -> StandardizedView:
-    """Standardize a Dataset's covariates over all N units (cached on ``d``)."""
-    return d._standardized_view
+    # Moments over the full x, then the selection: the reductions of a
+    # fancy-indexed copy can differ in the last place.
+    means, sds = x.mean(axis=0), np.std(x, axis=0, ddof=0)
+    out = np.zeros_like(x)
+    out[:, varying] = (x[:, varying] - means[varying]) / sds[varying]
+    out.setflags(write=False)
+    return out
 
 
 def scaled_covariates(d: Dataset, scale: str) -> np.ndarray:
     """Read-only covariate matrix on the requested scale, always N x p.
 
-    On the standardized scale, constant columns (every value equal)
-    become all-zero columns rather than dividing by zero; they carry no
-    balance information either way.
+    On the standardized scale (``standardize_columns`` over all N units,
+    cached on ``d``), constant columns are all-zero columns rather than
+    dividing by zero; they carry no balance information either way.
     """
     if scale == "raw":
         return d.x
     if scale == "standardized":
         return d._standardized_x
     raise ValueError(f"unknown scale {scale!r}")
+
+
+def whitened_covariates(d: Dataset) -> tuple[np.ndarray, bool]:
+    """The standardized covariates re-centered and whitened over all N
+    units (cached on ``d``, read-only), and whether their Gram matrix is
+    singular: directions with an eigenvalue at most 1e-12 of the largest
+    are dropped, so the matrix has one column per direction kept.
+    """
+    return d._whitened
 
 
 def _parse_cell(raw: str, row: int, column: str) -> float:

@@ -52,10 +52,6 @@ class WeightDimensionMismatch(BalanceLabError):
     """Weight vector length does not match the covariate count."""
 
 
-class SingularCovariance(BalanceLabError):
-    """Pooled covariance matrix is numerically singular."""
-
-
 class TooManyAssignments(BalanceLabError):
     """Exhaustive enumeration would exceed the assignment-count guard."""
 

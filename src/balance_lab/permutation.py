@@ -14,8 +14,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import _observed_column, _statistic_columns, _whitened
-from .data import Dataset, scaled_covariates
+from .balance import _observed_column, _statistic_columns
+from .data import Dataset, scaled_covariates, whitened_covariates
 from .errors import InternalNumericalError, WeightDimensionMismatch
 from .regression import RegressionFit, control_arm_weights
 from .rng import stream
@@ -87,9 +87,9 @@ def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _evaluate_chunk(args) -> tuple[int, dict[str, np.ndarray], int, int]:
+def _evaluate_chunk(args) -> tuple[dict[str, np.ndarray], int, int]:
     evaluate, z, seed, start, count = args
-    return (start, *evaluate(_permuted_z(z, seed, start, count)))
+    return evaluate(_permuted_z(z, seed, start, count))
 
 
 def permutation_pvalues(
@@ -126,7 +126,7 @@ def permutation_pvalues(
     if "rw" in statistics and weight_policy == "fixed":
         w_fixed = _weights_vector(d, weights, scale)
     sizes = d.sizes
-    xw = _whitened(d)[0] if "hotelling" in statistics else None
+    xw = whitened_covariates(d)[0] if "hotelling" in statistics else None
     evaluate = partial(
         _statistic_columns, tuple(statistics), scaled_covariates(d, scale), xw,
         d.y_obs, sizes.n1, sizes.n0, weight_policy, w_fixed,
@@ -146,16 +146,11 @@ def permutation_pvalues(
             pieces = list(pool.map(_evaluate_chunk, tasks))
     else:
         pieces = [_evaluate_chunk(t) for t in tasks]
-    pieces.sort(key=lambda item: item[0])
 
-    values = {name: np.empty(b) for name in statistics}
-    n_failed = n_refit_fallback = 0
-    for start, chunk_values, failures, fallbacks in pieces:
-        n_failed += failures
-        n_refit_fallback += fallbacks
-        for name in statistics:
-            arr = chunk_values[name]
-            values[name][start : start + arr.size] = arr
+    # Both pool.map and the list keep task order, so the chunks concatenate.
+    values = {name: np.concatenate([piece[0][name] for piece in pieces]) for name in statistics}
+    n_failed = sum(piece[1] for piece in pieces)
+    n_refit_fallback = sum(piece[2] for piece in pieces)
 
     results = {}
     for name in statistics:

@@ -7,7 +7,6 @@ listed (with its content digest) in the run's manifest.json.
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -243,12 +242,20 @@ def render_test_report(report: dict) -> str:
         f"diagnostics: prognosis R^2 = {diag['prognosis_r2']:.4f}, "
         f"imbalance R^2 = {diag['imbalance_r2']:.4f}"
     )
-    if diag["lagged_correlation_control"] is not None:
-        lines.append(
-            f"lagged-outcome correlation: control arm {diag['lagged_correlation_control']:.4f}, "
-            f"full data {diag['lagged_correlation_full']:.4f}"
-        )
+    lines.extend(_lag_lines(report, 4))
     return "\n".join(lines) + "\n"
+
+
+def _lag_lines(report: dict, digits: int) -> list[str]:
+    """The lagged-outcome correlation line, when a lag column was named."""
+    if report["manifest"]["configuration"]["lag_column"] is None:
+        return []
+    diag = report["diagnostics"]
+    control, full = (
+        "undefined (constant)" if value is None else f"{value:.{digits}f}"
+        for value in (diag["lagged_correlation_control"], diag["lagged_correlation_full"])
+    )
+    return [f"lagged-outcome correlation: control arm {control}, full data {full}"]
 
 
 def render_diagnose_report(report: dict) -> str:
@@ -260,12 +267,8 @@ def render_diagnose_report(report: dict) -> str:
         f"n0={report['dataset']['n0']}  p={report['dataset']['p']}",
         f"prognosis R^2 (outcome on covariates, control arm): {diag['prognosis_r2']:.6f}",
         f"imbalance R^2 (assignment on covariates, all units): {diag['imbalance_r2']:.6f}",
+        *_lag_lines(report, 6),
     ]
-    if diag["lagged_correlation_control"] is not None:
-        lines.append(
-            f"lagged-outcome correlation: control arm {diag['lagged_correlation_control']:.6f}, "
-            f"full data {diag['lagged_correlation_full']:.6f}"
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -368,10 +371,3 @@ def power_curve_svg(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def csv_text(fieldnames: Sequence[str], rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(fieldnames))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, population_sd
+from .data import Dataset, population_sd, varying_columns
 from .errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from .permutation import STATISTIC_NAMES, permutation_pvalues
 from .regression import fit_ols
@@ -436,6 +436,12 @@ class Diagnostics:
     lagged_correlation_full: Optional[float] = None
 
 
+def _correlation(a: np.ndarray, b: np.ndarray) -> Optional[float]:
+    if not varying_columns(np.column_stack([a, b])).all():
+        return None
+    return float(np.corrcoef(a, b)[0, 1])
+
+
 def diagnostics(d: Dataset, lag: Optional[np.ndarray] = None) -> Diagnostics:
     """Prognosis and imbalance R-squared for one dataset.
 
@@ -443,19 +449,20 @@ def diagnostics(d: Dataset, lag: Optional[np.ndarray] = None) -> Diagnostics:
     control arm; imbalance is the R^2 of the assignment indicator on all
     covariates over every unit (linear probability fit). When a lagged
     outcome column is supplied, its Pearson correlation with the observed
-    outcome is reported for the control arm and for the full data.
+    outcome is reported for the control arm and for the full data; it is
+    None (undefined) where either vector is constant.
     """
     control = d.control_rows()
-    prognosis = fit_ols(d.x[control], d.y_obs[control], include_intercept=True, arm="control")
-    imbalance = fit_ols(d.x, d.z.astype(np.float64), include_intercept=True)
+    prognosis = fit_ols(d.x[control], d.y_obs[control], arm="control")
+    imbalance = fit_ols(d.x, d.z.astype(np.float64))
 
     lag_control = lag_full = None
     if lag is not None:
         lag = np.asarray(lag, dtype=np.float64)
         if lag.shape != (d.n,):
             raise ValueError(f"lag column must have length {d.n}")
-        lag_control = float(np.corrcoef(lag[control], d.y_obs[control])[0, 1])
-        lag_full = float(np.corrcoef(lag, d.y_obs)[0, 1])
+        lag_control = _correlation(lag[control], d.y_obs[control])
+        lag_full = _correlation(lag, d.y_obs)
 
     return Diagnostics(
         prognosis_r2=prognosis.r_squared,

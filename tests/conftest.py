@@ -36,7 +36,7 @@ def residualize(x: np.ndarray, j: int) -> np.ndarray:
         residual = centered
     else:
         others = np.delete(x, j, axis=1)
-        fit = fit_ols(others, target, include_intercept=True)
+        fit = fit_ols(others, target)
         residual = fit.residuals
     scale = float(np.sqrt(centered @ centered))
     if float(np.sqrt(residual @ residual)) <= 1e-10 * max(scale, 1.0):

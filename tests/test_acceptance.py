@@ -115,7 +115,7 @@ def test_criterion_3_fwl_partial_regression_identity():
         p = int(g.integers(2, 7))
         x = g.normal(size=(n, p))
         y = g.normal(size=n)
-        fit = fit_ols(x, y, include_intercept=True)
+        fit = fit_ols(x, y)
         for j in range(p):
             resid = residualize(x, j)
             ratio = (y @ resid) / (resid @ resid)

@@ -36,7 +36,6 @@ def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None, scale="raw"):
         intercept=intercept,
         standardized_coefficients=w,
         residuals=np.zeros(0),
-        fitted=np.zeros(0),
         r_squared=0.0,
         n_used=0,
         arm=arm,

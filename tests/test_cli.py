@@ -295,24 +295,33 @@ def _small_config(tmp_path, **overrides) -> str:
         "test-alpha-above-one",
         "test-alpha-zero",
         "threads-env-not-int",
+        "threads-env-negative",
+        "test-threads-negative",
+        "simulate-threads-negative",
         "simulate-seed-negative",
         "config-seed-negative",
         "config-seed-fractional",
     ],
 )
 def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BALANCE_LAB_THREADS", "abc" if case == "threads-env-not-int" else "1")
+    env = {"threads-env-not-int": "abc", "threads-env-negative": "-4"}.get(case, "1")
+    monkeypatch.setenv("BALANCE_LAB_THREADS", env)
     test = BASE_ARGS + ["--out-dir", str(tmp_path / "out")]
-    simulate = ["simulate", "--out-dir", str(tmp_path / "out")]
+    overrides = {"config-seed-negative": {"seed": -1}, "config-seed-fractional": {"seed": 1.5}}
+    config = _small_config(tmp_path, **overrides.get(case, {}))
+    simulate = ["simulate", "--out-dir", str(tmp_path / "out"), "--config", config]
     args = {
         "test-seed-negative": test + ["--seed", "-1"],
         "test-permutations-zero": test + ["--permutations", "0"],
         "test-alpha-above-one": test + ["--alpha", "7"],
         "test-alpha-zero": test + ["--alpha", "0"],
         "threads-env-not-int": test,
-        "simulate-seed-negative": simulate + ["--config", _small_config(tmp_path), "--seed", "-1"],
-        "config-seed-negative": simulate + ["--config", _small_config(tmp_path, seed=-1)],
-        "config-seed-fractional": simulate + ["--config", _small_config(tmp_path, seed=1.5)],
+        "threads-env-negative": test,
+        "test-threads-negative": test + ["--threads", "-4"],
+        "simulate-threads-negative": simulate + ["--threads", "-4"],
+        "simulate-seed-negative": simulate + ["--seed", "-1"],
+        "config-seed-negative": simulate,
+        "config-seed-fractional": simulate,
     }[case]
     try:
         code = run_cli(args)
@@ -321,6 +330,26 @@ def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("error:") or ": error: " in line for line in err)
+
+
+@pytest.mark.parametrize("command", ["test", "diagnose"])
+def test_constant_lag_column_correlation_is_null(command, tmp_path):
+    lines = open(FIXTURE).read().splitlines()
+    path = tmp_path / "constant_lag.csv"
+    path.write_text("\n".join([lines[0] + ",lag"] + [line + ",0.1" for line in lines[1:]]) + "\n")
+    args = [command, "--input", str(path), "--treatment", "z", "--outcome", "y",
+            "--covariates", "x1,x2,x3", "--lag-column", "lag", "--out-dir", str(tmp_path)]
+    if command == "test":
+        args += ["--seed", "1", "--permutations", "50"]
+    assert run_cli(args) == 0
+    name = "balance_report" if command == "test" else "diagnose_report"
+    raw = (tmp_path / f"{name}.json").read_text()
+    assert "NaN" not in raw
+    diag = json.loads(raw)["diagnostics"]
+    assert diag["lagged_correlation_control"] is None
+    assert diag["lagged_correlation_full"] is None
+    text = (tmp_path / f"{name}.txt").read_text()
+    assert "lagged-outcome correlation: control arm undefined (constant), full data undefined (constant)\n" in text
 
 
 class TestThreadResolution:

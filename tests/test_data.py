@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, cli, data, load_dataset, simulation, standardize
-from balance_lab.data import MissingRowsDropped, scaled_covariates, standardize_columns
+from balance_lab import Dataset, cli, data, load_dataset, simulation
+from balance_lab.data import (
+    MissingRowsDropped,
+    scaled_covariates,
+    standardize_columns,
+    whitened_covariates,
+)
 from balance_lab.errors import (
     AllColumnsConstant,
     DegenerateAssignment,
@@ -17,6 +22,7 @@ from balance_lab.errors import (
     NonNumericValue,
     TooFewRows,
 )
+from balance_lab.permutation import permutation_pvalues
 
 
 def csv_stream(text: str) -> io.StringIO:
@@ -132,15 +138,38 @@ class TestDataset:
     def test_unpickled_copy_is_frozen(self, rng):
         d = Dataset(x=rng.normal(size=(10, 2)), z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
         scaled_covariates(d, "standardized")
+        whitened_covariates(d)
         copy = pickle.loads(pickle.dumps(d))
-        assert "_standardized_x" not in vars(copy)
+        assert not {"_standardized_x", "_whitened", "constant_columns"} & set(vars(copy))
         np.testing.assert_array_equal(copy.x, d.x)
         np.testing.assert_array_equal(copy.z, d.z)
         np.testing.assert_array_equal(copy.y_obs, d.y_obs)
         assert copy.column_names == d.column_names
-        for arr in (copy.x, copy.z, copy.y_obs, scaled_covariates(copy, "standardized")):
+        copies = (copy.x, copy.z, copy.y_obs, scaled_covariates(copy, "standardized"))
+        for arr in (*copies, whitened_covariates(copy)[0]):
             with pytest.raises(ValueError):
                 arr[0, ...] = 1
+
+    @pytest.mark.parametrize("policy", ["fixed", "refit"])
+    def test_memory_layout_does_not_change_results(self, policy, rng):
+        x = rng.normal(size=(200, 4)) * [1.0, 3.0, 0.5, 7.0] + 2.0
+        z = np.array([1, 0] * 100)
+        y = x @ [0.5, -0.2, 0.1, 0.05] + rng.normal(size=200)
+        wide = np.zeros((200, 8))
+        wide[:, ::2] = x
+        layouts = {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "strided": wide[:, ::2]}
+        results = {
+            name: permutation_pvalues(
+                Dataset(x=layout, z=z, y_obs=y), ("uw", "rw", "hotelling"), 64, seed=3,
+                weight_policy=policy,
+            )
+            for name, layout in layouts.items()
+        }
+        for name in ("F", "strided"):
+            for stat, res in results[name].items():
+                reference = results["C"][stat]
+                assert res.observed == reference.observed, (name, stat)
+                np.testing.assert_array_equal(res.permuted_values, reference.permuted_values)
 
     def test_direct_construction_validates(self):
         with pytest.raises(NonBinaryTreatment):
@@ -153,30 +182,32 @@ class TestDataset:
             )
 
     def test_population_variance_convention(self):
-        # 1/N convention: var of (0,0,1,1) is 0.25, not 1/3
+        # 1/N convention: var of (0,0,1,1) is 0.25, not 1/3, so the SD is 0.5
         assert np.var(np.array([0.0, 0.0, 1.0, 1.0]), ddof=0) == 0.25
-        view = standardize_columns(np.array([[0.0], [0.0], [1.0], [1.0]]))
-        assert view.sds[0] == 0.5
+        xs = standardize_columns(np.array([[0.0], [0.0], [1.0], [1.0]]))
+        np.testing.assert_array_equal(xs[:, 0], [-1.0, -1.0, 1.0, 1.0])
 
 
 class TestStandardize:
     def test_known_column(self):
-        view = standardize_columns(np.array([[1.0], [2.0], [3.0], [4.0]]))
-        assert view.means[0] == 2.5
-        assert np.isclose(view.sds[0], np.sqrt(1.25))
+        # mean 2.5, population SD sqrt(1.25)
+        xs = standardize_columns(np.array([[1.0], [2.0], [3.0], [4.0]]))
         np.testing.assert_allclose(
-            view.x_std[:, 0],
+            xs[:, 0],
             [-1.3416407864998738, -0.4472135954999579, 0.4472135954999579, 1.3416407864998738],
         )
-        assert abs(view.x_std.mean()) < 1e-12
-        assert abs(view.x_std.var() - 1.0) < 1e-10
+        assert abs(xs.mean()) < 1e-12
+        assert abs(xs.var() - 1.0) < 1e-10
 
     def test_constant_column_dropped(self):
-        x = np.column_stack([np.full(4, 5.0), [1.0, 2.0, 3.0, 4.0]])
-        view = standardize_columns(x)
-        assert view.dropped_constant_columns == (0,)
-        assert view.retained_columns == (1,)
-        assert view.x_std.shape == (4, 1)
+        # 0.1 repeated has a nonzero np.std; it is constant all the same
+        x = np.column_stack([np.full(200, 0.1), np.arange(200.0), np.full(200, 5.0)])
+        xs = standardize_columns(x)
+        assert xs.shape == (200, 3)
+        assert not xs[:, [0, 2]].any()
+        np.testing.assert_array_equal(xs[:, 1], standardize_columns(x[:, [1]])[:, 0])
+        d = Dataset(x=x, z=np.array([1, 0] * 100), y_obs=np.arange(200.0))
+        assert d.constant_columns == (0, 2)
 
     def test_all_constant(self):
         with pytest.raises(AllColumnsConstant):
@@ -185,15 +216,15 @@ class TestStandardize:
     def test_already_standardized_is_fixed_point(self, rng):
         x = rng.normal(size=(50, 2))
         once = standardize_columns(x)
-        assert np.abs(standardize_columns(once.x_std).x_std - once.x_std).max() < 1e-12
+        assert np.abs(standardize_columns(once) - once).max() < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), p=st.integers(1, 4))
     def test_idempotent(self, seed, n, p):
         x = np.random.default_rng(seed).normal(size=(n, p)) * 7.0 + 3.0
         once = standardize_columns(x)
-        twice = standardize_columns(once.x_std)
-        assert np.abs(twice.x_std - once.x_std).max() < 1e-10
+        twice = standardize_columns(once)
+        assert np.abs(twice - once).max() < 1e-10
 
     def test_dataset_entry_point(self, rng):
         d = Dataset(
@@ -201,9 +232,10 @@ class TestStandardize:
             z=np.array([1, 0] * 5),
             y_obs=rng.normal(size=10),
         )
-        view = standardize(d)
-        assert view.x_std.shape == (10, 2)
-        assert np.abs(view.x_std.mean(axis=0)).max() < 1e-12
+        xs = scaled_covariates(d, "standardized")
+        assert xs.shape == (10, 2)
+        assert np.abs(xs.mean(axis=0)).max() < 1e-12
+        assert d.constant_columns == ()
 
     @pytest.fixture
     def standardize_calls(self, monkeypatch):
@@ -235,15 +267,49 @@ class TestStandardize:
         assert pvals is not None
         assert len(standardize_calls) == 1
 
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize("policy", ["fixed", "refit"])
+    @pytest.mark.parametrize("scale", ["standardized", "raw"])
+    def test_cli_test_whitens_once(self, policy, scale, eigh_calls, tmp_path):
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "null_small.csv"
+        args = [
+            "test", "--input", str(fixture), "--treatment", "z", "--outcome", "y",
+            "--covariates", "x1,x2,x3", "--seed", "1", "--permutations", "50",
+            "--weight-policy", policy, "--scale", scale, "--out-dir", str(tmp_path),
+        ]
+        assert cli.main(args) == 0
+        assert len(eigh_calls) == 1
+
+    def test_replicate_whitens_once(self, eigh_calls):
+        cfg = simulation.DgpConfig(n=40, p=3, rho_x1_y=0.3, seed=5)
+        _, pvals, _ = simulation._run_replicate((cfg, 0, ("uw", "rw", "hotelling"), 20, "fixed"))
+        assert pvals is not None
+        assert len(eigh_calls) == 1
+
     def test_scaled_view_is_cached_and_read_only(self, rng):
         x = np.column_stack([np.full(10, 4.0), rng.normal(size=(10, 2))])
         d = Dataset(x=x, z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
         xs = scaled_covariates(d, "standardized")
         assert xs is scaled_covariates(d, "standardized")
-        assert standardize(d) is standardize(d)
+        assert whitened_covariates(d) is whitened_covariates(d)
+        assert d.constant_columns is d.constant_columns
         assert xs.shape == (10, 3) and not xs[:, 0].any()
-        np.testing.assert_array_equal(xs[:, 1:], standardize(d).x_std)
-        for arr in (xs, standardize(d).x_std, standardize(d).means, standardize(d).sds):
+        np.testing.assert_array_equal(xs[:, 1:], standardize_columns(x[:, 1:]))
+        xw, singular = whitened_covariates(d)
+        assert singular and xw.shape == (10, 2)
+        np.testing.assert_allclose(xw.T @ xw, np.eye(2), atol=1e-12)
+        for arr in (xs, xw):
             with pytest.raises(ValueError):
                 arr[0, ...] = 1.0
         assert scaled_covariates(d, "raw") is d.x

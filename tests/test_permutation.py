@@ -193,7 +193,7 @@ def looped_refit(xs, y, z_cols, deltas):
     for i in range(z_cols.shape[1]):
         control = z_cols[:, i] == 0.0
         try:
-            fit = fit_ols(xs[control], y[control], include_intercept=True, arm="control")
+            fit = fit_ols(xs[control], y[control], arm="control")
             values[i] = fit.coefficients @ deltas[:, i]
         except BalanceLabError:
             values[i] = np.inf

@@ -12,7 +12,7 @@ from conftest import residualize
 class TestFitOls:
     def test_exact_fit(self, rng):
         x = rng.normal(size=(30, 1))
-        fit = fit_ols(x, x[:, 0], include_intercept=True)
+        fit = fit_ols(x, x[:, 0])
         assert np.isclose(fit.coefficients[0], 1.0)
         assert np.isclose(fit.r_squared, 1.0)
         assert np.abs(fit.residuals).max() < 1e-12
@@ -20,7 +20,7 @@ class TestFitOls:
     def test_recovers_known_coefficients(self, rng):
         x = rng.normal(size=(60, 2))
         y = 3.0 * x[:, 0] - 2.0 * x[:, 1] + 5.0
-        fit = fit_ols(x, y, include_intercept=True)
+        fit = fit_ols(x, y)
         np.testing.assert_allclose(fit.coefficients, [3.0, -2.0], atol=1e-8)
         assert np.isclose(fit.intercept, 5.0, atol=1e-8)
 
@@ -28,7 +28,7 @@ class TestFitOls:
         g = np.random.default_rng(4)
         x = g.normal(size=(10000, 3))
         y = g.normal(size=10000)
-        fit = fit_ols(x, y, include_intercept=True)
+        fit = fit_ols(x, y)
         assert fit.r_squared < 0.01
 
     def test_residual_orthogonality(self, rng):
@@ -37,7 +37,7 @@ class TestFitOls:
             p = int(rng.integers(1, 5))
             x = rng.normal(size=(n, p))
             y = rng.normal(size=n)
-            fit = fit_ols(x, y, include_intercept=True)
+            fit = fit_ols(x, y)
             scale = max(np.abs(y).max(), 1.0)
             assert abs(fit.residuals.sum()) < 1e-8 * n * scale
             for j in range(p):
@@ -53,7 +53,7 @@ class TestFitOls:
     def test_insufficient_rows(self, rng):
         x = rng.normal(size=(4, 4))
         with pytest.raises(InsufficientRows):
-            fit_ols(x, rng.normal(size=4), include_intercept=True)
+            fit_ols(x, rng.normal(size=4))
 
     def test_constant_column_gets_zero_coefficient(self, rng):
         x = rng.normal(size=(25, 2))
@@ -88,7 +88,7 @@ class TestFitOls:
         p = int(g.integers(2, 6))
         x = g.normal(size=(n, p))
         y = g.normal(size=n)
-        fit = fit_ols(x, y, include_intercept=True)
+        fit = fit_ols(x, y)
         for j in range(p):
             resid = residualize(x, j)
             ratio = (y @ resid) / (resid @ resid)

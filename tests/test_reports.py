@@ -8,11 +8,11 @@ from balance_lab.reports import (
     PLOT_FIELDS,
     RESULTS_FIELDS,
     bytes_digest,
-    csv_text,
     make_manifest,
     plot_data_rows,
     power_curve_svg,
     results_table_rows,
+    write_csv,
 )
 from balance_lab.rng import STREAM_VERSION
 from balance_lab.simulation import PowerStudyResult
@@ -56,11 +56,13 @@ class TestTables:
         facets = {r["facet"] for r in rows}
         assert facets == {"imbalance=0 (x1)", "imbalance=0.2 (x1)"}
 
-    def test_csv_text_deterministic(self, results):
+    def test_csv_text_deterministic(self, results, tmp_path):
         rows = results_table_rows(results)
-        assert csv_text(RESULTS_FIELDS, rows) == csv_text(RESULTS_FIELDS, rows)
-        header = csv_text(RESULTS_FIELDS, rows).splitlines()[0]
-        assert header == ",".join(RESULTS_FIELDS)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(str(first), RESULTS_FIELDS, rows)
+        write_csv(str(second), RESULTS_FIELDS, rows)
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_text().splitlines()[0] == ",".join(RESULTS_FIELDS)
 
 
 class TestSvg:
