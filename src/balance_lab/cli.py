@@ -10,6 +10,7 @@ import os
 import secrets
 import sys
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -283,10 +284,8 @@ def cmd_test(args) -> int:
         "delimiter": args.delimiter,
         "seed_generated": generated,
     }
-    manifest = make_manifest("test", configuration, seed, file_digest(args.input), started)
-
     report = {
-        "manifest": manifest.to_dict(),
+        "manifest": make_manifest("test", configuration, seed, file_digest(args.input), started),
         "dataset": _dataset_summary(d, rows_dropped),
         "scale": args.scale,
         "weight_policy": args.weight_policy,
@@ -307,12 +306,7 @@ def cmd_test(args) -> int:
             "var_delta_uw": variances.var_delta_uw,
             "var_delta_rw_conditional": variances.var_delta_rw_conditional,
         },
-        "diagnostics": {
-            "prognosis_r2": diag.prognosis_r2,
-            "imbalance_r2": diag.imbalance_r2,
-            "lagged_correlation_control": diag.lagged_correlation_control,
-            "lagged_correlation_full": diag.lagged_correlation_full,
-        },
+        "diagnostics": asdict(diag),
     }
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -338,9 +332,9 @@ def cmd_simulate(args) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-    if args.seed is not None:
-        raw["seed"] = args.seed
     study = StudyConfig.from_dict(raw)
+    if args.seed is not None:
+        study = replace(study, seed=args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
     checkpoint_dir = os.path.join(args.out_dir, "checkpoints")
@@ -368,7 +362,7 @@ def cmd_simulate(args) -> int:
     )
 
     config_digest = bytes_digest(
-        json.dumps(study.to_dict(), sort_keys=True).encode("utf-8")
+        json.dumps(asdict(study), sort_keys=True).encode("utf-8")
     )
     results_path = os.path.join(args.out_dir, "results.csv")
     write_csv(results_path, RESULTS_FIELDS, results_table_rows(results))
@@ -377,8 +371,8 @@ def cmd_simulate(args) -> int:
 
     svg_paths = []
     for level in study.imbalance_levels:
-        facet = [r for r in results if r.grid_cell[0] == level]
-        prognosis = [r.grid_cell[1] for r in facet]
+        facet = [r for r in results if r.config.imbalance == level]
+        prognosis = [r.config.rho_x1_y for r in facet]
         series = {
             name: [r.rejection_rate[name] for r in facet] for name in study.statistics
         }
@@ -395,14 +389,13 @@ def cmd_simulate(args) -> int:
     configuration = {
         "config_file": args.config,
         "config_digest": config_digest,
-        "study": study.to_dict(),
+        "study": asdict(study),
         "threads": threads,
         "resume": args.resume,
     }
-    manifest = make_manifest(
+    payload = make_manifest(
         "simulate", configuration, study.seed, file_digest(args.config), started
     )
-    payload = manifest.to_dict()
     payload["outputs"] = {
         os.path.basename(path): file_digest(path)
         for path in [results_path, plot_path, *svg_paths]
@@ -421,20 +414,15 @@ def cmd_diagnose(args) -> int:
         "treatment": args.treatment,
         "outcome": args.outcome,
         "covariates": list(d.column_names),
+        "treated_level": args.treated_level,
         "lag_column": args.lag_column,
         "lenient_missing": args.lenient_missing,
         "delimiter": args.delimiter,
     }
-    manifest = make_manifest("diagnose", configuration, 0, file_digest(args.input), started)
     report = {
-        "manifest": manifest.to_dict(),
+        "manifest": make_manifest("diagnose", configuration, 0, file_digest(args.input), started),
         "dataset": _dataset_summary(d, rows_dropped),
-        "diagnostics": {
-            "prognosis_r2": diag.prognosis_r2,
-            "imbalance_r2": diag.imbalance_r2,
-            "lagged_correlation_control": diag.lagged_correlation_control,
-            "lagged_correlation_full": diag.lagged_correlation_full,
-        },
+        "diagnostics": asdict(diag),
     }
     os.makedirs(args.out_dir, exist_ok=True)
     write_json(os.path.join(args.out_dir, "diagnose_report.json"), report)

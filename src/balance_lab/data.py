@@ -75,8 +75,9 @@ class GroupSizes:
 class Dataset:
     """Immutable covariate matrix, assignment vector, and observed outcomes.
 
-    Arrays are converted to float64 / int64, validated, and frozen
-    (write flag cleared), so instances are safe to share across workers.
+    Arrays are copied to float64 / int64, validated, and frozen (write
+    flag cleared), so instances are safe to share across workers and the
+    caller's arrays stay writeable.
     ``x`` is stored C-contiguous: the reductions and matrix products give
     the same bits whatever the layout of the input. The derived covariate
     views are computed on first use and cached on the instance, equally
@@ -89,9 +90,9 @@ class Dataset:
     column_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.atleast_2d(np.asarray(self.x, dtype=np.float64)))
+        x = np.array(np.atleast_2d(self.x), dtype=np.float64, order="C")
         z = np.asarray(self.z)
-        y = np.asarray(self.y_obs, dtype=np.float64)
+        y = np.array(self.y_obs, dtype=np.float64)
         names = tuple(self.column_names) or tuple(f"x{j + 1}" for j in range(x.shape[1]))
 
         if x.ndim != 2:

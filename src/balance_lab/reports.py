@@ -8,16 +8,13 @@ listed (with its content digest) in the run's manifest.json.
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from . import __version__
 from .rng import STREAM_VERSION
-from .simulation import PowerStudyResult
 
 __all__ = [
-    "RunManifest",
     "file_digest",
     "bytes_digest",
     "utc_now",
@@ -46,23 +43,6 @@ RESULTS_FIELDS = (
 PLOT_FIELDS = ("facet", "imbalance_covariate", "x", "series", "y")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record attached to every run's outputs."""
-
-    command: str
-    configuration: dict
-    seed: int
-    version: str
-    stream_version: int
-    input_digest: Optional[str]
-    started_at: str
-    finished_at: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -83,17 +63,18 @@ def make_manifest(
     seed: int,
     input_digest: Optional[str],
     started_at: str,
-) -> RunManifest:
-    return RunManifest(
-        command=command,
-        configuration=configuration,
-        seed=seed,
-        version=__version__,
-        stream_version=STREAM_VERSION,
-        input_digest=input_digest,
-        started_at=started_at,
-        finished_at=utc_now(),
-    )
+) -> dict:
+    """Provenance record attached to every run's outputs."""
+    return {
+        "command": command,
+        "configuration": configuration,
+        "seed": seed,
+        "version": __version__,
+        "stream_version": STREAM_VERSION,
+        "input_digest": input_digest,
+        "started_at": started_at,
+        "finished_at": utc_now(),
+    }
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -109,11 +90,12 @@ def write_csv(path: str, fieldnames: Sequence[str], rows: Sequence[dict]) -> Non
         writer.writerows(rows)
 
 
-def results_table_rows(results: Sequence[PowerStudyResult]) -> list[dict]:
-    """One record per (grid cell, statistic), in grid order."""
+def results_table_rows(results: Sequence) -> list[dict]:
+    """One record per (grid cell, statistic) of ``simulation.PowerStudyResult``
+    records, in grid order."""
     rows = []
     for result in results:
-        imbalance, prognosis = result.grid_cell
+        imbalance, prognosis = result.config.grid_cell
         for name, rate in result.rejection_rate.items():
             rows.append(
                 {
@@ -130,17 +112,18 @@ def results_table_rows(results: Sequence[PowerStudyResult]) -> list[dict]:
     return rows
 
 
-def plot_data_rows(results: Sequence[PowerStudyResult]) -> list[dict]:
+def plot_data_rows(results: Sequence) -> list[dict]:
     """Long-format table: one facet per imbalance level, x = prognosis."""
     rows = []
     for result in results:
-        imbalance, prognosis = result.grid_cell
-        facet = f"imbalance={imbalance:g} (x{result.imbalance_covariate})"
+        imbalance, prognosis = result.config.grid_cell
+        covariate = result.config.imbalance_covariate
+        facet = f"imbalance={imbalance:g} (x{covariate})"
         for name, rate in result.rejection_rate.items():
             rows.append(
                 {
                     "facet": facet,
-                    "imbalance_covariate": result.imbalance_covariate,
+                    "imbalance_covariate": covariate,
                     "x": prognosis,
                     "series": name,
                     "y": rate,
@@ -149,7 +132,7 @@ def plot_data_rows(results: Sequence[PowerStudyResult]) -> list[dict]:
         rows.append(
             {
                 "facet": facet,
-                "imbalance_covariate": result.imbalance_covariate,
+                "imbalance_covariate": covariate,
                 "x": prognosis,
                 "series": "std_bias",
                 "y": result.standardized_bias,

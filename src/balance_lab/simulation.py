@@ -20,8 +20,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Optional, Sequence, get_origin
 
 import numpy as np
 
@@ -77,6 +77,10 @@ class DgpConfig:
     def imbalance_covariate(self) -> int:
         return 2 if self.rho_x2_z != 0.0 else 1
 
+    @property
+    def grid_cell(self) -> tuple[float, float]:
+        return (self.imbalance, self.rho_x1_y)
+
 
 def generate_dataset(cfg: DgpConfig, replicate_index: int) -> Dataset:
     """Draw one synthetic dataset for the given replicate stream."""
@@ -120,6 +124,18 @@ class StudyConfig:
     weight_policy: str = "fixed"
 
     def __post_init__(self):
+        for name in ("imbalance_covariate", "n", "p", "replicates", "permutations", "seed"):
+            value = getattr(self, name)
+            if not _is_number(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "tau"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name in ("imbalance_levels", "prognosis_levels"):
+            levels = getattr(self, name)
+            if not all(_is_number(level) for level in levels):
+                raise ConfigError(f"{name} must hold finite numbers, got {list(levels)!r}")
         if not self.imbalance_levels or not self.prognosis_levels:
             raise ConfigError("imbalance_levels and prognosis_levels must be non-empty")
         if self.imbalance_covariate not in (1, 2):
@@ -128,7 +144,7 @@ class StudyConfig:
             raise ConfigError("replicates and permutations must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.weight_policy not in ("fixed", "refit"):
             raise ConfigError(f"unknown weight policy {self.weight_policy!r}")
@@ -138,24 +154,27 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(raw) - allowed
+        """The study a JSON config object describes; list fields are JSON lists."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a study config must be a JSON object, got {raw!r}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         coerced = dict(raw)
         for key in ("imbalance_levels", "prognosis_levels", "statistics"):
             if key in coerced:
+                if not isinstance(coerced[key], list):
+                    raise ConfigError(f"{key} must be a list, got {coerced[key]!r}")
                 coerced[key] = tuple(coerced[key])
         try:
             return cls(**coerced)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("imbalance_levels", "prognosis_levels", "statistics"):
-            out[key] = list(out[key])
-        return out
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """``isinstance(value, kind)`` and finite, where a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool) and -math.inf < value < math.inf
 
 
 def build_grid(study: StudyConfig) -> list[DgpConfig]:
@@ -179,9 +198,12 @@ def build_grid(study: StudyConfig) -> list[DgpConfig]:
 
 @dataclass(frozen=True)
 class PowerStudyResult:
-    """Aggregated rejection behaviour for one grid cell."""
+    """Aggregated rejection behaviour for one grid cell, with each
+    replicate's p-values (NaN where the replicate failed).
 
-    grid_cell: tuple[float, float]
+    Its fields are also the schema of the cell's checkpoint.
+    """
+
     config: DgpConfig
     rejection_rate: dict[str, float]
     mc_standard_error: dict[str, float]
@@ -189,8 +211,7 @@ class PowerStudyResult:
     replicates: int
     permutations_per_replicate: int
     n_failed: int
-    imbalance_covariate: int
-    pvalues: Optional[dict[str, np.ndarray]] = field(default=None, compare=False)
+    pvalues: dict[str, np.ndarray] = field(compare=False)
 
 
 def _run_replicate(args):
@@ -228,45 +249,25 @@ def _cell_fingerprint(cfg: DgpConfig, statistics, replicates, b, alpha, weight_p
     return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 
-def _result_to_payload(result: PowerStudyResult, fingerprint: str) -> dict:
-    payload = {
-        "fingerprint": fingerprint,
-        "grid_cell": list(result.grid_cell),
-        "config": asdict(result.config),
-        "rejection_rate": result.rejection_rate,
-        "mc_standard_error": result.mc_standard_error,
-        "standardized_bias": result.standardized_bias,
-        "replicates": result.replicates,
-        "permutations_per_replicate": result.permutations_per_replicate,
-        "n_failed": result.n_failed,
-        "imbalance_covariate": result.imbalance_covariate,
-    }
-    if result.pvalues is not None:
-        payload["pvalues"] = {k: list(v) for k, v in result.pvalues.items()}
-    return payload
-
-
 def _result_from_payload(payload: dict) -> PowerStudyResult:
-    pvalues = payload.get("pvalues")
-    return PowerStudyResult(
-        grid_cell=tuple(payload["grid_cell"]),
-        config=DgpConfig(**payload["config"]),
-        rejection_rate=dict(payload["rejection_rate"]),
-        mc_standard_error=dict(payload["mc_standard_error"]),
-        standardized_bias=payload["standardized_bias"],
-        replicates=payload["replicates"],
-        permutations_per_replicate=payload["permutations_per_replicate"],
-        n_failed=payload["n_failed"],
-        imbalance_covariate=payload["imbalance_covariate"],
-        pvalues={k: np.asarray(v) for k, v in pvalues.items()} if pvalues else None,
-    )
+    """The result a checkpoint holds; raises unless its keys are exactly
+    the fingerprint and the result's fields, each of the field's type."""
+    values = {k: v for k, v in payload.items() if k != "fingerprint"}
+    values["config"] = DgpConfig(**values["config"])
+    values["pvalues"] = {k: np.asarray(v, dtype=np.float64) for k, v in values["pvalues"].items()}
+    result = PowerStudyResult(**values)
+    for f in fields(PowerStudyResult):
+        if not isinstance(getattr(result, f.name), get_origin(f.type) or f.type):
+            raise TypeError(f"checkpoint field {f.name!r} is not a {f.type}")
+    return result
 
 
 def _load_checkpoint(path: str, fingerprint: str) -> Optional[PowerStudyResult]:
     """The checkpointed result at ``path``, or None if absent or stale.
 
-    A file that does not decode (truncated, not JSON) or lacks a field the
-    result needs counts as stale, so its cell is computed again.
+    A file that does not decode (truncated, not JSON), or whose fields are
+    not exactly the result's (an older format among them), counts as
+    stale, so its cell is computed again.
     """
     if not os.path.exists(path):
         return None
@@ -279,7 +280,7 @@ def _load_checkpoint(path: str, fingerprint: str) -> Optional[PowerStudyResult]:
         return None
     try:
         return _result_from_payload(payload)
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         return None
 
 
@@ -287,7 +288,7 @@ def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str) -> 
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(_result_to_payload(result, fingerprint), fh)
+        json.dump({"fingerprint": fingerprint, **asdict(result)}, fh, default=np.ndarray.tolist)
     os.replace(tmp, path)
 
 
@@ -304,7 +305,6 @@ def _summarize_cell(
     replicates: int,
     b: int,
     alpha: float,
-    keep_pvalues: bool,
 ) -> PowerStudyResult:
     """Aggregate one cell's ``_run_replicate`` outcomes into its result."""
     pvals = {name: np.full(replicates, np.nan) for name in statistics}
@@ -334,7 +334,6 @@ def _summarize_cell(
         ses[name] = math.sqrt(rate * (1.0 - rate) / ok)
 
     return PowerStudyResult(
-        grid_cell=(cfg.imbalance, cfg.rho_x1_y),
         config=cfg,
         rejection_rate=rates,
         mc_standard_error=ses,
@@ -342,8 +341,7 @@ def _summarize_cell(
         replicates=replicates,
         permutations_per_replicate=b,
         n_failed=n_failed,
-        imbalance_covariate=cfg.imbalance_covariate,
-        pvalues=pvals if keep_pvalues else None,
+        pvalues=pvals,
     )
 
 
@@ -357,7 +355,6 @@ def run_power_study(
     threads: int = 1,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    keep_pvalues: bool = False,
     progress=None,
 ) -> list[PowerStudyResult]:
     """Run the full rejection-rate study over a grid of DGP cells.
@@ -411,8 +408,7 @@ def run_power_study(
             if result is None:
                 cell_outcomes = itertools.islice(outcomes, replicates)
                 result = _summarize_cell(
-                    cfg, cell_outcomes, statistics, replicates, b_permutations,
-                    alpha, keep_pvalues,
+                    cfg, cell_outcomes, statistics, replicates, b_permutations, alpha
                 )
                 if paths[cell_index]:
                     _write_checkpoint(paths[cell_index], result, fingerprints[cell_index])

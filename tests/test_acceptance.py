@@ -47,7 +47,7 @@ def diff_se(r1, n1, r2, n2):
 def null_study():
     cell = DgpConfig(n=500, p=3, seed=90210)
     return run_power_study(
-        [cell], replicates=500, b_permutations=200, alpha=ALPHA, keep_pvalues=True
+        [cell], replicates=500, b_permutations=200, alpha=ALPHA
     )[0]
 
 

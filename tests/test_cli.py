@@ -208,6 +208,33 @@ class TestCmdDiagnose:
         report = json.load(open(tmp_path / "diagnose_report.json"))
         assert report["diagnostics"]["imbalance_r2"] < 0.01
 
+    def test_manifest_records_treated_level(self, tmp_path):
+        # the treated level picks the control arm, so it moves the prognosis R^2
+        g = np.random.default_rng(23)
+        path = tmp_path / "labels.csv"
+        labels = np.array(["a", "b"] * 20)
+        x1 = g.normal(size=40)
+        y = np.where(labels == "b", x1 + 0.1 * g.normal(size=40), g.normal(size=40))
+        with open(path, "w") as fh:
+            fh.write("arm,y,x1\n")
+            for i in range(40):
+                fh.write(f"{labels[i]},{float(y[i])!r},{float(x1[i])!r}\n")
+        reports = {}
+        for level in ("a", "b"):
+            out = tmp_path / level
+            code = run_cli(
+                ["diagnose", "--input", str(path), "--treatment", "arm", "--outcome", "y",
+                 "--covariates", "x1", "--treated-level", level, "--out-dir", str(out)]
+            )
+            assert code == 0
+            reports[level] = json.load(open(out / "diagnose_report.json"))
+        for level, report in reports.items():
+            configuration = report["manifest"]["configuration"]
+            assert configuration["treated_level"] == level
+            assert list(configuration)[3:5] == ["covariates", "treated_level"]
+        r2 = {level: report["diagnostics"]["prognosis_r2"] for level, report in reports.items()}
+        assert r2["a"] > 0.9 > r2["b"]
+
     def test_missing_outcome_flag(self):
         with pytest.raises(SystemExit) as info:
             run_cli(["diagnose", "--input", FIXTURE, "--treatment", "z", "--covariates", "x1"])
@@ -274,17 +301,57 @@ class TestCmdSimulate:
         assert code == 2
         assert "rho" in capsys.readouterr().err
 
+    def test_resume_recomputes_older_checkpoint_format(self, tmp_path, capsys):
+        # an older version stored grid_cell and imbalance_covariate and no
+        # per-replicate p-values, under the same fingerprint
+        config = write_config(tmp_path / "study.json")
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", config, "--out-dir", str(out)]) == 0
+        reference = open(out / "results.csv", "rb").read()
+        cell = out / "checkpoints" / "cell_0001.json"
+        current = json.loads(cell.read_text())
+        older = {
+            "fingerprint": current["fingerprint"],
+            "grid_cell": [0.4, 0.0],
+            **{k: v for k, v in current.items() if k not in ("fingerprint", "pvalues")},
+            "imbalance_covariate": 1,
+        }
+        cell.write_text(json.dumps(older))
+        os.remove(out / "results.csv")
+        capsys.readouterr()
+        assert run_cli(["simulate", "--config", config, "--out-dir", str(out), "--resume"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "[1/2] imbalance=0 prognosis=0 (resumed)",
+            "[2/2] imbalance=0.4 prognosis=0 (computed)",
+        ]
+        assert open(out / "results.csv", "rb").read() == reference
+        assert json.loads(cell.read_text()) == current
+
     def test_malformed_config_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run_cli(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
 
-def _small_config(tmp_path, **overrides) -> str:
-    path = tmp_path / "config.json"
-    config = {"imbalance_levels": [0.0], "prognosis_levels": [0.0], "replicates": 2}
-    path.write_text(json.dumps({**config, **overrides}))
-    return str(path)
+SMALL_CONFIG = {"imbalance_levels": [0.0], "prognosis_levels": [0.0], "replicates": 2}
+
+# The config file each simulate case reads; a case not named runs SMALL_CONFIG.
+INVALID_CONFIGS = {
+    "config-seed-negative": {**SMALL_CONFIG, "seed": -1},
+    "config-seed-fractional": {**SMALL_CONFIG, "seed": 1.5},
+    "config-seed-bool": {**SMALL_CONFIG, "seed": True},
+    "config-not-object": 5,
+    "config-list-with-seed-flag": [1, 2],
+    "config-levels-not-list": {**SMALL_CONFIG, "imbalance_levels": 5},
+    "config-level-not-number": {**SMALL_CONFIG, "imbalance_levels": [0.0, "x"]},
+    "config-level-nan": {**SMALL_CONFIG, "prognosis_levels": [float("nan")]},
+    "config-tau-infinite": {**SMALL_CONFIG, "tau": float("inf")},
+    "config-replicates-fractional": {**SMALL_CONFIG, "replicates": 2.5},
+    "config-permutations-fractional": {**SMALL_CONFIG, "permutations": 1.5},
+    "config-n-float": {**SMALL_CONFIG, "n": 40.0},
+    "config-p-string": {**SMALL_CONFIG, "p": "3"},
+}
 
 
 @pytest.mark.parametrize(
@@ -299,17 +366,16 @@ def _small_config(tmp_path, **overrides) -> str:
         "test-threads-negative",
         "simulate-threads-negative",
         "simulate-seed-negative",
-        "config-seed-negative",
-        "config-seed-fractional",
+        *INVALID_CONFIGS,
     ],
 )
 def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
     env = {"threads-env-not-int": "abc", "threads-env-negative": "-4"}.get(case, "1")
     monkeypatch.setenv("BALANCE_LAB_THREADS", env)
     test = BASE_ARGS + ["--out-dir", str(tmp_path / "out")]
-    overrides = {"config-seed-negative": {"seed": -1}, "config-seed-fractional": {"seed": 1.5}}
-    config = _small_config(tmp_path, **overrides.get(case, {}))
-    simulate = ["simulate", "--out-dir", str(tmp_path / "out"), "--config", config]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(INVALID_CONFIGS.get(case, SMALL_CONFIG)))
+    simulate = ["simulate", "--out-dir", str(tmp_path / "out"), "--config", str(config)]
     args = {
         "test-seed-negative": test + ["--seed", "-1"],
         "test-permutations-zero": test + ["--permutations", "0"],
@@ -320,9 +386,8 @@ def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
         "test-threads-negative": test + ["--threads", "-4"],
         "simulate-threads-negative": simulate + ["--threads", "-4"],
         "simulate-seed-negative": simulate + ["--seed", "-1"],
-        "config-seed-negative": simulate,
-        "config-seed-fractional": simulate,
-    }[case]
+        "config-list-with-seed-flag": simulate + ["--seed", "3"],
+    }.get(case, simulate)
     try:
         code = run_cli(args)
     except SystemExit as exc:  # argparse rejects a flag value before any command runs

@@ -171,6 +171,27 @@ class TestDataset:
                 assert res.observed == reference.observed, (name, stat)
                 np.testing.assert_array_equal(res.permuted_values, reference.permuted_values)
 
+    def test_caller_arrays_stay_writeable(self, rng):
+        x = rng.normal(size=(40, 3))
+        z = np.array([1, 0] * 20)
+        y = rng.normal(size=40)
+        statistics = ("uw", "rw", "hotelling")
+        reference = permutation_pvalues(
+            Dataset(x=x.copy(), z=z.copy(), y_obs=y.copy()), statistics, 64, seed=5
+        )
+        d = Dataset(x=x, z=z, y_obs=y)
+        assert x.flags.writeable and z.flags.writeable and y.flags.writeable
+        for arr in (d.x, d.z, d.y_obs):
+            assert not arr.flags.writeable
+        before = permutation_pvalues(d, statistics, 64, seed=5)
+        x[:] = 0.0  # the dataset holds its own copies
+        y[:] = 0.0
+        after = permutation_pvalues(d, statistics, 64, seed=5)
+        for results in (before, after):
+            for stat, res in results.items():
+                assert res.observed == reference[stat].observed, stat
+                np.testing.assert_array_equal(res.permuted_values, reference[stat].permuted_values)
+
     def test_direct_construction_validates(self):
         with pytest.raises(NonBinaryTreatment):
             Dataset(x=np.ones((4, 1)), z=np.array([2, 0, 1, 0]), y_obs=np.zeros(4))

@@ -20,7 +20,6 @@ from balance_lab.simulation import PowerStudyResult
 
 def make_result(imbalance, prognosis, rates):
     return PowerStudyResult(
-        grid_cell=(imbalance, prognosis),
         config=DgpConfig(n=60, rho_x1_z=imbalance, rho_x1_y=prognosis, seed=1),
         rejection_rate=rates,
         mc_standard_error={k: 0.01 for k in rates},
@@ -28,7 +27,7 @@ def make_result(imbalance, prognosis, rates):
         replicates=100,
         permutations_per_replicate=50,
         n_failed=0,
-        imbalance_covariate=1,
+        pvalues={},
     )
 
 
@@ -88,11 +87,10 @@ class TestManifest:
 
     def test_manifest_records_stream_version(self):
         manifest = make_manifest("simulate", {}, 7, None, "2026-01-01T00:00:00+00:00")
-        assert manifest.to_dict()["stream_version"] == STREAM_VERSION
+        assert manifest["stream_version"] == STREAM_VERSION
 
     def test_manifest_round_trips_through_json(self):
-        manifest = make_manifest("test", {"alpha": 0.05}, 7, "aa" * 8, "2026-01-01T00:00:00+00:00")
-        payload = manifest.to_dict()
+        payload = make_manifest("test", {"alpha": 0.05}, 7, "aa" * 8, "2026-01-01T00:00:00+00:00")
         assert json.loads(json.dumps(payload)) == payload
         assert payload["command"] == "test"
         assert payload["seed"] == 7

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ class TestStudyConfig:
 
     def test_round_trip(self):
         study = StudyConfig(imbalance_levels=(0.0, 0.2), prognosis_levels=(0.0, 0.1))
-        assert StudyConfig.from_dict(study.to_dict()) == study
+        assert StudyConfig.from_dict(json.loads(json.dumps(asdict(study)))) == study
 
     def test_grid_layout(self):
         study = StudyConfig(
@@ -166,8 +167,8 @@ class TestRunPowerStudy:
                 assert 0.0 <= rate <= 1.0
                 expected_se = np.sqrt(rate * (1 - rate) / res.replicates)
                 assert res.mc_standard_error[name] == pytest.approx(expected_se)
-        assert results[0].grid_cell == (0.0, 0.0)
-        assert results[1].grid_cell == (0.4, 0.0)
+        assert results[0].config.grid_cell == (0.0, 0.0)
+        assert results[1].config.grid_cell == (0.4, 0.0)
 
     def test_worker_count_does_not_change_results(self):
         study = tiny_study()
@@ -217,7 +218,11 @@ class TestRunPowerStudy:
         )
         assert how == ["computed"]
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing_key", "not_an_object"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "missing_key", "not_an_object", "extra_key", "pvalues_not_object",
+         "mistyped_field"],
+    )
     def test_unreadable_checkpoint_recomputed(self, tmp_path, damage):
         grid = build_grid(tiny_study())[:1]
         ckpt = tmp_path / "checkpoints"
@@ -227,12 +232,19 @@ class TestRunPowerStudy:
         text = path.read_text()
         if damage == "truncated":
             path.write_text(text[: len(text) // 2])
-        elif damage == "missing_key":
-            payload = json.loads(text)
-            del payload["rejection_rate"]
-            path.write_text(json.dumps(payload))
-        else:
+        elif damage == "not_an_object":
             path.write_text("[1, 2]")
+        else:
+            payload = json.loads(text)
+            if damage == "missing_key":
+                del payload["rejection_rate"]
+            elif damage == "extra_key":
+                payload["grid_cell"] = [0.0, 0.0]
+            elif damage == "pvalues_not_object":
+                payload["pvalues"] = [0.5]
+            else:
+                payload["replicates"] = "25"
+            path.write_text(json.dumps(payload))
 
         how = []
         resumed = run_power_study(
@@ -262,7 +274,7 @@ class TestRunPowerStudy:
         replicates = 7
         # pending cells 1 and 3 give 14 tasks; chunks must straddle cells
         assert replicates % simulation._chunksize(2 * replicates, replicates, 2) != 0
-        kwargs = dict(replicates=replicates, b_permutations=30, keep_pvalues=True)
+        kwargs = dict(replicates=replicates, b_permutations=30)
         base = run_power_study(grid, threads=1, **kwargs)
 
         ckpt = tmp_path / "checkpoints"
@@ -288,7 +300,7 @@ class TestRunPowerStudy:
     def test_keep_pvalues(self):
         study = tiny_study()
         results = run_power_study(
-            build_grid(study)[:1], replicates=10, b_permutations=30, keep_pvalues=True
+            build_grid(study)[:1], replicates=10, b_permutations=30
         )
         pvals = results[0].pvalues
         assert set(pvals) == {"uw", "rw", "hotelling"}
