@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from . import errors
 from .balance import BalanceReport, compute_balance_report
 from .data import Dataset, GroupSizes, load_dataset
-from .permutation import PermutationResult, permutation_test, permute_assignment
+from .permutation import PermutationResult, permutation_test
 from .regression import (
     RegressionFit,
     control_arm_weights,
@@ -51,7 +51,6 @@ __all__ = [
     "normal_approx_test",
     "PermutationResult",
     "permutation_test",
-    "permute_assignment",
     "DgpConfig",
     "StudyConfig",
     "PowerStudyResult",

@@ -1,10 +1,12 @@
 """Randomization inference: permute assignment labels, recompute, compare.
 
-Every permutation replicate draws its labels from a counter-based stream
-keyed by (seed, replicate_index), so results are bit-identical no matter
-how replicates are chunked or how many workers execute them. The statistics
-themselves come from the column kernels in ``balance``, which evaluate the
-observed assignment as a batch of one.
+The B permutations are drawn in fixed chunks of ``_CHUNK`` = 1024. Each
+chunk draws its labels from one counter-based stream keyed by (seed, chunk
+index) and shuffles its columns in order, so results are bit-identical no
+matter how many workers execute the chunks, and the first k of B draws are
+the same for every B >= k. The statistics themselves come from the column
+kernels in ``balance``, which evaluate the observed assignment as a batch of
+one.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +24,6 @@ from .rng import stream
 
 __all__ = [
     "PermutationResult",
-    "permute_assignment",
     "permutation_test",
     "permutation_pvalues",
     "STATISTIC_NAMES",
@@ -30,6 +31,8 @@ __all__ = [
 
 STATISTIC_NAMES = ("uw", "rw", "hotelling")
 
+# Permutations per stream and per pool task. Fixed, so that the draws do
+# not depend on the number of workers.
 _CHUNK = 1024
 
 
@@ -46,6 +49,9 @@ class PermutationResult:
     of the stacked QR, failed ones included. Hotelling is evaluated on
     covariates whitened over all N units, so it is shift- and
     scale-invariant; perfect separation gives +inf, counted as extreme.
+    ``permuted_values`` keeps the draw order. The draws come from one
+    stream per (seed, chunk index), in fixed chunks of 1024, so the first
+    k of B values are the same for every B >= k and every thread count.
     """
 
     statistic_name: str
@@ -58,12 +64,6 @@ class PermutationResult:
     weight_policy: str
     n_failed: int = 0
     n_refit_fallback: int = 0
-
-
-def permute_assignment(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform redraw of the assignment vector with arm sizes preserved."""
-    z = np.asarray(z)
-    return z[rng.permutation(z.size)]
 
 
 def _weights_vector(d: Dataset, weights, scale: str) -> np.ndarray:
@@ -79,12 +79,15 @@ def _weights_vector(d: Dataset, weights, scale: str) -> np.ndarray:
 
 
 def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
-    """Columns of permuted assignments for replicates start..start+count-1."""
-    n = z.size
-    out = np.empty((n, count), dtype=np.float64)
-    for i in range(count):
-        out[:, i] = permute_assignment(z, stream(seed, start + i))
-    return out
+    """Columns of permuted assignments for replicates start..start+count-1.
+
+    ``start`` opens a chunk, so it is a multiple of ``_CHUNK``. The chunk's
+    stream shuffles the columns of the tiled assignment one after another,
+    each uniformly over the arrangements with the same arm sizes, so column
+    i does not depend on ``count``.
+    """
+    tile = np.tile(z.astype(np.float64)[:, None], (1, count))
+    return stream(seed, start // _CHUNK).permuted(tile, axis=0, out=tile)
 
 
 def _evaluate_chunk(args) -> tuple[dict[str, np.ndarray], int, int]:
@@ -105,7 +108,7 @@ def permutation_pvalues(
     """Run the permutation test for several statistics over shared draws.
 
     All statistics are evaluated on the same B permuted assignments (the
-    streams depend only on seed and replicate index), which is both cheaper
+    streams depend only on seed and chunk index), which is both cheaper
     and what the simulation protocol prescribes. The observed statistics go
     through the same evaluation as one more assignment, so under ``refit``
     the observed ``rw`` is refit on the observed control arm; ``weights``

@@ -1,8 +1,12 @@
 """Counter-based random streams.
 
 All randomness in the package flows through Philox keyed by a user seed
-plus an integer spawn key, so any replicate's stream can be reconstructed
-independently of execution order or worker count.
+plus an integer spawn key, so any stream can be reconstructed
+independently of execution order or worker count (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11). A dataset replicate
+is keyed by (seed, replicate_index, 0); permutation draws are keyed by
+(permutation seed, chunk index), one stream for each fixed chunk of 1024
+permutations, so the first k of B draws do not depend on B.
 """
 
 import numpy as np
@@ -12,8 +16,9 @@ __all__ = ["STREAM_VERSION", "stream", "derive_seed"]
 # Version of the mapping from seeds to drawn values (stream keys, draw
 # order, generator). Bump it whenever that mapping changes: run manifests
 # record it, and simulation checkpoints computed under another version are
-# recomputed instead of resumed.
-STREAM_VERSION = 1
+# recomputed instead of resumed. Version 2 keys permutation draws by chunk
+# instead of by permutation.
+STREAM_VERSION = 2
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -45,7 +45,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """One cell of the data-generating grid."""
+    """One cell of the data-generating grid. ``imbalance_covariate`` names
+    the covariate whose loading on the assignment is the cell's imbalance;
+    the other covariate's loading is zero."""
 
     n: int = 500
     p: int = 3
@@ -54,14 +56,22 @@ class DgpConfig:
     rho_x1_y: float = 0.0
     tau: float = 0.0
     seed: int = 0
+    imbalance_covariate: int = 1
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2:
             raise ConfigError(f"n must be even and at least 4, got {self.n}")
         if self.p < 1:
             raise ConfigError(f"p must be positive, got {self.p}")
-        if self.rho_x2_z != 0.0 and self.p < 2:
+        if self.imbalance_covariate not in (1, 2):
+            raise ConfigError("imbalance_covariate must be 1 or 2")
+        if self.imbalance_covariate == 2 and self.p < 2:
             raise ConfigError("imbalance on x2 requires p >= 2")
+        other = "rho_x2_z" if self.imbalance_covariate == 1 else "rho_x1_z"
+        if getattr(self, other) != 0.0:
+            raise ConfigError(
+                f"{other} must be 0 when imbalance_covariate is {self.imbalance_covariate}"
+            )
         for name in ("rho_x1_z", "rho_x2_z", "rho_x1_y"):
             rho = getattr(self, name)
             if abs(rho) > 1.0:
@@ -71,11 +81,7 @@ class DgpConfig:
 
     @property
     def imbalance(self) -> float:
-        return self.rho_x2_z if self.rho_x2_z != 0.0 else self.rho_x1_z
-
-    @property
-    def imbalance_covariate(self) -> int:
-        return 2 if self.rho_x2_z != 0.0 else 1
+        return self.rho_x2_z if self.imbalance_covariate == 2 else self.rho_x1_z
 
     @property
     def grid_cell(self) -> tuple[float, float]:
@@ -191,6 +197,7 @@ def build_grid(study: StudyConfig) -> list[DgpConfig]:
                 rho_x1_y=prognosis,
                 tau=study.tau,
                 seed=derive_seed(study.seed, cell_index),
+                imbalance_covariate=study.imbalance_covariate,
             )
         )
     return cells

@@ -1,37 +1,77 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from balance_lab import Dataset, balance, control_arm_weights, permutation_test, permute_assignment
+from balance_lab import Dataset, balance, control_arm_weights, permutation_test
 from balance_lab.balance import _refit_rw_columns
 from balance_lab.data import varying_columns
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall
-from balance_lab.permutation import permutation_pvalues
+from balance_lab.permutation import _CHUNK, _permuted_z, permutation_pvalues
 from balance_lab.regression import fit_ols
-from balance_lab.rng import stream
 from conftest import random_dataset
 
 
-class TestPermuteAssignment:
+def chunk_draws(z, seed, b):
+    """The B permuted assignments the engine evaluates, as (n, B) columns."""
+    z = np.asarray(z)
+    starts = range(0, b, _CHUNK)
+    return np.hstack([_permuted_z(z, seed, start, min(_CHUNK, b - start)) for start in starts])
+
+
+class TestChunkDraws:
     def test_two_arrangements_equally_likely(self):
-        z = np.array([1, 0])
-        g = stream(123, 0)
-        hits = sum(permute_assignment(z, g)[0] for _ in range(10000))
-        assert abs(hits / 10000 - 0.5) < 0.02
+        drawn = chunk_draws([1, 0], 123, 10000)
+        assert abs(drawn[0].mean() - 0.5) < 0.02
 
     def test_all_treated_identity(self):
         z = np.ones(6, dtype=int)
-        assert np.array_equal(permute_assignment(z, stream(5, 0)), z)
+        assert (chunk_draws(z, 5, 40) == 1.0).all()
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
-    def test_preserves_counts(self, seed, n):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), b=st.integers(1, 1100))
+    def test_preserves_counts(self, seed, n, b):
         g = np.random.default_rng(seed)
         z = (g.random(n) < 0.4).astype(int)
-        permuted = permute_assignment(z, stream(seed, 1))
-        assert permuted.sum() == z.sum()
-        assert sorted(permuted) == sorted(z)
+        drawn = chunk_draws(z, seed, b)
+        assert drawn.shape == (n, b)
+        assert (np.sort(drawn, axis=0) == np.sort(z)[:, None]).all()
+
+    def test_uniform_over_all_assignments(self):
+        # every one of the C(6,3) = 20 assignments is equally likely; the
+        # draws span four chunks
+        z = np.array([1, 1, 1, 0, 0, 0])
+        b = 4000
+        drawn = chunk_draws(z, 2024, b)
+        index = {a: k for k, a in enumerate(itertools.combinations(range(6), 3))}
+        observed = np.bincount(
+            [index[tuple(np.flatnonzero(col))] for col in drawn.T], minlength=20
+        )
+        chi2, p = stats.chisquare(observed)
+        assert p > 1e-4, (chi2, observed)
+
+    @pytest.mark.parametrize("k", [1, 5, 1024, 1030])
+    def test_first_k_draws_do_not_depend_on_b(self, k):
+        # the draws of B = k are the first k draws of a larger B, also
+        # across the chunk boundary at 1024
+        z = np.array([1, 0] * 20)
+        np.testing.assert_array_equal(chunk_draws(z, 19, k), chunk_draws(z, 19, 2100)[:, :k])
+
+    @pytest.mark.parametrize("k", [1, 5, 1024, 1030])
+    def test_first_k_permuted_values_do_not_depend_on_b(self, rng, k):
+        # same draws, so the same statistics up to rounding: the last bits
+        # of a BLAS product can depend on how many columns its batch holds
+        d = random_dataset(rng, n=40, p=2)
+        statistics = ("uw", "rw", "hotelling")
+        short = permutation_pvalues(d, statistics, k, seed=19)
+        long = permutation_pvalues(d, statistics, 2100, seed=19)
+        for name in statistics:
+            np.testing.assert_allclose(
+                short[name].permuted_values, long[name].permuted_values[:k], rtol=1e-12, atol=1e-15
+            )
 
 
 class TestPermutationTest:
@@ -156,8 +196,9 @@ class TestEngineAgainstScratch:
         seed, b = 31337, 16
         results = permutation_pvalues(d, ("uw", "rw", "hotelling"), b, seed, weights=weights)
         w = np.asarray(weights.coefficients)
+        drawn = chunk_draws(d.z, seed, b)
         for i in range(b):
-            z_i = permute_assignment(d.z, stream(seed, i))
+            z_i = drawn[:, i]
             d_i = Dataset(x=d.x, z=z_i, y_obs=d.y_obs)
             deltas = naive_differences(d_i)
             assert np.isclose(results["uw"].permuted_values[i], deltas.sum(), atol=1e-12)
@@ -179,8 +220,9 @@ class TestEngineAgainstScratch:
         d = random_dataset(rng, n=48, p=2)
         seed, b = 2718, 12
         res = permutation_test(d, "rw", b, seed, weight_policy="refit")
+        drawn = chunk_draws(d.z, seed, b)
         for i in range(b):
-            z_i = permute_assignment(d.z, stream(seed, i))
+            z_i = drawn[:, i]
             d_i = Dataset(x=d.x, z=z_i, y_obs=d.y_obs)
             w_i = control_arm_weights(d_i).coefficients
             expected = float(w_i @ naive_differences(d_i))
@@ -426,7 +468,7 @@ class TestHotellingSeparation:
         x1 = np.array([1, 1, 1, 1, 0, 0, 0, 0])
         z = np.array([1, 0, 1, 0, 1, 0, 1, 0])
         d = Dataset(x=np.column_stack([x1, rng.normal(size=n)]), z=z, y_obs=rng.normal(size=n))
-        drawn = np.column_stack([permute_assignment(z, stream(seed, i)) for i in range(b)])
+        drawn = chunk_draws(z, seed, b)
         separating = (drawn == x1[:, None]).all(axis=0) | (drawn == 1 - x1[:, None]).all(axis=0)
         assert separating.any()
         res = permutation_test(d, "hotelling", b=b, seed=seed)

@@ -30,8 +30,17 @@ class TestDgpConfig:
 
     def test_imbalance_label(self):
         assert DgpConfig(rho_x1_z=0.2).imbalance_covariate == 1
-        assert DgpConfig(rho_x2_z=0.2).imbalance_covariate == 2
-        assert DgpConfig(rho_x2_z=0.2).imbalance == 0.2
+        assert DgpConfig(rho_x2_z=0.2, imbalance_covariate=2).imbalance_covariate == 2
+        assert DgpConfig(rho_x2_z=0.2, imbalance_covariate=2).imbalance == 0.2
+        assert DgpConfig(imbalance_covariate=2).grid_cell == (0.0, 0.0)
+
+    def test_loading_on_the_other_covariate_refused(self):
+        with pytest.raises(ConfigError, match="rho_x2_z"):
+            DgpConfig(rho_x2_z=0.2)
+        with pytest.raises(ConfigError, match="rho_x1_z"):
+            DgpConfig(rho_x1_z=0.2, imbalance_covariate=2)
+        with pytest.raises(ConfigError):
+            DgpConfig(imbalance_covariate=3)
 
 
 class TestGenerateDataset:
