@@ -3,10 +3,12 @@
 Each statistic has one kernel over a batch of assignment columns: the
 observed assignment is a batch of one, permutation draws are larger
 batches, so both are computed by the same arithmetic. Under the ``refit``
-weight policy the control-arm regressions of a batch are solved together,
-one stacked QR per block of columns; a design that is ill-conditioned or
-that the stack cannot hold goes through ``regression.fit_ols`` instead,
-and the number of such columns is reported.
+weight policy the control-arm regressions of a batch are solved together
+from one QR of the data over all units and, per column, the Gram matrix of
+the control rows of its orthonormal factor; a design that is
+ill-conditioned, or whose Gram matrix is, goes through
+``regression.fit_ols`` instead, and the number of such columns is
+reported.
 
 Every kernel reads the covariate views cached on the ``Dataset``: the
 balance-scale matrix from ``data.scaled_covariates`` and the whitened one
@@ -75,12 +77,14 @@ def _hotelling_columns(xw: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> 
     return np.where(kq >= 1.0 - 1e-12, np.inf, t2)
 
 
-# Control arms refit together in one stacked QR. The (block, n0, p + 2) gather
-# is a few hundred kB at n0 = 500, and it does not grow with B.
-_REFIT_BLOCK = 16
-# A control design is solved in the stack only if its condition number is
-# below 1 / _REFIT_RCOND. The diagonal of any triangular factor lies between
-# the smallest and the largest singular value, so the pivoted QR of fit_ols
+# The Gram matrix G of an arm's rows of Q is near the identity times the
+# arm's share of the units. The arm's R factor, taken from the Cholesky
+# factor of G (Cholesky QR), carries a relative error of about kappa(G) * eps,
+# so an arm whose G has a condition number above _GRAM_KAPPA goes to fit_ols.
+_GRAM_KAPPA = 1e2
+# A control design is solved here only if its condition number is below
+# 1 / _REFIT_RCOND. The diagonal of any triangular factor lies between the
+# smallest and the largest singular value, so the pivoted QR of fit_ols
 # would find no diagonal entry below RANK_RTOL times the largest and would
 # keep every column: both paths fit the same model.
 _REFIT_RCOND = 1e-6
@@ -93,14 +97,23 @@ def _refit_rw_columns(
 
     Returns the sums, the number of failed refits (their sums are +inf, so
     they count as extreme) and the number of columns refit through
-    ``fit_ols``. The control designs ``[1 | xs]`` of a block of columns go
-    through one unpivoted QR with ``y`` as a last column: the top rows of
-    each R hold the design's R and Q'y, so the coefficients come from a
-    triangular solve, and neither Q nor the normal equations are formed.
-    ``fit_ols`` and its pivoted QR, which decides rank and raises the typed
-    errors, take the rest: ill-conditioned designs (a covariate constant
-    within the arm lands here), and every column when the control arms
-    differ in size or have at most p + 1 units.
+    ``fit_ols``. The data ``[1 | xs | y]`` go through one Householder QR,
+    ``Q R``, per call. One product of the row-wise products of Q with
+    ``z_cols`` gives every column's control Gram matrix
+    ``G = Q'Q - Q' diag(z) Q``; with ``G = L L'``, ``L' R`` is upper
+    triangular and is the R factor of the control arm's ``[1 | xs | y]``, so
+    its top rows hold the design's R and Q'y and the coefficients come from
+    a triangular solve. G is the Gram matrix of an orthonormal basis, not of
+    the design: its condition number is about 1 where the design's normal
+    equations would square the design's. A column stays on this path if
+    kappa(G) <= ``_GRAM_KAPPA`` and its design has condition number below
+    ``1 / _REFIT_RCOND``: ``sqrt(kappa(G)) * kappa(R11)`` bounds it, R11
+    the design block of R, and only the columns that bound cannot certify
+    take the singular values of their design's R. ``fit_ols`` and its
+    pivoted QR, which decides rank and raises the typed errors, take the
+    rest: ill-conditioned designs (a covariate constant within the arm
+    lands here), and every column when the control arms differ in size or
+    have at most p + 1 units.
     """
     n, p = xs.shape
     b = z_cols.shape[1]
@@ -108,22 +121,30 @@ def _refit_rw_columns(
     pending = np.ones(b, dtype=bool)
     n0 = n - np.count_nonzero(z_cols, axis=0)
     if b and n0.min() == n0.max() and n0[0] > p + 1:
-        # fit_ols gives a constant column a zero weight; the stack leaves
-        # out the columns constant over all units.
+        # fit_ols gives a constant column a zero weight; the design here
+        # leaves out the columns constant over all units.
         live = np.flatnonzero(varying_columns(xs))
         k = live.size + 1
-        data = np.column_stack([np.ones(n), xs[:, live], y])
-        for start in range(0, b, _REFIT_BLOCK):
-            cols = np.arange(start, min(start + _REFIT_BLOCK, b))
-            rows = np.flatnonzero(z_cols[:, cols].T == 0.0) % n
-            r = np.linalg.qr(data[rows.reshape(cols.size, n0[0])], mode="r")
-            design_r, qty = r[:, :k, :k], r[:, :k, k]
-            singular_values = np.linalg.svd(design_r, compute_uv=False)
-            ok = singular_values[:, -1] > _REFIT_RCOND * singular_values[:, 0]
-            coefficients = np.linalg.solve(design_r[ok], qty[ok, :, None])[:, 1:, 0]
-            solved = cols[ok]
-            values[solved] = (coefficients * deltas[np.ix_(live, solved)].T).sum(axis=1)
-            pending[solved] = False
+        q, r = np.linalg.qr(np.column_stack([np.ones(n), xs[:, live], y]))
+        rows, cols = np.triu_indices(k + 1)
+        products = q[:, rows] * q[:, cols]
+        gram = np.empty((b, k + 1, k + 1))
+        gram[:, rows, cols] = (products.sum(axis=0)[:, None] - products.T @ z_cols).T
+        gram[:, cols, rows] = gram[:, rows, cols]
+        eigenvalues = np.linalg.eigvalsh(gram)
+        stacked = np.flatnonzero(eigenvalues[:, -1] <= _GRAM_KAPPA * eigenvalues[:, 0])
+        t = np.swapaxes(np.linalg.cholesky(gram[stacked]), 1, 2) @ r
+        design_r, qty = t[:, :k, :k], t[:, :k, k]
+        r_singular_values = np.linalg.svd(r[:k, :k], compute_uv=False)
+        kappa_gram = eigenvalues[stacked, -1] / eigenvalues[stacked, 0]
+        ok = np.sqrt(kappa_gram) * r_singular_values[0] * _REFIT_RCOND < r_singular_values[-1]
+        if not ok.all():
+            singular_values = np.linalg.svd(design_r[~ok], compute_uv=False)
+            ok[~ok] = singular_values[:, -1] > _REFIT_RCOND * singular_values[:, 0]
+        coefficients = np.linalg.solve(design_r[ok], qty[ok, :, None])[:, 1:, 0]
+        solved = stacked[ok]
+        values[solved] = (coefficients * deltas[np.ix_(live, solved)].T).sum(axis=1)
+        pending[solved] = False
 
     failures = 0
     for i in np.flatnonzero(pending):

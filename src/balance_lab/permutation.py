@@ -46,7 +46,10 @@ class PermutationResult:
     variant (count+1)/(B+1), never zero. Failed replicates are recorded as
     +inf (counted as extreme). ``n_refit_fallback`` counts the replicates
     whose ``refit`` weights came from the pivoted ``fit_ols`` path instead
-    of the stacked QR, failed ones included. Hotelling is evaluated on
+    of the shared QR (one per call, plus a Gram matrix of the control rows
+    of its orthonormal factor per replicate), failed ones included: their
+    control design has condition number 1e6 or more, or that Gram matrix
+    more than 1e2. Hotelling is evaluated on
     covariates whitened over all N units, so it is shift- and
     scale-invariant; perfect separation gives +inf, counted as extreme.
     ``permuted_values`` keeps the draw order. The draws come from one

@@ -9,9 +9,12 @@ collinearity raises. The arm fits read the covariates on the requested
 scale from ``data.scaled_covariates``, the view cached on the dataset.
 
 The permutation test's ``refit`` policy solves most control-arm fits in
-batches with an unpivoted QR (``balance._refit_rw_columns``), also without
-the normal equations. Any design that batch cannot certify as well
-conditioned comes here, so pivoted QR stays the arbiter of rank.
+batches (``balance._refit_rw_columns``): one unpivoted QR of the data over
+all units, then for each arm the Cholesky factor of the Gram matrix of its
+rows of the orthonormal factor. That Gram matrix has condition number near
+1, unlike the design's normal equations, and the batch holds it to at most
+1e2. Any design that batch cannot certify as well conditioned comes here,
+so pivoted QR stays the arbiter of rank.
 """
 
 from dataclasses import dataclass, replace

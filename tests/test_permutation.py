@@ -6,13 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from balance_lab import Dataset, balance, control_arm_weights, permutation_test
-from balance_lab.balance import _refit_rw_columns
+from balance_lab import Dataset, control_arm_weights, permutation_test
+from balance_lab.balance import _REFIT_RCOND, _refit_rw_columns
 from balance_lab.data import varying_columns
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall
 from balance_lab.permutation import _CHUNK, _permuted_z, permutation_pvalues
 from balance_lab.regression import fit_ols
 from conftest import random_dataset
+
+
+# prefix lengths on both sides of the chunk boundary at 1024
+FIRST_K = (1, 5, 1024, 1030)
 
 
 def chunk_draws(z, seed, b):
@@ -53,21 +57,26 @@ class TestChunkDraws:
         chi2, p = stats.chisquare(observed)
         assert p > 1e-4, (chi2, observed)
 
-    @pytest.mark.parametrize("k", [1, 5, 1024, 1030])
+    @pytest.mark.parametrize("k", FIRST_K)
     def test_first_k_draws_do_not_depend_on_b(self, k):
         # the draws of B = k are the first k draws of a larger B, also
         # across the chunk boundary at 1024
         z = np.array([1, 0] * 20)
         np.testing.assert_array_equal(chunk_draws(z, 19, k), chunk_draws(z, 19, 2100)[:, :k])
 
-    @pytest.mark.parametrize("k", [1, 5, 1024, 1030])
-    def test_first_k_permuted_values_do_not_depend_on_b(self, rng, k):
+    @pytest.mark.parametrize(
+        "k, weight_policy",
+        [(k, "fixed") for k in FIRST_K] + [(k, "refit") for k in FIRST_K],
+        ids=[str(k) for k in FIRST_K] + [f"{k}-refit" for k in FIRST_K],
+    )
+    def test_first_k_permuted_values_do_not_depend_on_b(self, rng, k, weight_policy):
         # same draws, so the same statistics up to rounding: the last bits
-        # of a BLAS product can depend on how many columns its batch holds
+        # of a BLAS product can depend on how many columns its batch holds,
+        # and under refit the control Gram matrices are one such product
         d = random_dataset(rng, n=40, p=2)
         statistics = ("uw", "rw", "hotelling")
-        short = permutation_pvalues(d, statistics, k, seed=19)
-        long = permutation_pvalues(d, statistics, 2100, seed=19)
+        short = permutation_pvalues(d, statistics, k, seed=19, weight_policy=weight_policy)
+        long = permutation_pvalues(d, statistics, 2100, seed=19, weight_policy=weight_policy)
         for name in statistics:
             np.testing.assert_allclose(
                 short[name].permuted_values, long[name].permuted_values[:k], rtol=1e-12, atol=1e-15
@@ -337,24 +346,44 @@ class TestStackedRefit:
         expected, _ = looped_refit(xs, y, z_cols, np.ones((2, 3)))
         np.testing.assert_allclose(values, expected, rtol=1e-10)
 
-    def test_rw_independent_of_block_size_and_threads(self, rng, monkeypatch):
+    def test_gate_matches_direct_condition_number(self):
+        # Raw scale: an age-like covariate next to one with mean 2.3e4 and
+        # SD 640 gives the full design a condition number of 8e5, so the
+        # control designs straddle the 1e6 gate, and the cheap bound
+        # sqrt(kappa(G)) kappa(R11) leaves about half of them uncertified:
+        # the gate must then match the singular values of each design.
+        g = np.random.default_rng(11)
+        n, b = 200, 200
+        xs = np.column_stack([g.normal(40, 12, n), g.normal(2.3e4, 640, n)])
+        y = 0.02 * xs[:, 0] + 1e-3 * xs[:, 1] + g.normal(size=n)
+        z_cols = chunk_draws([1, 0] * (n // 2), 11, b)
+        deltas = g.normal(size=(2, b))
+        values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+        kappa = np.array(
+            [np.linalg.cond(np.column_stack([np.ones(n // 2), xs[z == 0.0]])) for z in z_cols.T]
+        )
+        over = kappa >= 1.0 / _REFIT_RCOND
+        near = np.abs(kappa * _REFIT_RCOND - 1.0) <= 1e-6
+        assert np.count_nonzero(over & ~near) > 0
+        assert np.count_nonzero(over & ~near) <= fallbacks <= np.count_nonzero(over | near)
+        expected, scales = looped_refit(xs, y, z_cols, deltas)
+        assert failures == 0 and np.isfinite(expected).all()
+        assert (np.abs(values - expected) <= 100 * scales).all()
+
+    def test_rw_independent_of_threads(self, rng):
         # a sparse binary covariate sends some columns of every chunk to the
-        # pivoted path, so both routes meet the chunk and block boundaries
+        # pivoted path, so both routes meet the chunk boundary
         x = np.column_stack([rng.normal(size=(60, 2)), rng.random(60) < 0.06])
         d = Dataset(x=x, z=np.array([1, 0] * 30), y_obs=rng.normal(size=60))
         reference = permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit")
         assert 0 < reference.n_refit_fallback < reference.b
-        runs = [permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit", threads=2)]
-        for block in (1, 7):
-            monkeypatch.setattr(balance, "_REFIT_BLOCK", block)
-            runs.append(permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit"))
-        for res in runs:
-            assert np.array_equal(res.permuted_values, reference.permuted_values)
-            assert res.observed == reference.observed
-            assert (res.n_failed, res.n_refit_fallback) == (
-                reference.n_failed,
-                reference.n_refit_fallback,
-            )
+        res = permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit", threads=2)
+        assert np.array_equal(res.permuted_values, reference.permuted_values)
+        assert res.observed == reference.observed
+        assert (res.n_failed, res.n_refit_fallback) == (
+            reference.n_failed,
+            reference.n_refit_fallback,
+        )
 
 
 class TestRefitFallbackCount:
