@@ -81,6 +81,8 @@ def _hotelling_columns(xw: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> 
 # arm's share of the units. The arm's R factor, taken from the Cholesky
 # factor of G (Cholesky QR), carries a relative error of about kappa(G) * eps,
 # so an arm whose G has a condition number above _GRAM_KAPPA goes to fit_ols.
+# The ratio of G's Gershgorin disc ends bounds kappa(G) from above, so a G
+# it keeps within _GRAM_KAPPA needs no eigenvalues.
 _GRAM_KAPPA = 1e2
 # A control design is solved here only if its condition number is below
 # 1 / _REFIT_RCOND. The diagonal of any triangular factor lies between the
@@ -88,6 +90,19 @@ _GRAM_KAPPA = 1e2
 # would find no diagonal entry below RANK_RTOL times the largest and would
 # keep every column: both paths fit the same model.
 _REFIT_RCOND = 1e-6
+
+
+def _gershgorin_bounds(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the eigenvalues of each symmetric matrix of the stack
+    ``gram``: every eigenvalue lies in a Gershgorin disc, centred on a
+    diagonal entry with the sum of the off-diagonal ``|G_ij|`` of its row as
+    radius, so the lowest and highest disc ends bound the spectrum."""
+    centres = np.diagonal(gram, axis1=1, axis2=2)
+    off_diagonal = np.abs(gram)
+    diagonal = np.arange(gram.shape[1])
+    off_diagonal[:, diagonal, diagonal] = 0.0
+    radii = off_diagonal.sum(axis=2)
+    return (centres - radii).min(axis=1), (centres + radii).max(axis=1)
 
 
 def _refit_rw_columns(
@@ -107,9 +122,14 @@ def _refit_rw_columns(
     the design: its condition number is about 1 where the design's normal
     equations would square the design's. A column stays on this path if
     kappa(G) <= ``_GRAM_KAPPA`` and its design has condition number below
-    ``1 / _REFIT_RCOND``: ``sqrt(kappa(G)) * kappa(R11)`` bounds it, R11
-    the design block of R, and only the columns that bound cannot certify
-    take the singular values of their design's R. ``fit_ols`` and its
+    ``1 / _REFIT_RCOND``. kappa(G) is bounded first by the Gershgorin discs
+    of G (Golub and Van Loan, Matrix Computations, Thm 7.2.1), one pass of
+    array arithmetic over the chunk; only the G the discs cannot keep within
+    ``_GRAM_KAPPA`` take their eigenvalues, which decide them. The design's
+    condition number is bounded by ``sqrt(kappa(G)) * kappa(R11)``, R11 the
+    design block of R and kappa(G) taken from the disc bound or the
+    eigenvalues, and only the columns that bound cannot certify take the
+    singular values of their design's R. ``fit_ols`` and its
     pivoted QR, which decides rank and raises the typed errors, take the
     rest: ill-conditioned designs (a covariate constant within the arm
     lands here), and every column when the control arms differ in size or
@@ -131,12 +151,16 @@ def _refit_rw_columns(
         gram = np.empty((b, k + 1, k + 1))
         gram[:, rows, cols] = (products.sum(axis=0)[:, None] - products.T @ z_cols).T
         gram[:, cols, rows] = gram[:, rows, cols]
-        eigenvalues = np.linalg.eigvalsh(gram)
-        stacked = np.flatnonzero(eigenvalues[:, -1] <= _GRAM_KAPPA * eigenvalues[:, 0])
+        lowest, highest = _gershgorin_bounds(gram)
+        uncertain = np.flatnonzero(highest > _GRAM_KAPPA * lowest)
+        if uncertain.size:
+            eigenvalues = np.linalg.eigvalsh(gram[uncertain])
+            lowest[uncertain], highest[uncertain] = eigenvalues[:, 0], eigenvalues[:, -1]
+        stacked = np.flatnonzero(highest <= _GRAM_KAPPA * lowest)
         t = np.swapaxes(np.linalg.cholesky(gram[stacked]), 1, 2) @ r
         design_r, qty = t[:, :k, :k], t[:, :k, k]
         r_singular_values = np.linalg.svd(r[:k, :k], compute_uv=False)
-        kappa_gram = eigenvalues[stacked, -1] / eigenvalues[stacked, 0]
+        kappa_gram = highest[stacked] / lowest[stacked]
         ok = np.sqrt(kappa_gram) * r_singular_values[0] * _REFIT_RCOND < r_singular_values[-1]
         if not ok.all():
             singular_values = np.linalg.svd(design_r[~ok], compute_uv=False)

@@ -17,6 +17,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -272,6 +273,39 @@ def _map_treatment(raw_values: Sequence[str], treated_level: Optional[str]) -> n
     )
 
 
+def _parse_columns(
+    records: list[list[str]], positions: Sequence[int], treated_level: Optional[str]
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``z``, ``y`` and ``x`` of a table that needs no row dropped and holds
+    no bad cell, parsed a whole column at a time; None when some record needs
+    the row loop of ``load_dataset``, which alone drops rows and raises the
+    errors that name a row.
+
+    ``positions`` are the header positions of the treatment, the outcome and
+    the covariates. The numbers go through the same ``float()`` as
+    ``_parse_cell``; it ignores surrounding whitespace, so a cell it accepts
+    here it accepts stripped, with the same bits. Every missing token either
+    fails ``float()`` or parses to nan, so a column that parses finite holds
+    none; the treatment column is checked over its distinct values.
+    """
+    records = [record for record in records if record]
+    n = len(records)
+    if n < 4 or min(map(len, records)) <= max(positions):
+        return None
+    treatment = list(map(itemgetter(positions[0]), records))
+    if any(value.strip().lower() in _MISSING_TOKENS for value in set(treatment)):
+        return None
+    numeric = np.empty((len(positions) - 1, n))
+    try:
+        for column, k in zip(numeric, positions[1:]):
+            column[:] = np.fromiter(map(float, map(itemgetter(k), records)), np.float64, n)
+    except ValueError:
+        return None
+    if not np.isfinite(numeric).all():
+        return None
+    return _map_treatment(treatment, treated_level), numeric[0], numeric[1:].T
+
+
 def load_dataset(
     source: Union[str, io.TextIOBase, Iterable[str]],
     treatment_column: str,
@@ -287,7 +321,8 @@ def load_dataset(
     Parameters
     ----------
     source : path, open text stream, or iterable of lines
-        First row must be a header naming every column.
+        First row must be a header naming every column. A leading UTF-8
+        byte-order mark is ignored.
     treatment_column, outcome_column : str
         Column names for the assignment indicator and observed outcome.
     covariate_columns : sequence of str
@@ -301,19 +336,30 @@ def load_dataset(
         Drop rows with missing cells (with a ``MissingRowsDropped``
         warning) instead of rejecting the file.
 
+    Numbers are read with Python's ``float()`` (surrounding whitespace and
+    digit-group underscores are accepted) and must be finite. A cell that
+    is empty or reads ``NA``, ``N/A``, ``NaN``, ``null`` or ``None`` in any
+    case is missing. Blank lines are skipped; row numbers in messages still
+    count them, with the header as row 1. A table that needs no row dropped
+    and holds no bad cell is parsed a whole column at a time; any other goes
+    through the row loop, which drops rows and names the first bad cell.
+
     Loading is deterministic: identical bytes yield an identical Dataset.
     """
     if not covariate_columns:
         raise MissingColumn("at least one covariate column must be named")
 
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))
     else:
         rows = list(csv.reader(source, delimiter=delimiter))
 
     if not rows:
         raise TooFewRows("input table is empty")
+    if rows[0]:
+        # a stream of a "CSV UTF-8" export begins with a byte-order mark
+        rows[0][0] = rows[0][0].removeprefix("\ufeff")
     header = [h.strip() for h in rows[0]]
     records = rows[1:]
 
@@ -324,9 +370,16 @@ def load_dataset(
             raise MissingColumn(f"column {name!r} not found in header {header!r}")
         indices[name] = header.index(name)
 
+    parsed = _parse_columns(records, [indices[name] for name in wanted], treated_level)
+    if parsed is not None:
+        z, y, x = parsed
+        return Dataset(x=x, z=z, y_obs=y, column_names=tuple(covariate_columns))
+
     kept: list[tuple[int, list[str]]] = []  # (1-based row number, selected cells)
     n_dropped = 0
     for offset, record in enumerate(records):
+        if not record:
+            continue  # a blank line is not a row
         row_number = offset + 2  # header is row 1
         cells = []
         missing = False

@@ -49,9 +49,10 @@ class PermutationResult:
     of the shared QR (one per call, plus a Gram matrix of the control rows
     of its orthonormal factor per replicate), failed ones included: their
     control design has condition number 1e6 or more, or that Gram matrix
-    more than 1e2. Hotelling is evaluated on
-    covariates whitened over all N units, so it is shift- and
-    scale-invariant; perfect separation gives +inf, counted as extreme.
+    more than 1e2 (bounded by its Gershgorin discs, or where they cannot
+    certify it, by its eigenvalues). Hotelling is evaluated on covariates
+    whitened over all N units, so it is shift- and scale-invariant; perfect
+    separation gives +inf, counted as extreme.
     ``permuted_values`` keeps the draw order. The draws come from one
     stream per (seed, chunk index), in fixed chunks of 1024, so the first
     k of B values are the same for every B >= k and every thread count.

@@ -1,6 +1,9 @@
+import csv
 import io
+import math
 import pathlib
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from balance_lab.data import (
 )
 from balance_lab.errors import (
     AllColumnsConstant,
+    BalanceLabError,
     DegenerateAssignment,
     MissingColumn,
     NonBinaryTreatment,
@@ -127,6 +131,152 @@ class TestLoadDataset:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.y_obs, b.y_obs)
+
+
+    def test_blank_lines_are_not_rows(self):
+        # a blank line, here a trailing one, is skipped; it still counts in
+        # the row numbers of messages
+        text = MINIMAL.strip() + "\n\n"
+        d = load_dataset(io.StringIO(text), "z", "y", ["x1"])
+        assert d.n == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = load_dataset(io.StringIO(text), "z", "y", ["x1"], lenient_missing=True)
+        assert d.n == 4
+        text = MINIMAL.strip().replace("0,0.25,3.0", "\n0,0.25,oops")
+        with pytest.raises(NonNumericValue, match=r"row 5, column 'x1'"):
+            load_dataset(io.StringIO(text), "z", "y", ["x1"])
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        text = "\ufeff" + MINIMAL.strip() + "\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_dataset(csv_stream(MINIMAL), "z", "y", ["x1"])
+        for source in (str(path), io.StringIO(text)):
+            d = load_dataset(source, "z", "y", ["x1"])
+            assert np.array_equal(d.x, expected.x) and np.array_equal(d.z, expected.z)
+
+
+MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
+ODD_CELLS = [
+    "1_000", " 1.5 ", "+.5", "5.", "١٢", "inf", "-inf", "nan", "NaN", "0x10",
+    "1e400", "1e-400", "NA", "n/a", "", "null", "None",
+]
+
+
+def oracle_load(text, covariates, lenient):
+    """load_dataset one cell at a time: strip, check the missing tokens, then
+    ``float()`` and finiteness. Returns the Dataset (or the exception it
+    raises) and the number of rows dropped."""
+    rows = list(csv.reader(io.StringIO(text)))
+    header = [h.strip() for h in rows[0]]
+    names = ["z", "y", *covariates]
+    positions = [header.index(name) for name in names]
+    kept, dropped = [], 0
+    for offset, record in enumerate(rows[1:]):
+        if not record:
+            continue
+        cells = [record[k].strip() if k < len(record) else "" for k in positions]
+        missing = [name for name, cell in zip(names, cells) if cell.lower() in MISSING_TOKENS]
+        if missing and not lenient:
+            return NonNumericValue(
+                f"row {offset + 2}, column {missing[0]!r}: missing value "
+                "(pass --lenient-missing to drop such rows)"
+            ), 0
+        if missing:
+            dropped += 1
+        else:
+            kept.append((offset + 2, cells))
+    if len(kept) < 4:
+        return TooFewRows(f"need at least 4 complete rows, got {len(kept)}"), dropped
+    try:
+        z = data._map_treatment([cells[0] for _, cells in kept], None)
+    except NonBinaryTreatment as exc:
+        return exc, dropped
+    columns = []
+    for j, name in enumerate(names[1:], start=1):
+        column = []
+        for row, cells in kept:
+            try:
+                value = float(cells[j])
+            except ValueError:
+                return NonNumericValue(
+                    f"row {row}, column {name!r}: cannot parse {cells[j]!r} as a number"
+                ), dropped
+            if not math.isfinite(value):
+                return NonNumericValue(
+                    f"row {row}, column {name!r}: non-finite value {cells[j]!r}"
+                ), dropped
+            column.append(value)
+        columns.append(column)
+    try:
+        return Dataset(x=np.array(columns[1:]).T, z=z, y_obs=columns[0]), dropped
+    except DegenerateAssignment as exc:
+        return exc, dropped
+
+
+@st.composite
+def messy_tables(draw):
+    """A comma table with header z,y,x1..xp: rows of formatted floats with,
+    in some tables, rows mixing in odd cells, short rows and blank lines."""
+    p = draw(st.integers(1, 3))
+    number = st.builds(
+        str.format, st.sampled_from(["{!r}", "{:.9g}", "{:.3f}", " {:g} "]), st.floats(-1e6, 1e6)
+    )
+
+    def rows(treatment, cell):
+        cells = st.lists(cell, min_size=p + 1, max_size=p + 1)
+        return st.builds(lambda t, rest: [t, *rest], treatment, cells)
+
+    binary = st.sampled_from(["0", "1", " 1 "])
+    records = draw(st.lists(rows(binary, number), min_size=2, max_size=10))
+    odd = rows(
+        st.one_of(binary, st.sampled_from(["2", "NA", ""])),
+        st.one_of(number, st.sampled_from(ODD_CELLS)),
+    )
+    odd = st.one_of(odd, odd.map(lambda r: r[: len(r) // 2]), st.just([]))
+    for extra in draw(st.lists(odd, max_size=4)):
+        records.insert(draw(st.integers(0, len(records))), extra)
+    lines = [["z", "y", *(f"x{j + 1}" for j in range(p))], *records]
+    return "\n".join(",".join(r) for r in lines) + "\n", [f"x{j + 1}" for j in range(p)]
+
+
+class TestColumnParse:
+    @settings(max_examples=200, deadline=None)
+    @given(table=messy_tables(), lenient=st.booleans())
+    def test_matches_per_cell_oracle(self, table, lenient):
+        text, covariates = table
+        expected, dropped = oracle_load(text, covariates, lenient)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = load_dataset(io.StringIO(text), "z", "y", covariates, lenient_missing=lenient)
+            except BalanceLabError as exc:
+                got = exc
+        counts = [w.message.count for w in caught if w.category is MissingRowsDropped]
+        assert counts == ([dropped] if dropped else [])
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected) and str(got) == str(expected)
+            return
+        assert isinstance(got, Dataset)
+        for name in ("x", "z", "y_obs"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_valid_table_parses_whole_columns(self, monkeypatch, rng):
+        def per_cell(*args):
+            raise AssertionError("a valid table reached the per-cell parser")
+
+        values = rng.normal(size=(1000, 3))
+        rows = ["z,y,a,b"] + [
+            f"{i % 2},{v[0]:.17g}, {v[1]:.9g} ,{v[2]:g}" for i, v in enumerate(values)
+        ]
+        # a trailing blank line, as many writers leave, does not matter
+        text = "\n".join(rows) + "\n\n"
+        monkeypatch.setattr(data, "_parse_cell", per_cell)
+        for lenient in (False, True):
+            d = load_dataset(io.StringIO(text), "z", "y", ["a", "b"], lenient_missing=lenient)
+            assert d.n == 1000
 
 
 class TestDataset:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from balance_lab import Dataset, control_arm_weights, permutation_test
-from balance_lab.balance import _REFIT_RCOND, _refit_rw_columns
+from balance_lab.balance import _GRAM_KAPPA, _REFIT_RCOND, _refit_rw_columns
 from balance_lab.data import varying_columns
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall
 from balance_lab.permutation import _CHUNK, _permuted_z, permutation_pvalues
@@ -290,6 +291,21 @@ def refit_design(kind, g, n, p):
     return x
 
 
+@contextlib.contextmanager
+def counted_eigvalsh():
+    """The number of matrices of each ``np.linalg.eigvalsh`` call in the block."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen.append(1 if a.ndim == 2 else a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", counting)
+        yield seen
+
+
 class TestStackedRefit:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -369,6 +385,72 @@ class TestStackedRefit:
         expected, scales = looped_refit(xs, y, z_cols, deltas)
         assert failures == 0 and np.isfinite(expected).all()
         assert (np.abs(values - expected) <= 100 * scales).all()
+
+    def test_benchmark_shape_needs_no_eigenvalues(self):
+        # control Gram matrices near I / 2: the Gershgorin discs certify all
+        g = np.random.default_rng(41)
+        x = g.standard_normal((1000, 5))
+        y = x @ np.linspace(0.5, 0.05, 5) + g.standard_normal(1000)
+        d = Dataset(x=x, z=g.permutation(np.repeat([1, 0], 500)), y_obs=y)
+        with counted_eigvalsh() as seen:
+            res = permutation_test(d, "rw", b=1000, seed=5, weight_policy="refit")
+        assert seen == []
+        assert (res.n_failed, res.n_refit_fallback) == (0, 0)
+
+    def test_small_binary_design_takes_some_eigenvalues(self):
+        g = np.random.default_rng(43)
+        n, b = 16, 200
+        xs = (g.random((n, 2)) < 0.5).astype(float)
+        y = xs @ g.normal(size=2) + g.normal(size=n)
+        with counted_eigvalsh() as seen:
+            _refit_rw_columns(xs, y, chunk_draws([1, 0] * (n // 2), 43, b), g.normal(size=(2, b)))
+        assert len(seen) == 1 and 0 < seen[0] < b
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(12, 20),
+        p=st.integers(1, 3),
+        b=st.integers(1, 120),
+        share=st.sampled_from([0.2, 0.5]),
+    )
+    def test_gates_match_eigenvalues_and_singular_values(self, seed, n, p, b, share):
+        # A column leaves the stacked path exactly when its control Gram
+        # matrix, formed directly from Q, has eigenvalue ratio above
+        # _GRAM_KAPPA, or its gathered control design has singular value
+        # ratio at least 1 / _REFIT_RCOND; columns within 1e-6 of a gate
+        # may go either way.
+        g = np.random.default_rng(seed)
+        xs = (g.random((n, p)) < share).astype(float)
+        y = xs @ g.normal(size=p) + g.normal(size=n)
+        z_cols = np.zeros((n, b))
+        for i in range(b):
+            z_cols[g.permutation(n)[: n // 2], i] = 1.0
+        deltas = g.normal(size=(p, b))
+        values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+
+        live = varying_columns(xs)
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), xs[:, live], y]))
+        over, near = np.zeros(b, dtype=bool), np.zeros(b, dtype=bool)
+        for i, z in enumerate(z_cols.T):
+            control = z == 0.0
+            eigenvalues = np.linalg.eigvalsh(q[control].T @ q[control])
+            gram_gate = _GRAM_KAPPA * eigenvalues[0]
+            design = np.column_stack([np.ones(np.count_nonzero(control)), xs[control][:, live]])
+            singular_values = np.linalg.svd(design, compute_uv=False)
+            design_gate = _REFIT_RCOND * singular_values[0]
+            over[i] = eigenvalues[-1] > gram_gate or singular_values[-1] <= design_gate
+            near[i] = (
+                abs(eigenvalues[-1] - gram_gate) <= 1e-6 * eigenvalues[-1]
+                or abs(singular_values[-1] - design_gate) <= 1e-6 * design_gate
+            )
+        assert np.count_nonzero(over & ~near) <= fallbacks <= np.count_nonzero(over | near)
+
+        expected, scales = looped_refit(xs, y, z_cols, deltas)
+        failed = np.isinf(expected)
+        np.testing.assert_array_equal(np.isinf(values), failed)
+        assert failures == np.count_nonzero(failed)
+        assert (np.abs(values[~failed] - expected[~failed]) <= 100 * scales[~failed]).all()
 
     def test_rw_independent_of_threads(self, rng):
         # a sparse binary covariate sends some columns of every chunk to the
