@@ -116,7 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), default=0.05,
         help="nominal test level in (0, 1) (reporting only)",
     )
-    p_test.add_argument("--threads", type=_NON_NEGATIVE, default=None, help="worker count (0 = auto)")
+    p_test.add_argument(
+        "--threads", type=_NON_NEGATIVE, default=None,
+        help="recorded in the manifest only; test runs in one process",
+    )
     p_test.add_argument("--out-dir", default=".", help="directory for report files")
     p_test.add_argument(
         "--dump-permutations", action="store_true",
@@ -212,7 +215,7 @@ def _maybe_asymptotic(value: float, variance) -> float | None:
 def cmd_test(args) -> int:
     started = utc_now()
     seed, generated = _resolve_seed(args.seed)
-    threads = _resolve_threads(args.threads)
+    threads = _resolve_threads(args.threads)  # validated and recorded, no effect here
     d, lag, rows_dropped = _load_from_args(args)
 
     statistics = list(STATISTIC_NAMES) if args.statistic == "all" else [args.statistic]
@@ -227,7 +230,6 @@ def cmd_test(args) -> int:
         weight_policy=args.weight_policy,
         scale=args.scale,
         weights=weights if args.weight_policy == "fixed" else None,
-        threads=threads,
     )
     diag = diagnostics(d, lag)
     per_covariate = []

@@ -321,8 +321,8 @@ def load_dataset(
     Parameters
     ----------
     source : path, open text stream, or iterable of lines
-        First row must be a header naming every column. A leading UTF-8
-        byte-order mark is ignored.
+        The first non-blank row must be a header naming every column. A
+        leading UTF-8 byte-order mark is ignored.
     treatment_column, outcome_column : str
         Column names for the assignment indicator and observed outcome.
     covariate_columns : sequence of str
@@ -339,10 +339,11 @@ def load_dataset(
     Numbers are read with Python's ``float()`` (surrounding whitespace and
     digit-group underscores are accepted) and must be finite. A cell that
     is empty or reads ``NA``, ``N/A``, ``NaN``, ``null`` or ``None`` in any
-    case is missing. Blank lines are skipped; row numbers in messages still
-    count them, with the header as row 1. A table that needs no row dropped
-    and holds no bad cell is parsed a whole column at a time; any other goes
-    through the row loop, which drops rows and names the first bad cell.
+    case is missing. Blank lines are skipped, before the header too; row
+    numbers in messages are record numbers of the file, blank lines counted.
+    A table that needs no row dropped and holds no bad cell is parsed a whole
+    column at a time; any other goes through the row loop, which drops rows
+    and names the first bad cell.
 
     Loading is deterministic: identical bytes yield an identical Dataset.
     """
@@ -355,13 +356,14 @@ def load_dataset(
     else:
         rows = list(csv.reader(source, delimiter=delimiter))
 
-    if not rows:
-        raise TooFewRows("input table is empty")
-    if rows[0]:
+    if rows and rows[0]:
         # a stream of a "CSV UTF-8" export begins with a byte-order mark
         rows[0][0] = rows[0][0].removeprefix("\ufeff")
-    header = [h.strip() for h in rows[0]]
-    records = rows[1:]
+    header_index = next((i for i, row in enumerate(rows) if row), None)
+    if header_index is None:
+        raise TooFewRows("input table is empty")
+    header = [h.strip() for h in rows[header_index]]
+    records = rows[header_index + 1 :]
 
     wanted = [treatment_column, outcome_column, *covariate_columns]
     indices = {}
@@ -377,10 +379,9 @@ def load_dataset(
 
     kept: list[tuple[int, list[str]]] = []  # (1-based row number, selected cells)
     n_dropped = 0
-    for offset, record in enumerate(records):
+    for row_number, record in enumerate(records, start=header_index + 2):
         if not record:
             continue  # a blank line is not a row
-        row_number = offset + 2  # header is row 1
         cells = []
         missing = False
         for name in wanted:

@@ -2,14 +2,14 @@
 
 The B permutations are drawn in fixed chunks of ``_CHUNK`` = 1024. Each
 chunk draws its labels from one counter-based stream keyed by (seed, chunk
-index) and shuffles its columns in order, so results are bit-identical no
-matter how many workers execute the chunks, and the first k of B draws are
-the same for every B >= k. The statistics themselves come from the column
-kernels in ``balance``, which evaluate the observed assignment as a batch of
-one.
+index) and shuffles its columns in order, so the first k of B draws are the
+same for every B >= k. The chunks are evaluated one after another in the
+calling process. The statistics themselves come from the column kernels in
+``balance``, which evaluate the observed assignment as a batch of one.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+# Unused: perfbench's tracer patches this binding until ROADMAP item 1 drops it.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence, Union
@@ -31,8 +31,7 @@ __all__ = [
 
 STATISTIC_NAMES = ("uw", "rw", "hotelling")
 
-# Permutations per stream and per pool task. Fixed, so that the draws do
-# not depend on the number of workers.
+# Permutations per stream. Fixed, so that the first k draws do not depend on B.
 _CHUNK = 1024
 
 
@@ -55,7 +54,7 @@ class PermutationResult:
     separation gives +inf, counted as extreme.
     ``permuted_values`` keeps the draw order. The draws come from one
     stream per (seed, chunk index), in fixed chunks of 1024, so the first
-    k of B values are the same for every B >= k and every thread count.
+    k of B values are the same for every B >= k.
     """
 
     statistic_name: str
@@ -94,11 +93,6 @@ def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
     return stream(seed, start // _CHUNK).permuted(tile, axis=0, out=tile)
 
 
-def _evaluate_chunk(args) -> tuple[dict[str, np.ndarray], int, int]:
-    evaluate, z, seed, start, count = args
-    return evaluate(_permuted_z(z, seed, start, count))
-
-
 def permutation_pvalues(
     d: Dataset,
     statistics: Sequence[str],
@@ -107,7 +101,6 @@ def permutation_pvalues(
     weight_policy: str = "fixed",
     scale: str = "standardized",
     weights: Union[RegressionFit, np.ndarray, None] = None,
-    threads: int = 1,
 ) -> dict[str, PermutationResult]:
     """Run the permutation test for several statistics over shared draws.
 
@@ -117,6 +110,8 @@ def permutation_pvalues(
     through the same evaluation as one more assignment, so under ``refit``
     the observed ``rw`` is refit on the observed control arm; ``weights``
     applies to the ``fixed`` policy only and is refused under ``refit``.
+    The chunks are evaluated in order in the calling process; parallel work
+    belongs to ``run_power_study``, which spreads whole replicates.
     """
     if b < 1:
         raise ValueError("need at least one permutation")
@@ -145,16 +140,10 @@ def permutation_pvalues(
         raise InternalNumericalError("observed control-arm refit failed")
     observed = {name: float(observed_values[name][0]) for name in statistics}
 
-    tasks = [
-        (evaluate, d.z, seed, start, min(_CHUNK, b - start)) for start in range(0, b, _CHUNK)
+    pieces = [
+        evaluate(_permuted_z(d.z, seed, start, min(_CHUNK, b - start)))
+        for start in range(0, b, _CHUNK)
     ]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(_evaluate_chunk, tasks))
-    else:
-        pieces = [_evaluate_chunk(t) for t in tasks]
-
-    # Both pool.map and the list keep task order, so the chunks concatenate.
     values = {name: np.concatenate([piece[0][name] for piece in pieces]) for name in statistics}
     n_failed = sum(piece[1] for piece in pieces)
     n_refit_fallback = sum(piece[2] for piece in pieces)
@@ -186,7 +175,6 @@ def permutation_test(
     weight_policy: str = "fixed",
     scale: str = "standardized",
     weights: Union[RegressionFit, np.ndarray, None] = None,
-    threads: int = 1,
 ) -> PermutationResult:
     """Two-sided permutation test for a single statistic.
 
@@ -202,5 +190,4 @@ def permutation_test(
         weight_policy=weight_policy,
         scale=scale,
         weights=weights,
-        threads=threads,
     )[statistic]

@@ -373,11 +373,13 @@ def run_power_study(
     of recomputed, as long as its fingerprint (configuration and random
     stream version) still matches.
 
-    With ``threads > 1`` one worker pool serves the whole study: the
-    replicates of every cell still to compute are queued as one ordered
-    stream, so replicates of different cells run concurrently, while cells
-    are still summarized, checkpointed and reported to ``progress`` in grid
-    order. Any exception, interrupt included, cancels the queued work.
+    With ``threads > 1`` one worker pool, the package's only one, serves the
+    whole study: the replicates of every cell still to compute are queued as
+    one ordered stream, so replicates of different cells run concurrently,
+    while cells are still summarized, checkpointed and reported to
+    ``progress`` in grid order. Each replicate runs its permutations
+    serially inside its worker. Any exception, interrupt included, cancels
+    the queued work.
     """
     if not grid:
         raise ConfigError("grid must contain at least one cell")

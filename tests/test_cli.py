@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -172,7 +173,7 @@ class TestCmdTest:
             assert a[key] == b[key]
 
     def test_thread_count_leaves_outputs_unchanged(self, tmp_path):
-        # B = 2100 spans three permutation chunks, so --threads 2 runs a pool
+        # B = 2100 spans three permutation chunks; --threads is only recorded
         outputs = {}
         for threads in ("1", "2"):
             out = tmp_path / threads
@@ -189,6 +190,17 @@ class TestCmdTest:
             outputs[threads] = (report, dumps)
         assert len(outputs["1"][1]) == 3
         assert outputs["1"] == outputs["2"]
+
+    def test_starts_no_process_pool(self, tmp_path, monkeypatch):
+        # three chunks and two workers asked for: the chunks still run in-process
+        def refuse(*args, **kwargs):
+            raise AssertionError("balance-lab test started a process pool")
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+        code = run_cli(
+            BASE_ARGS + ["--permutations", "2100", "--threads", "2", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
 
 
 class TestCmdDiagnose:

@@ -147,6 +147,34 @@ class TestLoadDataset:
         with pytest.raises(NonNumericValue, match=r"row 5, column 'x1'"):
             load_dataset(io.StringIO(text), "z", "y", ["x1"])
 
+    def test_blank_lines_before_header(self, tmp_path):
+        # the header is the first non-blank record; row numbers still count
+        # the blank lines above it, so the first data row is row 4 here
+        text = "\n\n" + MINIMAL.strip() + "\n"
+        path = tmp_path / "leading_blank.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = load_dataset(csv_stream(MINIMAL), "z", "y", ["x1"])
+        for source in (lambda: str(path), lambda: io.StringIO(text)):
+            for lenient in (False, True):
+                d = load_dataset(source(), "z", "y", ["x1"], lenient_missing=lenient)
+                assert np.array_equal(d.x, expected.x) and np.array_equal(d.z, expected.z)
+                assert np.array_equal(d.y_obs, expected.y_obs)
+        bad = text.replace("1,0.5,1.0", "1,,1.0")
+        path.write_text(bad, encoding="utf-8")
+        for source in (lambda: str(path), lambda: io.StringIO(bad)):
+            with pytest.raises(NonNumericValue, match=r"row 4, column 'y': missing"):
+                load_dataset(source(), "z", "y", ["x1"])
+            with pytest.warns(MissingRowsDropped):
+                with pytest.raises(TooFewRows, match="got 3"):
+                    load_dataset(source(), "z", "y", ["x1"], lenient_missing=True)
+
+    def test_table_of_blank_lines_is_empty(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n\n", encoding="utf-8")
+        for source in (str(path), io.StringIO("\n\n"), io.StringIO("")):
+            with pytest.raises(TooFewRows, match="input table is empty"):
+                load_dataset(source, "z", "y", ["x1"])
+
     def test_byte_order_mark_accepted(self, tmp_path):
         text = "\ufeff" + MINIMAL.strip() + "\n"
         path = tmp_path / "bom.csv"
@@ -169,24 +197,25 @@ def oracle_load(text, covariates, lenient):
     ``float()`` and finiteness. Returns the Dataset (or the exception it
     raises) and the number of rows dropped."""
     rows = list(csv.reader(io.StringIO(text)))
-    header = [h.strip() for h in rows[0]]
+    top = min(i for i, row in enumerate(rows) if row)
+    header = [h.strip() for h in rows[top]]
     names = ["z", "y", *covariates]
     positions = [header.index(name) for name in names]
     kept, dropped = [], 0
-    for offset, record in enumerate(rows[1:]):
-        if not record:
+    for row, record in enumerate(rows, start=1):
+        if row <= top + 1 or not record:
             continue
         cells = [record[k].strip() if k < len(record) else "" for k in positions]
         missing = [name for name, cell in zip(names, cells) if cell.lower() in MISSING_TOKENS]
         if missing and not lenient:
             return NonNumericValue(
-                f"row {offset + 2}, column {missing[0]!r}: missing value "
+                f"row {row}, column {missing[0]!r}: missing value "
                 "(pass --lenient-missing to drop such rows)"
             ), 0
         if missing:
             dropped += 1
         else:
-            kept.append((offset + 2, cells))
+            kept.append((row, cells))
     if len(kept) < 4:
         return TooFewRows(f"need at least 4 complete rows, got {len(kept)}"), dropped
     try:
@@ -217,8 +246,9 @@ def oracle_load(text, covariates, lenient):
 
 @st.composite
 def messy_tables(draw):
-    """A comma table with header z,y,x1..xp: rows of formatted floats with,
-    in some tables, rows mixing in odd cells, short rows and blank lines."""
+    """A comma table with header z,y,x1..xp, in some tables after blank
+    lines: rows of formatted floats with, in some tables, rows mixing in odd
+    cells, short rows and blank lines."""
     p = draw(st.integers(1, 3))
     number = st.builds(
         str.format, st.sampled_from(["{!r}", "{:.9g}", "{:.3f}", " {:g} "]), st.floats(-1e6, 1e6)
@@ -237,7 +267,8 @@ def messy_tables(draw):
     odd = st.one_of(odd, odd.map(lambda r: r[: len(r) // 2]), st.just([]))
     for extra in draw(st.lists(odd, max_size=4)):
         records.insert(draw(st.integers(0, len(records))), extra)
-    lines = [["z", "y", *(f"x{j + 1}" for j in range(p))], *records]
+    header = ["z", "y", *(f"x{j + 1}" for j in range(p))]
+    lines = [[]] * draw(st.integers(0, 2)) + [header, *records]
     return "\n".join(",".join(r) for r in lines) + "\n", [f"x{j + 1}" for j in range(p)]
 
 
