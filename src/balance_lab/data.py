@@ -357,8 +357,11 @@ def load_dataset(
         rows = list(csv.reader(source, delimiter=delimiter))
 
     if rows and rows[0]:
-        # a stream of a "CSV UTF-8" export begins with a byte-order mark
+        # a stream of a "CSV UTF-8" export begins with a byte-order mark;
+        # a mark alone on its line leaves a blank line, as from a path
         rows[0][0] = rows[0][0].removeprefix("\ufeff")
+        if rows[0] == [""]:
+            rows[0] = []
     header_index = next((i for i, row in enumerate(rows) if row), None)
     if header_index is None:
         raise TooFewRows("input table is empty")

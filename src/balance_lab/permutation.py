@@ -1,11 +1,17 @@
 """Randomization inference: permute assignment labels, recompute, compare.
 
 The B permutations are drawn in fixed chunks of ``_CHUNK`` = 1024. Each
-chunk draws its labels from one counter-based stream keyed by (seed, chunk
-index) and shuffles its columns in order, so the first k of B draws are the
-same for every B >= k. The chunks are evaluated one after another in the
-calling process. The statistics themselves come from the column kernels in
-``balance``, which evaluate the observed assignment as a batch of one.
+chunk draws from one counter-based stream keyed by (seed, chunk index).
+Permutation i of a chunk gives each of the n units a 32-bit key, taken in
+order from the stream's raw words, and treats the units that hold the n1
+smallest keys. The keys are iid, so every n1-subset is equally likely to be
+the smallest (Knuth, TAOCP vol. 2, section 3.4.2); a row whose n1-th and
+(n1+1)-th smallest keys tie is redrawn by a shuffle on its own stream.
+Row i takes the same words whatever the chunk's size, so the first k of B
+draws are the same for every B >= k. The chunks are evaluated one after
+another in the calling process. The statistics themselves come from the
+column kernels in ``balance``, which evaluate the observed assignment as a
+batch of one.
 """
 
 # Unused: perfbench's tracer patches this binding until ROADMAP item 1 drops it.
@@ -33,6 +39,9 @@ STATISTIC_NAMES = ("uw", "rw", "hotelling")
 
 # Permutations per stream. Fixed, so that the first k draws do not depend on B.
 _CHUNK = 1024
+# Rows of keys drawn and selected at a time, so that a chunk's keys are never
+# all held at once.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -54,7 +63,11 @@ class PermutationResult:
     separation gives +inf, counted as extreme.
     ``permuted_values`` keeps the draw order. The draws come from one
     stream per (seed, chunk index), in fixed chunks of 1024, so the first
-    k of B values are the same for every B >= k.
+    k of B values are the same for every B >= k. Under random-stream
+    version 3 each draw treats the n1 units holding the smallest of n iid
+    32-bit keys, which makes every assignment with the observed arm sizes
+    equally likely; a draw whose keys tie at the boundary is redrawn by a
+    shuffle on a stream of its own (see ``rng``).
     """
 
     statistic_name: str
@@ -84,13 +97,47 @@ def _weights_vector(d: Dataset, weights, scale: str) -> np.ndarray:
 def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
     """Columns of permuted assignments for replicates start..start+count-1.
 
-    ``start`` opens a chunk, so it is a multiple of ``_CHUNK``. The chunk's
-    stream shuffles the columns of the tiled assignment one after another,
-    each uniformly over the arrangements with the same arm sizes, so column
-    i does not depend on ``count``.
+    ``start`` opens a chunk, so it is a multiple of ``_CHUNK``. Column i
+    treats the units holding the n1 smallest of n keys read from the
+    chunk's stream: ceil(n/2) raw 64-bit words per column, each split into
+    two 32-bit keys through a little-endian view so that every host reads
+    the same keys. Column i does not depend on ``count``.
     """
-    tile = np.tile(z.astype(np.float64)[:, None], (1, count))
-    return stream(seed, start // _CHUNK).permuted(tile, axis=0, out=tile)
+    z = z.astype(np.float64)
+    n = z.shape[0]
+    if np.count_nonzero(z) in (0, n):
+        return np.tile(z[:, None], (1, count))
+    chunk = start // _CHUNK
+    bits = stream(seed, chunk).bit_generator
+    out = np.empty((count, n))
+    for first in range(0, count, _BLOCK):
+        rows = out[first : first + _BLOCK]
+        words = bits.random_raw((rows.shape[0], (n + 1) // 2))
+        keys = words.astype("<u8", copy=False).view("<u4")[:, :n]
+        _select_smallest(keys, z, seed, chunk, first, rows)
+    return out.T
+
+
+def _select_smallest(
+    keys: np.ndarray, z: np.ndarray, seed: int, chunk: int, first: int, rows: np.ndarray
+) -> None:
+    """Set each of ``rows`` to the 0/1 marks of the n1 smallest of its keys.
+
+    n1 is the number of treated units in ``z``. Where the n1-th and the
+    (n1+1)-th smallest keys of a row tie, more than n1 keys reach the
+    threshold; that row, column ``first + i`` of the chunk, is redrawn as a
+    shuffle of ``z`` on the stream (seed, chunk, first + i + 1). The event
+    "no tie" is symmetric in the units, so a row without one holds a
+    uniformly random n1-subset; a redrawn row is uniform too, so every row
+    is. Keying each redraw by its column keeps column i independent of how
+    many columns follow.
+    """
+    n1 = int(np.count_nonzero(z))
+    # one kth: numpy's vectorized partition takes a single index only
+    threshold = np.partition(keys, n1 - 1, axis=1)[:, n1 - 1 : n1]
+    np.less_equal(keys, threshold, out=rows)
+    for i in np.flatnonzero(rows.sum(axis=1) != n1):
+        rows[i] = stream(seed, chunk, first + i + 1).permuted(z)
 
 
 def permutation_pvalues(

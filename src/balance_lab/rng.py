@@ -7,6 +7,16 @@ independently of execution order or worker count (Salmon et al.,
 is keyed by (seed, replicate_index, 0); permutation draws are keyed by
 (permutation seed, chunk index), one stream for each fixed chunk of 1024
 permutations, so the first k of B draws do not depend on B.
+
+Under version 3 a chunk's stream is read as raw 64-bit Philox words, and
+permutation i of the chunk takes the next ceil(n/2) of them. Each word is
+split into two 32-bit keys through its little-endian bytes (low half
+first), so every host reads the same keys; the n1 units with the smallest
+keys are treated. The keys are iid and uniform, so a permutation whose
+n1-th and (n1+1)-th smallest keys differ treats a uniformly random
+n1-subset. One whose keys tie there (about n / 2**32 of them) is redrawn
+as ``Generator.permuted`` on the stream (permutation seed, chunk index,
+i + 1).
 """
 
 import numpy as np
@@ -17,8 +27,9 @@ __all__ = ["STREAM_VERSION", "stream", "derive_seed"]
 # order, generator). Bump it whenever that mapping changes: run manifests
 # record it, and simulation checkpoints computed under another version are
 # recomputed instead of resumed. Version 2 keys permutation draws by chunk
-# instead of by permutation.
-STREAM_VERSION = 2
+# instead of by permutation. Version 3 draws each permutation of a chunk as
+# the smallest of iid 32-bit keys instead of by ``Generator.permuted``.
+STREAM_VERSION = 3
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -184,6 +184,26 @@ class TestLoadDataset:
             d = load_dataset(source, "z", "y", ["x1"])
             assert np.array_equal(d.x, expected.x) and np.array_equal(d.z, expected.z)
 
+    def test_byte_order_mark_alone_on_first_line(self, tmp_path):
+        # the mark leaves a blank first line, read the same from a path and
+        # from a stream; so does a file that holds nothing but the mark
+        text = "\ufeff\n" + MINIMAL.strip() + "\n"
+        path = tmp_path / "bom_line.csv"
+        path.write_bytes(text.encode("utf-8"))
+        a = load_dataset(str(path), "z", "y", ["x1"])
+        b = load_dataset(io.StringIO(text), "z", "y", ["x1"])
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.z, b.z)
+        assert np.array_equal(a.y_obs, b.y_obs) and a.column_names == b.column_names
+        bad = text.replace("1,0.5,1.0", "1,0.5,oops")
+        path.write_bytes(bad.encode("utf-8"))
+        for source in (str(path), io.StringIO(bad)):
+            with pytest.raises(NonNumericValue, match=r"row 3, column 'x1'"):
+                load_dataset(source, "z", "y", ["x1"])
+        path.write_bytes("\ufeff".encode("utf-8"))
+        for source in (str(path), io.StringIO("\ufeff")):
+            with pytest.raises(TooFewRows, match="input table is empty"):
+                load_dataset(source, "z", "y", ["x1"])
+
 
 MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 ODD_CELLS = [

@@ -11,8 +11,9 @@ from balance_lab import Dataset, control_arm_weights, permutation_test
 from balance_lab.balance import _GRAM_KAPPA, _REFIT_RCOND, _refit_rw_columns
 from balance_lab.data import varying_columns
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall
-from balance_lab.permutation import _CHUNK, _permuted_z, permutation_pvalues
+from balance_lab.permutation import _CHUNK, _permuted_z, _select_smallest, permutation_pvalues
 from balance_lab.regression import fit_ols
+from balance_lab.rng import stream
 from conftest import random_dataset
 
 
@@ -25,6 +26,16 @@ def chunk_draws(z, seed, b):
     z = np.asarray(z)
     starts = range(0, b, _CHUNK)
     return np.hstack([_permuted_z(z, seed, start, min(_CHUNK, b - start)) for start in starts])
+
+
+def arrangement_pvalue(drawn):
+    """Chi-square p-value of (n, B) draws against all C(n, n1) arrangements."""
+    n, n1 = drawn.shape[0], int(drawn[:, 0].sum())
+    index = {a: k for k, a in enumerate(itertools.combinations(range(n), n1))}
+    observed = np.bincount(
+        [index[tuple(np.flatnonzero(col))] for col in drawn.T], minlength=len(index)
+    )
+    return stats.chisquare(observed)
 
 
 class TestChunkDraws:
@@ -57,6 +68,49 @@ class TestChunkDraws:
         )
         chi2, p = stats.chisquare(observed)
         assert p > 1e-4, (chi2, observed)
+
+    @pytest.mark.parametrize("n1", [5, 2])
+    def test_uniform_for_odd_n(self, n1):
+        # C(7,5) and C(7,2): an odd n leaves the last key of every row's
+        # last word unused; B = 2000 spans two chunks and several blocks of
+        # rows, the last one short
+        z = np.array([1] * n1 + [0] * (7 - n1))
+        chi2, p = arrangement_pvalue(chunk_draws(z, 77, 2000))
+        assert p > 1e-4, chi2
+
+    def test_keys_are_little_endian_halves_of_raw_words(self):
+        # the reference reads the words as integers, so it pins the key
+        # layout whatever the byte order of the host
+        z = np.array([1, 0, 0, 1, 0, 1, 1, 0, 0])
+        n, b, seed = len(z), 300, 8
+        words = stream(seed, 0).bit_generator.random_raw(b * 5).reshape(b, 5)
+        expected = np.zeros((n, b))
+        for i, row in enumerate(words):
+            keys = [int(key) for w in row for key in (w & 0xFFFFFFFF, w >> 32)][:n]
+            assert len(set(keys)) == n  # no tie, so no redraw
+            expected[np.argsort(keys)[:4], i] = 1.0
+        np.testing.assert_array_equal(chunk_draws(z, seed, b), expected)
+
+    def test_tied_keys_are_redrawn_uniformly(self):
+        # keys from {0, 1, 2} tie at the boundary in most rows
+        z = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        b, k = 3000, 1100
+        keys = np.random.default_rng(4).integers(0, 3, size=(b, 7), dtype=np.uint32)
+        ordered = np.sort(keys, axis=1)
+        tied = ordered[:, 1] == ordered[:, 2]
+        assert tied.mean() > 0.5
+        rows = np.empty((b, 7))
+        _select_smallest(keys, z, 31, 0, 0, rows)
+        assert (rows.sum(axis=1) == 2).all()
+        np.testing.assert_array_equal(rows[~tied], keys[~tied] <= ordered[~tied, 1:2])
+        chi2, p = arrangement_pvalue(rows.T)
+        assert p > 1e-4, chi2
+        # each redraw is keyed by its row, so the rows do not depend on how
+        # many follow or on where a block of rows starts
+        head, rest = np.empty((k, 7)), np.empty((b - k, 7))
+        _select_smallest(keys[:k], z, 31, 0, 0, head)
+        _select_smallest(keys[k:], z, 31, 0, k, rest)
+        np.testing.assert_array_equal(np.vstack([head, rest]), rows)
 
     @pytest.mark.parametrize("k", FIRST_K)
     def test_first_k_draws_do_not_depend_on_b(self, k):
