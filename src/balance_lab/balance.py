@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import Dataset, scaled_covariates, varying_columns, whitened_covariates
 from .errors import BalanceLabError, InternalNumericalError, WeightDimensionMismatch
-from .regression import RegressionFit, control_arm_weights, fit_ols
+from .regression import RCOND_GATE, RegressionFit, control_arm_weights, fit_ols
 
 __all__ = [
     "BalanceReport",
@@ -84,12 +84,6 @@ def _hotelling_columns(xw: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> 
 # The ratio of G's Gershgorin disc ends bounds kappa(G) from above, so a G
 # it keeps within _GRAM_KAPPA needs no eigenvalues.
 _GRAM_KAPPA = 1e2
-# A control design is solved here only if its condition number is below
-# 1 / _REFIT_RCOND. The diagonal of any triangular factor lies between the
-# smallest and the largest singular value, so the pivoted QR of fit_ols
-# would find no diagonal entry below RANK_RTOL times the largest and would
-# keep every column: both paths fit the same model.
-_REFIT_RCOND = 1e-6
 
 
 def _gershgorin_bounds(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,18 +116,20 @@ def _refit_rw_columns(
     the design: its condition number is about 1 where the design's normal
     equations would square the design's. A column stays on this path if
     kappa(G) <= ``_GRAM_KAPPA`` and its design has condition number below
-    ``1 / _REFIT_RCOND``. kappa(G) is bounded first by the Gershgorin discs
-    of G (Golub and Van Loan, Matrix Computations, Thm 7.2.1), one pass of
-    array arithmetic over the chunk; only the G the discs cannot keep within
-    ``_GRAM_KAPPA`` take their eigenvalues, which decide them. The design's
-    condition number is bounded by ``sqrt(kappa(G)) * kappa(R11)``, R11 the
-    design block of R and kappa(G) taken from the disc bound or the
-    eigenvalues, and only the columns that bound cannot certify take the
-    singular values of their design's R. ``fit_ols`` and its
-    pivoted QR, which decides rank and raises the typed errors, take the
-    rest: ill-conditioned designs (a covariate constant within the arm
-    lands here), and every column when the control arms differ in size or
-    have at most p + 1 units.
+    ``1 / regression.RCOND_GATE``, the gate of ``fit_ols`` itself, so both
+    paths fit the same model. kappa(G) is bounded first by the Gershgorin
+    discs of G (Golub and Van Loan, Matrix Computations, Thm 7.2.1), one
+    pass of array arithmetic over the chunk; only the G the discs cannot
+    keep within ``_GRAM_KAPPA`` take their eigenvalues, which decide them.
+    The design's condition number is bounded by
+    ``sqrt(kappa(G)) * kappa(R11)``, R11 the design block of R and kappa(G)
+    taken from the disc bound or the eigenvalues, and only the columns that
+    bound cannot certify take the singular values of their design's R.
+    ``fit_ols``, whose pivoted QR decides the rank of every design that
+    fails the gate and raises the typed errors, takes the rest:
+    ill-conditioned designs (a covariate constant within the arm lands
+    here), and every column when the control arms differ in size or have at
+    most p + 1 units.
     """
     n, p = xs.shape
     b = z_cols.shape[1]
@@ -161,10 +157,10 @@ def _refit_rw_columns(
         design_r, qty = t[:, :k, :k], t[:, :k, k]
         r_singular_values = np.linalg.svd(r[:k, :k], compute_uv=False)
         kappa_gram = highest[stacked] / lowest[stacked]
-        ok = np.sqrt(kappa_gram) * r_singular_values[0] * _REFIT_RCOND < r_singular_values[-1]
+        ok = np.sqrt(kappa_gram) * r_singular_values[0] * RCOND_GATE < r_singular_values[-1]
         if not ok.all():
             singular_values = np.linalg.svd(design_r[~ok], compute_uv=False)
-            ok[~ok] = singular_values[:, -1] > _REFIT_RCOND * singular_values[:, 0]
+            ok[~ok] = singular_values[:, -1] > RCOND_GATE * singular_values[:, 0]
         coefficients = np.linalg.solve(design_r[ok], qty[ok, :, None])[:, 1:, 0]
         solved = stacked[ok]
         values[solved] = (coefficients * deltas[np.ix_(live, solved)].T).sum(axis=1)

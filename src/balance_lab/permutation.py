@@ -53,9 +53,9 @@ class PermutationResult:
     point); it can be exactly zero. ``p_conservative`` is the add-one
     variant (count+1)/(B+1), never zero. Failed replicates are recorded as
     +inf (counted as extreme). ``n_refit_fallback`` counts the replicates
-    whose ``refit`` weights came from the pivoted ``fit_ols`` path instead
-    of the shared QR (one per call, plus a Gram matrix of the control rows
-    of its orthonormal factor per replicate), failed ones included: their
+    whose ``refit`` weights came from ``fit_ols`` instead of the shared QR
+    (one per call, plus a Gram matrix of the control rows of its
+    orthonormal factor per replicate), failed ones included: their
     control design has condition number 1e6 or more, or that Gram matrix
     more than 1e2 (bounded by its Gershgorin discs, or where they cannot
     certify it, by its eigenvalues). Hotelling is evaluated on covariates

@@ -1,20 +1,26 @@
 """Dense least squares for projecting outcomes onto covariates.
 
-Every fit has an intercept and uses a column-pivoted orthogonal (QR)
-decomposition, never the normal equations; rank is decided by a relative
-1e-10 tolerance on the magnitudes of the triangular factor's diagonal.
-Constant columns (``data.varying_columns``) are dropped, their effect
-absorbed by the intercept, and receive a zero coefficient, so only genuine
-collinearity raises. The arm fits read the covariates on the requested
-scale from ``data.scaled_covariates``, the view cached on the dataset.
+Every fit has an intercept and uses an orthogonal (QR) decomposition, never
+the normal equations. Constant columns (``data.varying_columns``) are
+dropped, their effect absorbed by the intercept, and receive a zero
+coefficient, so only genuine collinearity raises. The arm fits read the
+covariates on the requested scale from ``data.scaled_covariates``, the view
+cached on the dataset.
+
+A design is first factored by an unpivoted Householder QR. If the singular
+values of its small triangular factor give a condition number below
+``1 / RCOND_GATE`` the fit is solved from that factor. Only the rest go
+through a Householder QR with column pivoting, which decides rank by a
+relative ``RANK_RTOL`` tolerance on the magnitudes of its diagonal and
+names the collinear columns.
 
 The permutation test's ``refit`` policy solves most control-arm fits in
 batches (``balance._refit_rw_columns``): one unpivoted QR of the data over
 all units, then for each arm the Cholesky factor of the Gram matrix of its
 rows of the orthonormal factor. That Gram matrix has condition number near
 1, unlike the design's normal equations, and the batch holds it to at most
-1e2. Any design that batch cannot certify as well conditioned comes here,
-so pivoted QR stays the arbiter of rank.
+1e2. Any design that batch cannot certify under the same ``RCOND_GATE``
+comes here.
 """
 
 from dataclasses import dataclass, replace
@@ -33,6 +39,12 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-10
+# A design is solved without pivoting only if its condition number is below
+# 1 / RCOND_GATE. The diagonal of any triangular factor lies between its
+# smallest and largest singular value, so a pivoted QR of such a design
+# would find no diagonal entry below RANK_RTOL times the largest and would
+# keep every column: both paths fit the same model.
+RCOND_GATE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,14 +67,41 @@ class RegressionFit:
 
 
 def _qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Optional[int]]):
-    """Solve min ||design b - y|| via pivoted QR; raise on rank deficiency."""
-    import scipy.linalg  # deferred: importing it costs every CLI call ~0.2 s
-
-    q, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = RANK_RTOL * diag.max() if diag.size else 0.0
-    rank = int(np.count_nonzero(diag > tol))
+    """Solve min ||design b - y|| by QR; raise on rank deficiency."""
     k = design.shape[1]
+    r = np.linalg.qr(np.column_stack([design, y]), mode="r")
+    singular_values = np.linalg.svd(r[:k, :k], compute_uv=False)
+    if singular_values[-1] > RCOND_GATE * singular_values[0]:
+        # R's last column holds Q'y. LU of a triangular matrix swaps no
+        # rows, so the solve is a back-substitution.
+        return np.linalg.solve(r[:k, :k], r[:k, k])
+    return _pivoted_qr_solve(design, y, covariate_of)
+
+
+def _pivoted_qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Optional[int]]):
+    """Householder QR with column pivoting (Businger and Golub, Numer. Math.
+    7, 1965): step j moves the column of largest remaining norm to position
+    j, so the diagonal of R does not increase and its tail shows the rank.
+    y rides along as a last column, which ends as Q'y."""
+    k = design.shape[1]
+    a = np.column_stack([design, y])
+    pivot = np.arange(k)
+    for j in range(k):
+        norms = np.einsum("ij,ij->j", a[j:, j:k], a[j:, j:k])
+        m = j + int(np.argmax(norms))
+        alpha = float(np.sqrt(norms[m - j]))
+        if alpha == 0.0:
+            break  # every remaining column is zero
+        a[:, [j, m]] = a[:, [m, j]]
+        pivot[[j, m]] = pivot[[m, j]]
+        v = a[j:, j].copy()
+        v[0] += np.copysign(alpha, v[0])
+        a[j:, j + 1 :] -= np.outer(v, (2.0 / (v @ v)) * (v @ a[j:, j + 1 :]))
+        a[j:, j] = 0.0
+        a[j, j] = -np.copysign(alpha, v[0])
+    r = a[:k, :k]
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > RANK_RTOL * diag.max()))
     if rank < k:
         flagged = [covariate_of[j] for j in pivot[rank:]]
         columns = tuple(sorted(c for c in flagged if c is not None))
@@ -70,9 +109,8 @@ def _qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Optional[int
             f"design matrix has rank {rank} < {k}; collinear covariate columns: {columns}",
             columns=columns,
         )
-    b = scipy.linalg.solve_triangular(r, q.T @ y)
     out = np.empty(k)
-    out[pivot] = b
+    out[pivot] = np.linalg.solve(r, a[:k, k])
     return out
 
 
@@ -103,6 +141,8 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: str = "full-population") -> Regre
     n, p = x.shape
     if y.shape != (n,):
         raise ValueError(f"y must have length {n}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("array must not contain infs or NaNs")
     if n <= p + 1:
         raise InsufficientRows(
             f"need more than {p + 1} rows to fit {p} covariates plus intercept, got {n}"

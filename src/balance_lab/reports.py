@@ -205,7 +205,7 @@ def render_test_report(report: dict) -> str:
         lines.append(f"failed permutation replicates (counted as extreme): {failed}")
     fallbacks = {r["name"]: r["n_refit_fallback"] for r in report["statistics"] if "n_refit_fallback" in r}
     if fallbacks:
-        lines.append(f"refits through the pivoted QR (n_refit_fallback): {fallbacks}")
+        lines.append(f"refits outside the shared QR (n_refit_fallback): {fallbacks}")
     lines.append(f"weight policy: {report['weight_policy']}")
     if report["hotelling_used_pinv"]:
         lines.append("warning: covariates collinear over all units, pseudo-inverse used for T^2")

@@ -28,7 +28,7 @@ BASE_ARGS = [
 # random-stream version 3. Determinism makes these exact.
 FROZEN = {
     "uw": (-0.22412536691045684, 0.354),
-    "rw": (-0.004336305130310892, 0.824),
+    "rw": (-0.004336305130310903, 0.824),
     "hotelling": (3.243783800161633, 0.342),
 }
 FIXTURE_DIGEST = "db58519ff829825d"
@@ -488,3 +488,30 @@ def test_cli_import_defers_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # every least-squares fit is numpy's QR: no command loads any scipy module
+    package_root = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    calls = [
+        BASE_ARGS + ["--weight-policy", policy, "--out-dir", str(tmp_path / policy)]
+        for policy in ("fixed", "refit")
+    ]
+    calls.append(["diagnose", "--input", FIXTURE, "--treatment", "z", "--outcome", "y",
+                  "--covariates", "x1,x2,x3", "--out-dir", str(tmp_path / "diagnose")])
+    config = write_config(tmp_path / "study.json", replicates=3)
+    calls.append(["simulate", "--config", config, "--threads", "1",
+                  "--out-dir", str(tmp_path / "simulate")])
+    probe = (
+        "import json, sys\n"
+        "from balance_lab import cli\n"
+        "codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(calls)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}

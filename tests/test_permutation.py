@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from balance_lab import Dataset, control_arm_weights, permutation_test
-from balance_lab.balance import _GRAM_KAPPA, _REFIT_RCOND, _refit_rw_columns
+from balance_lab.balance import _GRAM_KAPPA, _refit_rw_columns
 from balance_lab.data import varying_columns
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall
 from balance_lab.permutation import _CHUNK, _permuted_z, _select_smallest, permutation_pvalues
-from balance_lab.regression import fit_ols
+from balance_lab.regression import RCOND_GATE, fit_ols
 from balance_lab.rng import stream
 from conftest import random_dataset
 
@@ -292,7 +292,7 @@ class TestEngineAgainstScratch:
 
 
 def looped_refit(xs, y, z_cols, deltas):
-    """One pivoted fit_ols per column, failures as +inf: the reference for
+    """One fit_ols per column, failures as +inf: the reference for
     the stacked refit kernel.
 
     Also returns each column's error scale: a backward-stable least-squares
@@ -430,8 +430,8 @@ class TestStackedRefit:
         kappa = np.array(
             [np.linalg.cond(np.column_stack([np.ones(n // 2), xs[z == 0.0]])) for z in z_cols.T]
         )
-        over = kappa >= 1.0 / _REFIT_RCOND
-        near = np.abs(kappa * _REFIT_RCOND - 1.0) <= 1e-6
+        over = kappa >= 1.0 / RCOND_GATE
+        near = np.abs(kappa * RCOND_GATE - 1.0) <= 1e-6
         assert np.count_nonzero(over & ~near) > 0
         assert np.count_nonzero(over & ~near) <= fallbacks <= np.count_nonzero(over | near)
         expected, scales = looped_refit(xs, y, z_cols, deltas)
@@ -470,7 +470,7 @@ class TestStackedRefit:
         # A column leaves the stacked path exactly when its control Gram
         # matrix, formed directly from Q, has eigenvalue ratio above
         # _GRAM_KAPPA, or its gathered control design has singular value
-        # ratio at least 1 / _REFIT_RCOND; columns within 1e-6 of a gate
+        # ratio at least 1 / RCOND_GATE; columns within 1e-6 of a gate
         # may go either way.
         g = np.random.default_rng(seed)
         xs = (g.random((n, p)) < share).astype(float)
@@ -490,7 +490,7 @@ class TestStackedRefit:
             gram_gate = _GRAM_KAPPA * eigenvalues[0]
             design = np.column_stack([np.ones(np.count_nonzero(control)), xs[control][:, live]])
             singular_values = np.linalg.svd(design, compute_uv=False)
-            design_gate = _REFIT_RCOND * singular_values[0]
+            design_gate = RCOND_GATE * singular_values[0]
             over[i] = eigenvalues[-1] > gram_gate or singular_values[-1] <= design_gate
             near[i] = (
                 abs(eigenvalues[-1] - gram_gate) <= 1e-6 * eigenvalues[-1]
@@ -505,8 +505,8 @@ class TestStackedRefit:
         assert (np.abs(values[~failed] - expected[~failed]) <= 100 * scales[~failed]).all()
 
     def test_rw_repeatable_across_chunk_boundary(self, rng):
-        # a sparse binary covariate sends some columns of every chunk to the
-        # pivoted path, so both routes meet the chunk boundary
+        # a sparse binary covariate sends some columns of every chunk to
+        # fit_ols, so both routes meet the chunk boundary
         x = np.column_stack([rng.normal(size=(60, 2)), rng.random(60) < 0.06])
         d = Dataset(x=x, z=np.array([1, 0] * 30), y_obs=rng.normal(size=60))
         reference = permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit")

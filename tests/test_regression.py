@@ -1,12 +1,68 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, control_arm_weights, fit_ols, treatment_arm_weights
+from balance_lab import Dataset, control_arm_weights, fit_ols, regression, treatment_arm_weights
 from balance_lab.data import population_sd
 from balance_lab.errors import ControlArmTooSmall, InsufficientRows, RankDeficient
+from balance_lab.regression import RANK_RTOL, RCOND_GATE
 from conftest import residualize
+
+
+def scipy_reference(x, y):
+    """fit_ols as it was built on scipy: LAPACK's column-pivoted QR of
+    ``[1 | non-constant columns of x]``, rank read off ``|diag R|`` at
+    ``RANK_RTOL``. Returns the design, its rank, the covariates named as
+    collinear (None at full rank) and the solution, intercept first (None
+    below full rank)."""
+    n = x.shape[0]
+    retained = np.flatnonzero(np.ptp(x, axis=0) > 0)
+    design = np.column_stack([np.ones(n), x[:, retained]])
+    q, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.count_nonzero(diag > RANK_RTOL * diag.max()))
+    if rank < design.shape[1]:
+        named = tuple(sorted(int(retained[j - 1]) for j in pivot[rank:] if j > 0))
+        return design, rank, named, None
+    solution = np.empty(design.shape[1])
+    solution[pivot] = scipy.linalg.solve_triangular(r, q.T @ y)
+    return design, rank, None, solution
+
+
+def least_squares_error_bound(design, solution, y):
+    """eps * ||w|| * (2 kappa ||y|| + kappa^2 ||r||) / ||A w||: how far a
+    backward-stable least-squares solver may put the solution w of
+    min ||A w - y|| (Golub and Van Loan, Matrix Computations, Thm 5.3.1)."""
+    singular_values = np.linalg.svd(design, compute_uv=False)
+    kappa = singular_values[0] / singular_values[-1]
+    fitted = design @ solution
+    residual = np.linalg.norm(y - fitted)
+    scale = 2 * kappa * np.linalg.norm(y) + kappa**2 * residual
+    return np.finfo(float).eps * np.linalg.norm(solution) * scale / np.linalg.norm(fitted)
+
+
+def oracle_design(kind, g, n, p, log_kappa):
+    x = g.normal(size=(n, p))
+    if kind == "collinear":
+        # one column an exact combination of the others and the intercept;
+        # continuous coefficients, so no two remaining column norms tie
+        j = int(g.integers(p))
+        c = g.uniform(-2, 2, size=p) * (g.random(p) < 0.7)
+        c[j] = 0.0
+        x[:, j] = x @ c + g.uniform(-2, 2)
+    elif kind == "integer":
+        x = np.round(x * g.integers(1, 3)) if g.random() < 0.5 else (x > 0).astype(float)
+    elif kind == "scaled":
+        # the last column a near-copy of the first: kappa grows as 10**log_kappa
+        x *= 10.0 ** g.uniform(-1, 1, size=p)
+        if p > 1:
+            noise = 10.0**-log_kappa * np.abs(x[:, 0]).max() * g.normal(size=n)
+            x[:, -1] = x[:, 0] * g.uniform(0.5, 2) + noise
+    return x
 
 
 class TestFitOls:
@@ -49,6 +105,17 @@ class TestFitOls:
         with pytest.raises(RankDeficient) as info:
             fit_ols(x, rng.normal(size=20))
         assert set(info.value.columns) & {0, 2}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, rng, bad):
+        x = rng.normal(size=(20, 2))
+        y = rng.normal(size=20)
+        x_bad, y_bad = x.copy(), y.copy()
+        x_bad[3, 1] = bad
+        y_bad[5] = bad
+        for args in ((x_bad, y), (x, y_bad)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit_ols(*args)
 
     def test_insufficient_rows(self, rng):
         x = rng.normal(size=(4, 4))
@@ -93,6 +160,81 @@ class TestFitOls:
             resid = residualize(x, j)
             ratio = (y @ resid) / (resid @ resid)
             assert abs(fit.coefficients[j] - ratio) <= 1e-8 * max(1.0, abs(ratio))
+
+
+class TestScipyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["continuous", "collinear", "integer", "scaled"]),
+        p=st.integers(1, 5),
+        log_kappa=st.floats(0.0, 8.0),
+    )
+    def test_matches_scipy_pivoted_qr(self, seed, kind, p, log_kappa):
+        # Scaled designs put kappa on both sides of 1 / RCOND_GATE = 1e6;
+        # small integer designs and exact combinations are rank deficient.
+        g = np.random.default_rng(seed)
+        n = int(g.integers(p + 2, 12 if kind == "integer" else 60))
+        x = oracle_design(kind, g, n, p, log_kappa)
+        y = x @ g.normal(size=p) + g.normal(size=n)
+        design, rank, named, solution = scipy_reference(x, y)
+        singular_values = np.linalg.svd(design, compute_uv=False)
+        gate = RCOND_GATE * singular_values[0]
+
+        with mock.patch.object(
+            regression, "_pivoted_qr_solve", wraps=regression._pivoted_qr_solve
+        ) as pivoted:
+            if named is None:
+                fit = fit_ols(x, y)
+            else:
+                with pytest.raises(RankDeficient) as info:
+                    fit_ols(x, y)
+        # the unpivoted QR keeps exactly the designs with kappa below 1e6
+        if abs(singular_values[-1] - gate) > 1e-6 * gate:
+            assert pivoted.called == (singular_values[-1] <= gate)
+
+        if named is None:
+            retained = np.flatnonzero(np.ptp(x, axis=0) > 0)
+            got = np.concatenate([[fit.intercept], fit.coefficients[retained]])
+            bound = least_squares_error_bound(design, solution, y)
+            assert np.linalg.norm(got - solution) <= 100 * bound
+            assert not fit.coefficients[np.ptp(x, axis=0) == 0].any()
+            return
+        k = design.shape[1]
+        columns = info.value.columns
+        assert str(info.value) == (
+            f"design matrix has rank {rank} < {k}; collinear covariate columns: {columns}"
+        )
+        if columns != named:
+            # Integer columns often leave two remaining column norms equal;
+            # either QR then breaks the tie by rounding, and dropping either
+            # set of columns leaves a design of the same rank.
+            assert kind == "integer"
+            retained = np.flatnonzero(np.ptp(x, axis=0) > 0)
+            kept = [0, *(1 + i for i, c in enumerate(retained) if c not in columns)]
+            assert np.linalg.matrix_rank(design[:, kept]) == rank
+
+    def test_ill_conditioned_full_rank_design_takes_pivoted_fallback(self):
+        g = np.random.default_rng(17)
+        n = 80
+        x0 = g.normal(size=n)
+        x = np.column_stack([x0, x0 + 1e-7 * g.normal(size=n), g.normal(size=n)])
+        y = x @ np.array([1.0, -1.0, 0.5]) + g.normal(size=n)
+        design, rank, named, solution = scipy_reference(x, y)
+        singular_values = np.linalg.svd(design, compute_uv=False)
+        assert 1e6 <= singular_values[0] / singular_values[-1] < 1e10
+        assert named is None
+
+        with mock.patch.object(
+            regression, "_pivoted_qr_solve", wraps=regression._pivoted_qr_solve
+        ) as pivoted:
+            fit = fit_ols(x, y)
+            assert pivoted.call_count == 1
+            fit_ols(x[:, [0, 2]], y)  # well conditioned: no fallback
+            assert pivoted.call_count == 1
+        got = np.array([fit.intercept, *fit.coefficients])
+        bound = least_squares_error_bound(design, solution, y)
+        assert np.linalg.norm(got - solution) <= 100 * bound
 
 
 class TestResidualize:
