@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, scaled_covariates, varying_columns, whitened_covariates
-from .errors import BalanceLabError, InternalNumericalError, WeightDimensionMismatch
-from .regression import RCOND_GATE, RegressionFit, control_arm_weights, fit_ols
+from .errors import BalanceLabError, InternalNumericalError
+from .regression import RCOND_GATE, RegressionFit, _weight_vector, control_arm_weights, fit_ols
 
 __all__ = [
     "BalanceReport",
@@ -204,9 +204,7 @@ def _checked_weighted_sum(
     d: Dataset, weights: RegressionFit, xs: np.ndarray, delta: np.ndarray
 ) -> tuple[float, float]:
     """``w @ delta`` and the fitted-mean difference, required to agree."""
-    w = np.asarray(weights.coefficients, dtype=np.float64)
-    if w.shape != (d.p,):
-        raise WeightDimensionMismatch(f"expected {d.p} weights, got shape {w.shape}")
+    w = _weight_vector(weights, d.p)
     weighted_sum = float(w @ delta)
     # Fitted mean in the unobserved arm minus the observed mean in the fit arm.
     if weights.arm == "treatment":

@@ -17,7 +17,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -226,16 +226,11 @@ def whitened_covariates(d: Dataset) -> tuple[np.ndarray, bool]:
     return d._whitened
 
 
-def _parse_cell(raw: str, row: int, column: str) -> float:
+def _float_or_nan(cell: str) -> float:
     try:
-        value = float(raw)
+        return float(cell)
     except ValueError:
-        raise NonNumericValue(
-            f"row {row}, column {column!r}: cannot parse {raw!r} as a number"
-        ) from None
-    if not np.isfinite(value):
-        raise NonNumericValue(f"row {row}, column {column!r}: non-finite value {raw!r}")
-    return value
+        return np.nan
 
 
 def _map_treatment(raw_values: Sequence[str], treated_level: Optional[str]) -> np.ndarray:
@@ -273,39 +268,6 @@ def _map_treatment(raw_values: Sequence[str], treated_level: Optional[str]) -> n
     )
 
 
-def _parse_columns(
-    records: list[list[str]], positions: Sequence[int], treated_level: Optional[str]
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``z``, ``y`` and ``x`` of a table that needs no row dropped and holds
-    no bad cell, parsed a whole column at a time; None when some record needs
-    the row loop of ``load_dataset``, which alone drops rows and raises the
-    errors that name a row.
-
-    ``positions`` are the header positions of the treatment, the outcome and
-    the covariates. The numbers go through the same ``float()`` as
-    ``_parse_cell``; it ignores surrounding whitespace, so a cell it accepts
-    here it accepts stripped, with the same bits. Every missing token either
-    fails ``float()`` or parses to nan, so a column that parses finite holds
-    none; the treatment column is checked over its distinct values.
-    """
-    records = [record for record in records if record]
-    n = len(records)
-    if n < 4 or min(map(len, records)) <= max(positions):
-        return None
-    treatment = list(map(itemgetter(positions[0]), records))
-    if any(value.strip().lower() in _MISSING_TOKENS for value in set(treatment)):
-        return None
-    numeric = np.empty((len(positions) - 1, n))
-    try:
-        for column, k in zip(numeric, positions[1:]):
-            column[:] = np.fromiter(map(float, map(itemgetter(k), records)), np.float64, n)
-    except ValueError:
-        return None
-    if not np.isfinite(numeric).all():
-        return None
-    return _map_treatment(treatment, treated_level), numeric[0], numeric[1:].T
-
-
 def load_dataset(
     source: Union[str, io.TextIOBase, Iterable[str]],
     treatment_column: str,
@@ -339,11 +301,17 @@ def load_dataset(
     Numbers are read with Python's ``float()`` (surrounding whitespace and
     digit-group underscores are accepted) and must be finite. A cell that
     is empty or reads ``NA``, ``N/A``, ``NaN``, ``null`` or ``None`` in any
-    case is missing. Blank lines are skipped, before the header too; row
-    numbers in messages are record numbers of the file, blank lines counted.
-    A table that needs no row dropped and holds no bad cell is parsed a whole
-    column at a time; any other goes through the row loop, which drops rows
-    and names the first bad cell.
+    case is missing, and so is a cell past the end of a short record. Blank
+    lines are skipped, before the header too; row numbers in messages are
+    record numbers of the file, blank lines counted.
+
+    Every table is parsed a whole column at a time; only a column that
+    ``float()`` rejects somewhere is retried cell by cell. Every missing
+    token either fails ``float()`` or parses to nan, so only the cells that
+    did not parse finite, and the distinct treatment values, are tested for
+    one. Strict loading rejects the first missing cell in row order; lenient
+    loading drops every row that holds one. Then the first bad cell of each
+    numeric column, in column order, is named.
 
     Loading is deterministic: identical bytes yield an identical Dataset.
     """
@@ -362,61 +330,73 @@ def load_dataset(
         rows[0][0] = rows[0][0].removeprefix("\ufeff")
         if rows[0] == [""]:
             rows[0] = []
-    header_index = next((i for i, row in enumerate(rows) if row), None)
-    if header_index is None:
+    nonblank = [i for i, row in enumerate(rows) if row]
+    if not nonblank:
         raise TooFewRows("input table is empty")
-    header = [h.strip() for h in rows[header_index]]
-    records = rows[header_index + 1 :]
+    header = [h.strip() for h in rows[nonblank[0]]]
 
     wanted = [treatment_column, outcome_column, *covariate_columns]
-    indices = {}
     for name in wanted:
         if name not in header:
             raise MissingColumn(f"column {name!r} not found in header {header!r}")
-        indices[name] = header.index(name)
+    # The header row is never short, so every column comes out padded with
+    # "" to the full length; record i is line nonblank[i + 1] + 1 of the file.
+    table = list(zip_longest(*[rows[i] for i in nonblank], fillvalue=""))
+    treatment, *cells = (table[header.index(name)][1:] for name in wanted)
+    n = len(nonblank) - 1
+    numeric = np.empty((len(cells), n))
+    for values, column in zip(numeric, cells):
+        try:
+            values[:] = np.fromiter(map(float, column), np.float64, n)
+        except ValueError:
+            values[:] = list(map(_float_or_nan, column))
 
-    parsed = _parse_columns(records, [indices[name] for name in wanted], treated_level)
-    if parsed is not None:
-        z, y, x = parsed
-        return Dataset(x=x, z=z, y_obs=y, column_names=tuple(covariate_columns))
+    # missing[j, i]: cell i of wanted column j is missing. Every missing
+    # token fails float() or parses to nan, so only the cells not parsed
+    # finite need the token test.
+    finite = np.isfinite(numeric)
+    columns, records = np.nonzero(~finite)
+    missing = np.zeros((len(wanted), n), dtype=bool)
+    missing[1 + columns, records] = [
+        cells[j][i].strip().lower() in _MISSING_TOKENS
+        for j, i in zip(columns.tolist(), records.tolist())
+    ]
+    absent = {v for v in set(treatment) if v.strip().lower() in _MISSING_TOKENS}
+    if absent:
+        missing[0] = [v in absent for v in treatment]
 
-    kept: list[tuple[int, list[str]]] = []  # (1-based row number, selected cells)
-    n_dropped = 0
-    for row_number, record in enumerate(records, start=header_index + 2):
-        if not record:
-            continue  # a blank line is not a row
-        cells = []
-        missing = False
-        for name in wanted:
-            idx = indices[name]
-            raw = record[idx].strip() if idx < len(record) else ""
-            if raw.lower() in _MISSING_TOKENS:
-                missing = True
-                if not lenient_missing:
-                    raise NonNumericValue(
-                        f"row {row_number}, column {name!r}: missing value "
-                        "(pass --lenient-missing to drop such rows)"
-                    )
-            cells.append(raw)
-        if missing:
-            n_dropped += 1
-            continue
-        kept.append((row_number, cells))
-
+    incomplete = missing.any(axis=0)
+    n_dropped = int(incomplete.sum())
+    if n_dropped and not lenient_missing:
+        first = int(np.argmax(incomplete))
+        name = wanted[int(np.argmax(missing[:, first]))]
+        raise NonNumericValue(
+            f"row {nonblank[first + 1] + 1}, column {name!r}: missing value "
+            "(pass --lenient-missing to drop such rows)"
+        )
+    complete = ~incomplete
     if n_dropped:
         warnings.warn(
             MissingRowsDropped(f"dropped {n_dropped} row(s) with missing values", n_dropped),
             stacklevel=2,
         )
-    if len(kept) < 4:
-        raise TooFewRows(f"need at least 4 complete rows, got {len(kept)}")
+        treatment = list(compress(treatment, complete.tolist()))
+        numeric = numeric[:, complete]
+    if len(treatment) < 4:
+        raise TooFewRows(f"need at least 4 complete rows, got {len(treatment)}")
 
-    z = _map_treatment([cells[0] for _, cells in kept], treated_level)
-    y = np.array(
-        [_parse_cell(cells[1], row, outcome_column) for row, cells in kept], dtype=np.float64
-    )
-    x = np.empty((len(kept), len(covariate_columns)), dtype=np.float64)
-    for j, name in enumerate(covariate_columns):
-        x[:, j] = [_parse_cell(cells[2 + j], row, name) for row, cells in kept]
+    z = _map_treatment(treatment, treated_level)
+    # a cell of a complete row that did not parse finite is a bad number
+    bad = ~finite & complete
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=1)))
+        record = int(np.argmax(bad[j]))
+        raw = cells[j][record].strip()
+        where = f"row {nonblank[record + 1] + 1}, column {wanted[1 + j]!r}"
+        try:
+            float(raw)
+        except ValueError:
+            raise NonNumericValue(f"{where}: cannot parse {raw!r} as a number") from None
+        raise NonNumericValue(f"{where}: non-finite value {raw!r}")
 
-    return Dataset(x=x, z=z, y_obs=y, column_names=tuple(covariate_columns))
+    return Dataset(x=numeric[1:].T, z=z, y_obs=numeric[0], column_names=tuple(covariate_columns))

@@ -24,8 +24,8 @@ import numpy as np
 
 from .balance import _observed_column, _statistic_columns
 from .data import Dataset, scaled_covariates, whitened_covariates
-from .errors import InternalNumericalError, WeightDimensionMismatch
-from .regression import RegressionFit, control_arm_weights
+from .errors import InternalNumericalError
+from .regression import RegressionFit, _weight_vector, control_arm_weights
 from .rng import stream
 
 __all__ = [
@@ -80,18 +80,6 @@ class PermutationResult:
     weight_policy: str
     n_failed: int = 0
     n_refit_fallback: int = 0
-
-
-def _weights_vector(d: Dataset, weights, scale: str) -> np.ndarray:
-    if weights is None:
-        weights = control_arm_weights(d, scale=scale)
-    if isinstance(weights, RegressionFit):
-        w = np.asarray(weights.coefficients, dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (d.p,):
-        raise WeightDimensionMismatch(f"expected {d.p} weights, got shape {w.shape}")
-    return w
 
 
 def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
@@ -173,7 +161,9 @@ def permutation_pvalues(
 
     w_fixed = None
     if "rw" in statistics and weight_policy == "fixed":
-        w_fixed = _weights_vector(d, weights, scale)
+        if weights is None:
+            weights = control_arm_weights(d, scale=scale)
+        w_fixed = _weight_vector(weights, d.p)
     sizes = d.sizes
     xw = whitened_covariates(d)[0] if "hotelling" in statistics else None
     evaluate = partial(

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, population_sd, scaled_covariates, varying_columns
-from .errors import ControlArmTooSmall, InsufficientRows, RankDeficient
+from .errors import ControlArmTooSmall, InsufficientRows, RankDeficient, WeightDimensionMismatch
 
 __all__ = [
     "RegressionFit",
@@ -45,6 +45,7 @@ RANK_RTOL = 1e-10
 # would find no diagonal entry below RANK_RTOL times the largest and would
 # keep every column: both paths fit the same model.
 RCOND_GATE = 1e-6
+_PIVOT_TIE = 64 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,17 @@ class RegressionFit:
     arm: str = "full-population"
 
 
+def _weight_vector(weights, p: int) -> np.ndarray:
+    """The coefficients of a ``RegressionFit``, or an array of weights, as a
+    float64 vector; raises unless it holds one weight per covariate."""
+    if isinstance(weights, RegressionFit):
+        weights = weights.coefficients
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (p,):
+        raise WeightDimensionMismatch(f"expected {p} weights, got shape {w.shape}")
+    return w
+
+
 def _qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Optional[int]]):
     """Solve min ||design b - y|| by QR; raise on rank deficiency."""
     k = design.shape[1]
@@ -82,13 +94,19 @@ def _pivoted_qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Opti
     """Householder QR with column pivoting (Businger and Golub, Numer. Math.
     7, 1965): step j moves the column of largest remaining norm to position
     j, so the diagonal of R does not increase and its tail shows the rank.
-    y rides along as a last column, which ends as Q'y."""
+    y rides along as a last column, which ends as Q'y.
+
+    Norms within ``_PIVOT_TIE`` (relative) of the largest count as tied, and
+    the tied column that comes first in ``design`` is taken: integer columns
+    often tie exactly, and which of them rounding makes largest depends on
+    the order of the rows, so it would decide which columns are named."""
     k = design.shape[1]
     a = np.column_stack([design, y])
     pivot = np.arange(k)
     for j in range(k):
         norms = np.einsum("ij,ij->j", a[j:, j:k], a[j:, j:k])
-        m = j + int(np.argmax(norms))
+        tied = j + np.flatnonzero(norms >= (1.0 - _PIVOT_TIE) * norms.max())
+        m = int(tied[np.argmin(pivot[tied])])
         alpha = float(np.sqrt(norms[m - j]))
         if alpha == 0.0:
             break  # every remaining column is zero

@@ -13,12 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset, scaled_covariates
-from .errors import (
-    DegenerateAssignment,
-    TooManyAssignments,
-    WeightDimensionMismatch,
-    ZeroVariance,
-)
+from .errors import DegenerateAssignment, TooManyAssignments, ZeroVariance
+from .regression import _weight_vector
 
 __all__ = [
     "VarianceReport",
@@ -85,9 +81,7 @@ def variance_report(
     ``weights`` is the fixed vector conditioning the regression-weighted
     variance: Var(sum_j w_j delta_j | w) = w' Cov(delta) w.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (d.p,):
-        raise WeightDimensionMismatch(f"expected {d.p} weights, got shape {w.shape}")
+    w = _weight_vector(weights, d.p)
     sizes = d.sizes
     xs = scaled_covariates(d, scale)
     pop_cov = population_covariance(xs)
@@ -158,10 +152,7 @@ def enumeration_oracle(
     elif statistic == "rw":
         if weights is None:
             raise ValueError("statistic 'rw' requires a weight vector")
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (p,):
-            raise WeightDimensionMismatch(f"expected {p} weights, got shape {w.shape}")
-        scores = x @ w
+        scores = x @ _weight_vector(weights, p)
     elif statistic == "delta_j":
         if j is None or not 0 <= j < p:
             raise ValueError(f"statistic 'delta_j' requires a column index in [0, {p})")

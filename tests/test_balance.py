@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from balance_lab import Dataset, compute_balance_report, control_arm_weights
 from balance_lab.data import scaled_covariates
 from balance_lab.errors import WeightDimensionMismatch
+from balance_lab.permutation import permutation_pvalues
 from balance_lab.regression import RegressionFit
+from balance_lab.variance import enumeration_oracle, variance_report
 from conftest import random_dataset
 
 
@@ -160,6 +162,21 @@ class TestDeltaRegressionWeighted:
         d = random_dataset(rng, p=3)
         with pytest.raises(WeightDimensionMismatch):
             compute_balance_report(d, "raw", weights=fixed_weight_fit([1.0, 2.0]))
+
+    def test_every_weight_entry_point_checks_the_length(self, rng):
+        d = random_dataset(rng, p=3)
+        short = fixed_weight_fit([1.0, 2.0])
+        calls = [
+            lambda: compute_balance_report(d, "raw", weights=short),
+            lambda: permutation_pvalues(d, ["rw"], 10, 1, weights=short),
+            lambda: permutation_pvalues(d, ["rw"], 10, 1, weights=np.ones(2)),
+            lambda: variance_report(d, [1.0, 2.0]),
+            lambda: enumeration_oracle(d.x[:8], 4, "rw", weights=[1.0, 2.0]),
+        ]
+        message = r"^expected 3 weights, got shape \(2,\)$"
+        for call in calls:
+            with pytest.raises(WeightDimensionMismatch, match=message):
+                call()
 
     def test_sign_flip_fixed_weights(self, rng):
         d = random_dataset(rng, p=2)

@@ -126,6 +126,35 @@ class TestCmdTest:
         err = capsys.readouterr().err
         assert "row 4" in err and "x1" in err
 
+    @staticmethod
+    def missing_cells_table(tmp_path):
+        """The fixture with NA in row 5's y and row 9's x2, and row 12 cut
+        after x2, so that three rows miss a value."""
+        lines = open(FIXTURE).read().splitlines()
+        for i, k in ((4, 2), (8, 4)):
+            cells = lines[i].split(",")
+            cells[k] = "NA"
+            lines[i] = ",".join(cells)
+        lines[11] = ",".join(lines[11].split(",")[:5])
+        path = tmp_path / "missing.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_lenient_missing_reports_dropped_rows(self, tmp_path):
+        args = [self.missing_cells_table(tmp_path) if a == FIXTURE else a for a in BASE_ARGS]
+        assert run_cli(args + ["--lenient-missing", "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.load(open(tmp_path / "out" / "balance_report.json"))
+        assert report["dataset"]["rows_dropped_missing"] == 3
+        assert report["dataset"]["n"] == 197
+        text = (tmp_path / "out" / "balance_report.txt").read_text()
+        assert "rows dropped for missing values: 3" in text.splitlines()
+
+    def test_missing_cell_strict_exits_2(self, tmp_path, capsys):
+        args = [self.missing_cells_table(tmp_path) if a == FIXTURE else a for a in BASE_ARGS]
+        assert run_cli(args + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "row 5, column 'y': missing value" in err
+
     def test_missing_file_exits_2(self, tmp_path):
         code = run_cli(
             ["test", "--input", str(tmp_path / "nope.csv"), "--treatment", "z",

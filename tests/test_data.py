@@ -212,11 +212,11 @@ ODD_CELLS = [
 ]
 
 
-def oracle_load(text, covariates, lenient):
+def oracle_load(text, covariates, lenient, delimiter=",", treated_level=None):
     """load_dataset one cell at a time: strip, check the missing tokens, then
     ``float()`` and finiteness. Returns the Dataset (or the exception it
     raises) and the number of rows dropped."""
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(text), delimiter=delimiter))
     top = min(i for i, row in enumerate(rows) if row)
     header = [h.strip() for h in rows[top]]
     names = ["z", "y", *covariates]
@@ -239,7 +239,7 @@ def oracle_load(text, covariates, lenient):
     if len(kept) < 4:
         return TooFewRows(f"need at least 4 complete rows, got {len(kept)}"), dropped
     try:
-        z = data._map_treatment([cells[0] for _, cells in kept], None)
+        z = data._map_treatment([cells[0] for _, cells in kept], treated_level)
     except NonBinaryTreatment as exc:
         return exc, dropped
     columns = []
@@ -266,19 +266,40 @@ def oracle_load(text, covariates, lenient):
 
 @st.composite
 def messy_tables(draw):
-    """A comma table with header z,y,x1..xp, in some tables after blank
-    lines: rows of formatted floats with, in some tables, rows mixing in odd
-    cells, short rows and blank lines."""
+    """A comma- or tab-separated table, in some tables after blank lines,
+    whose header holds z, y and x1..xp in any order among unused columns:
+    rows of formatted floats with, in some tables, rows mixing in odd cells,
+    short rows and blank lines. The treatment column holds 0/1, true/false,
+    or two labels read with a treated level. Returns the text, the
+    covariates, the delimiter and the treated level."""
     p = draw(st.integers(1, 3))
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    labels, treated_level = draw(
+        st.sampled_from(
+            [
+                (["0", "1", " 1 "], None),
+                (["true", "false", "TRUE", " False "], None),
+                (["drug", "placebo", " drug "], "drug"),
+            ]
+        )
+    )
+    covariates = [f"x{j + 1}" for j in range(p)]
+    unused = draw(st.lists(st.sampled_from(["id", "note"]), unique=True))
+    header = draw(st.permutations(["z", "y", *covariates, *unused]))
+    others = [name for name in header if name != "z"]
     number = st.builds(
         str.format, st.sampled_from(["{!r}", "{:.9g}", "{:.3f}", " {:g} "]), st.floats(-1e6, 1e6)
     )
 
     def rows(treatment, cell):
-        cells = st.lists(cell, min_size=p + 1, max_size=p + 1)
-        return st.builds(lambda t, rest: [t, *rest], treatment, cells)
+        cells = st.lists(cell, min_size=len(others), max_size=len(others))
+        return st.builds(
+            lambda t, rest: [{**dict(zip(others, rest)), "z": t}[name] for name in header],
+            treatment,
+            cells,
+        )
 
-    binary = st.sampled_from(["0", "1", " 1 "])
+    binary = st.sampled_from(labels)
     records = draw(st.lists(rows(binary, number), min_size=2, max_size=10))
     odd = rows(
         st.one_of(binary, st.sampled_from(["2", "NA", ""])),
@@ -287,21 +308,29 @@ def messy_tables(draw):
     odd = st.one_of(odd, odd.map(lambda r: r[: len(r) // 2]), st.just([]))
     for extra in draw(st.lists(odd, max_size=4)):
         records.insert(draw(st.integers(0, len(records))), extra)
-    header = ["z", "y", *(f"x{j + 1}" for j in range(p))]
     lines = [[]] * draw(st.integers(0, 2)) + [header, *records]
-    return "\n".join(",".join(r) for r in lines) + "\n", [f"x{j + 1}" for j in range(p)]
+    text = "\n".join(delimiter.join(r) for r in lines) + "\n"
+    return text, covariates, delimiter, treated_level
 
 
 class TestColumnParse:
     @settings(max_examples=200, deadline=None)
     @given(table=messy_tables(), lenient=st.booleans())
     def test_matches_per_cell_oracle(self, table, lenient):
-        text, covariates = table
-        expected, dropped = oracle_load(text, covariates, lenient)
+        text, covariates, delimiter, treated_level = table
+        expected, dropped = oracle_load(text, covariates, lenient, delimiter, treated_level)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                got = load_dataset(io.StringIO(text), "z", "y", covariates, lenient_missing=lenient)
+                got = load_dataset(
+                    io.StringIO(text),
+                    "z",
+                    "y",
+                    covariates,
+                    delimiter=delimiter,
+                    treated_level=treated_level,
+                    lenient_missing=lenient,
+                )
             except BalanceLabError as exc:
                 got = exc
         counts = [w.message.count for w in caught if w.category is MissingRowsDropped]
@@ -316,7 +345,7 @@ class TestColumnParse:
 
     def test_valid_table_parses_whole_columns(self, monkeypatch, rng):
         def per_cell(*args):
-            raise AssertionError("a valid table reached the per-cell parser")
+            raise AssertionError("a valid table reached the per-cell retry")
 
         values = rng.normal(size=(1000, 3))
         rows = ["z,y,a,b"] + [
@@ -324,7 +353,7 @@ class TestColumnParse:
         ]
         # a trailing blank line, as many writers leave, does not matter
         text = "\n".join(rows) + "\n\n"
-        monkeypatch.setattr(data, "_parse_cell", per_cell)
+        monkeypatch.setattr(data, "_float_or_nan", per_cell)
         for lenient in (False, True):
             d = load_dataset(io.StringIO(text), "z", "y", ["a", "b"], lenient_missing=lenient)
             assert d.n == 1000

@@ -117,6 +117,25 @@ class TestFitOls:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 fit_ols(*args)
 
+    def test_rank_deficient_columns_ignore_row_order(self):
+        # One-hot indicators of every level are collinear with the intercept.
+        # Integer columns leave remaining column norms tied at many pivot
+        # steps; the named columns must not depend on how rounding breaks
+        # such ties, which changes with the order of the rows.
+        g = np.random.default_rng(5)
+        for _ in range(50):
+            n, levels = int(g.integers(9, 30)), int(g.integers(3, 5))
+            category = np.concatenate([np.arange(levels), g.integers(levels, size=n - levels)])
+            indicators = [category == level for level in range(levels)]
+            x = np.column_stack([*indicators, g.integers(0, 3, size=n)]).astype(float)
+            y = g.normal(size=n)
+            named = set()
+            for order in [np.arange(n), *(g.permutation(n) for _ in range(5))]:
+                with pytest.raises(RankDeficient) as info:
+                    fit_ols(x[order], y[order])
+                named.add(info.value.columns)
+            assert len(named) == 1, named
+
     def test_insufficient_rows(self, rng):
         x = rng.normal(size=(4, 4))
         with pytest.raises(InsufficientRows):
