@@ -10,6 +10,14 @@ first use and cached read-only: the standardized N x p matrix
 (``whitened_covariates``) and the indices of its constant columns
 (``Dataset.constant_columns``). ``varying_columns`` is the one rule that
 decides which columns are constant, here and in the regression fits.
+
+The view functions take a leading stack axis: ``standardize_columns`` and
+``varying_columns`` accept an (R, N, p) stack of matrices and treat each
+member on its own, and the whitening is computed for a stack. A single
+dataset is a stack of one. ``stack_views`` computes the views of many
+datasets of one shape with one standardization and one
+eigendecomposition and caches each member's slice on it; every member's
+views equal, bit for bit, the ones it would compute alone.
 """
 
 import csv
@@ -25,6 +33,7 @@ import numpy as np
 from .errors import (
     AllColumnsConstant,
     DegenerateAssignment,
+    DuplicateColumn,
     MissingColumn,
     NonBinaryTreatment,
     NonNumericValue,
@@ -37,6 +46,7 @@ __all__ = [
     "MissingRowsDropped",
     "load_dataset",
     "standardize_columns",
+    "stack_views",
     "scaled_covariates",
     "whitened_covariates",
     "varying_columns",
@@ -162,24 +172,89 @@ class Dataset:
 
     @cached_property
     def _whitened(self) -> tuple[np.ndarray, bool]:
-        # The columns are re-centered first: the Hotelling closed form needs
-        # them to sum to zero.
-        xs = self._standardized_x
-        xs = xs - xs.mean(axis=0)
-        eigenvalues, vectors = np.linalg.eigh(xs.T @ xs)
-        kept = eigenvalues > 1e-12 * eigenvalues[-1]
-        xw = xs @ (vectors[:, kept] / np.sqrt(eigenvalues[kept]))
+        return _whiten(self._standardized_x[None])[0]
+
+
+def _by_rows(x: np.ndarray) -> np.ndarray:
+    """An (R, N, p) stack as an N x (R p) array whose column i p + j is
+    column j of member i.
+
+    Reductions along axis 0 give each member's columns the bits they get
+    alone, and run fast on the long rows, where an (R, N, p) stack loops
+    p values at a time. numpy sums a column of an array pairwise when its
+    values are contiguous, else one row at a time: for p >= 2 the reshape
+    copies into rows, as a member's N x p matrix is laid out; for p = 1 it
+    is a view in which each member's column stays contiguous, as it is in
+    its N x 1 matrix.
+    """
+    r, n, p = x.shape
+    return x.transpose(1, 0, 2).reshape(n, r * p)
+
+
+def _from_rows(a: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """The C-ordered (R, N, p) stack that ``_by_rows`` laid out as ``a``."""
+    r, n, p = shape
+    return np.ascontiguousarray(a.reshape(n, r, p).transpose(1, 0, 2))
+
+
+def _whiten(xs: np.ndarray) -> list[tuple[np.ndarray, bool]]:
+    """``whitened_covariates`` of each member of an (R, N, p) stack of
+    standardized matrices, from one stacked eigendecomposition. The members
+    must be finite: LAPACK may fail a whole stack on one NaN."""
+    # The columns are re-centered first: the Hotelling closed form needs
+    # them to sum to zero.
+    a = _by_rows(xs)
+    xs = _from_rows(a - a.mean(axis=0), xs.shape)
+    eigenvalues, vectors = np.linalg.eigh(np.swapaxes(xs, 1, 2) @ xs)
+    kept = eigenvalues > 1e-12 * eigenvalues[:, -1:]
+    full = kept.all(axis=1)
+    whitened = [None] * len(xs)
+    if full.any():
+        xw = xs[full] @ (vectors[full] / np.sqrt(eigenvalues[full])[:, None, :])
         xw.setflags(write=False)
-        return xw, not kept.all()
+        for i, member in zip(np.flatnonzero(full), xw):
+            whitened[i] = (member, False)
+    for i in np.flatnonzero(~full):
+        xw = xs[i] @ (vectors[i][:, kept[i]] / np.sqrt(eigenvalues[i][kept[i]]))
+        xw.setflags(write=False)
+        whitened[i] = (xw, True)
+    return whitened
+
+
+def stack_views(datasets: Sequence[Dataset]) -> None:
+    """Compute the standardized and whitened views of datasets that share
+    one shape as stacks, and cache each member's slice on it.
+
+    The stack takes one ``standardize_columns`` and one eigendecomposition.
+    Only members whose every column varies join it, and only those whose
+    standardized values are finite join the whitening; any other member
+    computes its views alone on first use and raises its own errors there.
+    Raises ValueError unless the datasets share one shape.
+    """
+    x = np.stack([d.x for d in datasets])
+    members = np.flatnonzero(varying_columns(x).all(axis=1))
+    if not members.size:
+        return
+    xs = standardize_columns(x[members])
+    finite = np.isfinite(xs).all(axis=(1, 2))
+    # A cached_property reads the instance dict first, so a value stored
+    # there is the cached view.
+    for i, view in zip(members, xs):
+        vars(datasets[i])["_standardized_x"] = view
+    for i, whitened in zip(members[finite], _whiten(xs[finite])):
+        vars(datasets[i])["_whitened"] = whitened
 
 
 def varying_columns(x: np.ndarray) -> np.ndarray:
-    """Boolean mask of the columns of ``x`` that are not constant.
+    """Boolean mask of the columns of ``x`` that are not constant; for an
+    (R, N, p) stack, one row of the mask per member.
 
     A column is constant when all its values are equal. ``np.std`` is not a
     test for that: 0.1 repeated 200 times has a nonzero SD.
     """
-    return np.ptp(x, axis=0) > 0.0
+    if x.ndim == 2:
+        return np.ptp(x, axis=0) > 0.0
+    return (np.ptp(_by_rows(x), axis=0) > 0.0).reshape(x.shape[0], x.shape[2])
 
 
 def population_sd(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -189,16 +264,22 @@ def population_sd(values: np.ndarray, axis: int = 0) -> np.ndarray:
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:
     """Each column of ``x`` centered and scaled by its population mean and
-    SD, as a read-only N x p matrix; constant columns become zero columns."""
+    SD, as a read-only matrix of the shape of ``x``; constant columns
+    become zero columns. Each member of an (R, N, p) stack is standardized
+    over its own N rows; raises if any member has no varying column."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    varying = varying_columns(x)
-    if not varying.any():
-        raise AllColumnsConstant("every covariate column is constant")
+    stack = x if x.ndim == 3 else x[None]
     # Moments over the full x, then the selection: the reductions of a
     # fancy-indexed copy can differ in the last place.
-    means, sds = x.mean(axis=0), np.std(x, axis=0, ddof=0)
-    out = np.zeros_like(x)
-    out[:, varying] = (x[:, varying] - means[varying]) / sds[varying]
+    a = _by_rows(stack)
+    varying = np.ptp(a, axis=0) > 0.0
+    if not varying.reshape(stack.shape[0], -1).any(axis=1).all():
+        raise AllColumnsConstant("every covariate column is constant")
+    means, sds = a.mean(axis=0), np.std(a, axis=0, ddof=0)
+    out = np.zeros_like(a)
+    np.subtract(a, means, out=out, where=varying)
+    np.divide(out, sds, out=out, where=varying)
+    out = _from_rows(out, stack.shape).reshape(x.shape)
     out.setflags(write=False)
     return out
 
@@ -234,8 +315,10 @@ def _float_or_nan(cell: str) -> float:
 
 
 def _map_treatment(raw_values: Sequence[str], treated_level: Optional[str]) -> np.ndarray:
-    stripped = [v.strip() for v in raw_values]
-    distinct = sorted(set(stripped))
+    """The 0/1 treatment codes of the cells. The mapping is decided on the
+    distinct stripped values, then looked up once per cell."""
+    stripped = {v: v.strip() for v in set(raw_values)}
+    distinct = sorted(set(stripped.values()))
 
     if treated_level is not None:
         if treated_level not in distinct:
@@ -246,26 +329,25 @@ def _map_treatment(raw_values: Sequence[str], treated_level: Optional[str]) -> n
             raise NonBinaryTreatment(
                 f"--treated-level requires exactly two distinct values, got {distinct!r}"
             )
-        return np.array([1 if v == treated_level else 0 for v in stripped], dtype=np.int64)
+        code = {v: int(v == treated_level) for v in distinct}
+    elif set(distinct) <= {"0", "1"}:
+        code = {v: int(v) for v in distinct}
+    elif {v.lower() for v in distinct} <= {"true", "false"}:
+        code = {v: int(v.lower() == "true") for v in distinct}
+    else:
+        try:
+            numeric = {v: float(v) for v in distinct}
+        except ValueError:
+            numeric = None
+        if numeric is None or not set(numeric.values()) <= {0.0, 1.0}:
+            raise NonBinaryTreatment(
+                f"treatment values {distinct!r} are not binary; "
+                "pass --treated-level to choose the treated label"
+            )
+        code = {v: int(value) for v, value in numeric.items()}
 
-    if set(distinct) <= {"0", "1"}:
-        return np.array([int(v) for v in stripped], dtype=np.int64)
-
-    lowered = [v.lower() for v in stripped]
-    if set(lowered) <= {"true", "false"}:
-        return np.array([1 if v == "true" else 0 for v in lowered], dtype=np.int64)
-
-    try:
-        numeric = [float(v) for v in stripped]
-    except ValueError:
-        numeric = None
-    if numeric is not None and set(numeric) <= {0.0, 1.0}:
-        return np.array([int(v) for v in numeric], dtype=np.int64)
-
-    raise NonBinaryTreatment(
-        f"treatment values {distinct!r} are not binary; "
-        "pass --treated-level to choose the treated label"
-    )
+    lookup = {v: code[label] for v, label in stripped.items()}
+    return np.fromiter(map(lookup.__getitem__, raw_values), np.int64, len(raw_values))
 
 
 def load_dataset(
@@ -283,8 +365,8 @@ def load_dataset(
     Parameters
     ----------
     source : path, open text stream, or iterable of lines
-        The first non-blank row must be a header naming every column. A
-        leading UTF-8 byte-order mark is ignored.
+        The first non-blank row must be a header naming every column, each
+        named column once. A leading UTF-8 byte-order mark is ignored.
     treatment_column, outcome_column : str
         Column names for the assignment indicator and observed outcome.
     covariate_columns : sequence of str
@@ -339,6 +421,10 @@ def load_dataset(
     for name in wanted:
         if name not in header:
             raise MissingColumn(f"column {name!r} not found in header {header!r}")
+        if header.count(name) > 1:
+            raise DuplicateColumn(
+                f"column {name!r} appears {header.count(name)} times in header {header!r}"
+            )
     # The header row is never short, so every column comes out padded with
     # "" to the full length; record i is line nonblank[i + 1] + 1 of the file.
     table = list(zip_longest(*[rows[i] for i in nonblank], fillvalue=""))

@@ -9,6 +9,10 @@ class MissingColumn(BalanceLabError):
     """A named column is absent from the input table."""
 
 
+class DuplicateColumn(BalanceLabError):
+    """A named column's name appears more than once in the input header."""
+
+
 class NonBinaryTreatment(BalanceLabError):
     """The treatment column cannot be mapped onto {0, 1}."""
 

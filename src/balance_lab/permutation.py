@@ -146,7 +146,7 @@ def permutation_pvalues(
     the observed ``rw`` is refit on the observed control arm; ``weights``
     applies to the ``fixed`` policy only and is refused under ``refit``.
     The chunks are evaluated in order in the calling process; parallel work
-    belongs to ``run_power_study``, which spreads whole replicates.
+    belongs to ``run_power_study``, which spreads groups of whole replicates.
     """
     if b < 1:
         raise ValueError("need at least one permutation")

@@ -14,6 +14,15 @@ through a Householder QR with column pivoting, which decides rank by a
 relative ``RANK_RTOL`` tolerance on the magnitudes of its diagonal and
 names the collinear columns.
 
+The solver works on a stack of designs with a leading axis: one QR, one
+singular-value gate and one solve serve every member, and a member that
+fails the gate goes to the pivoted QR alone. A single fit is a stack of
+one. ``control_arm_coefficients`` fits the control arms of many datasets
+that share a shape and an assignment vector this way; each member's
+coefficients equal, bit for bit, those of ``control_arm_weights`` alone.
+Only ``fit_ols`` and the arm-weight fits, which report them, compute
+r-squared and the standardized coefficients.
+
 The permutation test's ``refit`` policy solves most control-arm fits in
 batches (``balance._refit_rw_columns``): one unpivoted QR of the data over
 all units, then for each arm the Cholesky factor of the Gram matrix of its
@@ -23,18 +32,25 @@ rows of the orthonormal factor. That Gram matrix has condition number near
 comes here.
 """
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Dataset, population_sd, scaled_covariates, varying_columns
-from .errors import ControlArmTooSmall, InsufficientRows, RankDeficient, WeightDimensionMismatch
+from .errors import (
+    BalanceLabError,
+    ControlArmTooSmall,
+    InsufficientRows,
+    RankDeficient,
+    WeightDimensionMismatch,
+)
 
 __all__ = [
     "RegressionFit",
     "fit_ols",
     "control_arm_weights",
+    "control_arm_coefficients",
     "treatment_arm_weights",
 ]
 
@@ -61,7 +77,6 @@ class RegressionFit:
     coefficients: np.ndarray
     intercept: float
     standardized_coefficients: np.ndarray
-    residuals: np.ndarray
     r_squared: float
     n_used: int
     arm: str = "full-population"
@@ -78,16 +93,28 @@ def _weight_vector(weights, p: int) -> np.ndarray:
     return w
 
 
-def _qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Optional[int]]):
-    """Solve min ||design b - y|| by QR; raise on rank deficiency."""
-    k = design.shape[1]
-    r = np.linalg.qr(np.column_stack([design, y]), mode="r")
-    singular_values = np.linalg.svd(r[:k, :k], compute_uv=False)
-    if singular_values[-1] > RCOND_GATE * singular_values[0]:
-        # R's last column holds Q'y. LU of a triangular matrix swaps no
-        # rows, so the solve is a back-substitution.
-        return np.linalg.solve(r[:k, :k], r[:k, k])
-    return _pivoted_qr_solve(design, y, covariate_of)
+def _qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Optional[int]]) -> list:
+    """Solve min ||design[i] b - y[i]|| by QR for each member of an (R, m, k)
+    stack of designs. A member whose design fails the gate is solved by the
+    pivoted QR alone; where that raises, the member's entry is the
+    ``RankDeficient`` it raised."""
+    k = design.shape[2]
+    r = np.linalg.qr(np.concatenate([design, y[:, :, None]], axis=2), mode="r")
+    singular_values = np.linalg.svd(r[:, :k, :k], compute_uv=False)
+    gated = singular_values[:, -1] > RCOND_GATE * singular_values[:, 0]
+    # R's last column holds Q'y. LU of a triangular matrix swaps no rows, so
+    # the solve is a back-substitution.
+    solutions = iter(np.linalg.solve(r[gated, :k, :k], r[gated, :k, k:])[:, :, 0])
+    out = []
+    for i in range(len(design)):
+        if gated[i]:
+            out.append(next(solutions))
+            continue
+        try:
+            out.append(_pivoted_qr_solve(design[i], y[i], covariate_of))
+        except RankDeficient as exc:
+            out.append(exc)
+    return out
 
 
 def _pivoted_qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Optional[int]]):
@@ -132,6 +159,53 @@ def _pivoted_qr_solve(design: np.ndarray, y: np.ndarray, covariate_of: list[Opti
     return out
 
 
+def _lstsq(x: np.ndarray, y: np.ndarray) -> list:
+    """Least squares of each ``y[i]`` on an intercept and the columns of
+    ``x[i]``, for an (R, m, p) stack ``x`` and an (R, m) stack ``y``.
+
+    Each member's entry is its intercept followed by one coefficient per
+    column (zero for a column constant in that member), or the
+    ``RankDeficient`` its design raised. Members that share their constant
+    columns share one stacked QR. Raises ValueError on a non-finite value
+    and ``InsufficientRows`` unless m exceeds p + 1.
+    """
+    _, m, p = x.shape
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if m <= p + 1:
+        raise InsufficientRows(
+            f"need more than {p + 1} rows to fit {p} covariates plus intercept, got {m}"
+        )
+    varying = varying_columns(x)
+    out = [None] * len(x)
+    pending = np.ones(len(x), dtype=bool)
+    while pending.any():
+        pattern = varying[np.argmax(pending)]
+        members = np.flatnonzero(pending & (varying == pattern).all(axis=1))
+        pending[members] = False
+        retained = np.flatnonzero(pattern)
+        columns = np.concatenate([[0], retained + 1])
+        design = np.concatenate([np.ones((members.size, m, 1)), x[members][:, :, retained]], axis=2)
+        for i, solution in zip(members, _qr_solve(design, y[members], [None, *retained.tolist()])):
+            if isinstance(solution, RankDeficient):
+                out[i] = solution
+            else:
+                out[i] = np.zeros(p + 1)
+                out[i][columns] = solution
+    return out
+
+
+def _r_squared(x: np.ndarray, y: np.ndarray, solution: np.ndarray) -> float:
+    """R-squared of the fit of ``y`` on ``x`` that ``_lstsq`` solved."""
+    retained = np.flatnonzero(varying_columns(x))
+    design = np.hstack([np.ones((len(y), 1)), x[:, retained]])
+    residuals = y - design @ solution[np.concatenate([[0], retained + 1])]
+    ssr = float(residuals @ residuals)
+    centered = y - y.mean()
+    sst = float(centered @ centered)
+    return min(max(1.0 - ssr / sst, 0.0), 1.0) if sst > 0.0 else 0.0
+
+
 def fit_ols(x: np.ndarray, y: np.ndarray, arm: str = "full-population") -> RegressionFit:
     """Ordinary least squares of ``y`` on the columns of ``x`` and an intercept.
 
@@ -159,26 +233,10 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: str = "full-population") -> Regre
     n, p = x.shape
     if y.shape != (n,):
         raise ValueError(f"y must have length {n}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if n <= p + 1:
-        raise InsufficientRows(
-            f"need more than {p + 1} rows to fit {p} covariates plus intercept, got {n}"
-        )
-
-    retained = [int(j) for j in np.flatnonzero(varying_columns(x))]
-    design = np.hstack([np.ones((n, 1)), x[:, retained]])
-    solution = _qr_solve(design, y, [None, *retained])
-
-    coefficients = np.zeros(p)
-    coefficients[retained] = solution[1:]
-    residuals = y - design @ solution
-
-    ssr = float(residuals @ residuals)
-    centered = y - y.mean()
-    sst = float(centered @ centered)
-    r_squared = min(max(1.0 - ssr / sst, 0.0), 1.0) if sst > 0.0 else 0.0
-
+    solution = _lstsq(x[None], y[None])[0]
+    if isinstance(solution, RankDeficient):
+        raise solution
+    coefficients = solution[1:]
     sd_y = population_sd(y)
     if sd_y > 0.0:
         standardized = coefficients * np.std(x, axis=0, ddof=0) / sd_y
@@ -189,28 +247,59 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: str = "full-population") -> Regre
         coefficients=coefficients,
         intercept=float(solution[0]),
         standardized_coefficients=standardized,
-        residuals=residuals,
-        r_squared=r_squared,
+        r_squared=_r_squared(x, y, solution),
         n_used=n,
         arm=arm,
     )
 
 
-def _arm_weights(d: Dataset, rows: np.ndarray, arm: str, scale: str) -> RegressionFit:
-    n_arm = rows.size
-    if n_arm <= d.p + 1:
-        raise ControlArmTooSmall(
-            f"{arm} arm has {n_arm} units; need more than p + 1 = {d.p + 1} to fit weights"
+def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str, scale: str) -> list:
+    """``_lstsq`` of the outcomes on the covariates over ``rows`` (the arm)
+    of each dataset, as one stack; a member whose covariate view cannot be
+    made gets the error that raised, and every member gets
+    ``ControlArmTooSmall`` when the arm has too few units."""
+    p = datasets[0].p
+    if rows.size <= p + 1:
+        error = ControlArmTooSmall(
+            f"{arm} arm has {rows.size} units; need more than p + 1 = {p + 1} to fit weights"
         )
+        return [error] * len(datasets)
+    out: list = [None] * len(datasets)
+    views = []
+    for i, d in enumerate(datasets):
+        try:
+            views.append(scaled_covariates(d, scale))
+        except BalanceLabError as exc:
+            out[i] = exc
+    members = [i for i, entry in enumerate(out) if entry is None]
+    if members:
+        x = np.stack(views)[:, rows]
+        y = np.stack([datasets[i].y_obs for i in members])[:, rows]
+        for i, solution in zip(members, _lstsq(x, y)):
+            out[i] = solution
+    return out
+
+
+def _arm_weights(d: Dataset, rows: np.ndarray, arm: str, scale: str) -> RegressionFit:
+    solution = _arm_solutions([d], rows, arm, scale)[0]
+    if isinstance(solution, BalanceLabError):
+        raise solution
+    coefficients = solution[1:]
     y_arm = d.y_obs[rows]
-    fit = fit_ols(scaled_covariates(d, scale)[rows], y_arm, arm=arm)
 
     # Prognosis weights on the fully standardized scale: x scaled by its
     # population SD over all N units, y by the arm's own SD.
     sd_y = population_sd(y_arm)
-    per_sd = fit.coefficients if scale == "standardized" else fit.coefficients * population_sd(d.x)
+    per_sd = coefficients if scale == "standardized" else coefficients * population_sd(d.x)
     standardized = per_sd / sd_y if sd_y > 0.0 else np.zeros(d.p)
-    return replace(fit, standardized_coefficients=standardized)
+    return RegressionFit(
+        coefficients=coefficients,
+        intercept=float(solution[0]),
+        standardized_coefficients=standardized,
+        r_squared=_r_squared(scaled_covariates(d, scale)[rows], y_arm, solution),
+        n_used=rows.size,
+        arm=arm,
+    )
 
 
 def control_arm_weights(d: Dataset, scale: str = "standardized") -> RegressionFit:
@@ -223,7 +312,22 @@ def control_arm_weights(d: Dataset, scale: str = "standardized") -> RegressionFi
     return _arm_weights(d, d.control_rows(), "control", scale)
 
 
+def control_arm_coefficients(datasets: Sequence[Dataset], scale: str = "standardized") -> list:
+    """``control_arm_weights(d, scale).coefficients`` for each of
+    ``datasets``, from one stacked fit, or in its place the
+    ``BalanceLabError`` that call would raise.
+
+    The datasets share one shape and one assignment vector (ValueError
+    otherwise). Their covariate views are read from their caches, so
+    ``data.stack_views`` makes them for the whole stack at once.
+    """
+    z = datasets[0].z
+    if not all(np.array_equal(d.z, z) for d in datasets):
+        raise ValueError("the datasets must share one assignment vector")
+    solutions = _arm_solutions(datasets, datasets[0].control_rows(), "control", scale)
+    return [s if isinstance(s, BalanceLabError) else s[1:] for s in solutions]
+
+
 def treatment_arm_weights(d: Dataset, scale: str = "standardized") -> RegressionFit:
     """Symmetric fit on the treatment arm, for testing the Y(1) analogue."""
     return _arm_weights(d, d.treated_rows(), "treatment", scale)
-

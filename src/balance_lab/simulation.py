@@ -12,6 +12,16 @@ which delivers the target expected correlations corr(X_j, Z) and
 corr(X_1, Y(0)) while keeping unit marginal variances. A jointly normal
 draw cannot produce an exactly balanced binary Z, so this linear-loading
 construction is the one structural interpretation made.
+
+A study runs its replicates in groups of consecutive replicates whose
+cells share n and p, and so the balanced assignment vector; a group may
+span cells. Each group, one pool task when the study has a pool, draws
+its datasets one by one, then makes their standardized and whitened
+covariate views (``data.stack_views``) and their control-arm weights
+(``regression.control_arm_coefficients``) as one stack each. The
+permutation test of each replicate then runs on its own. Every member
+gets the bits it would get alone, so results do not depend on how the
+replicates are grouped.
 """
 
 import hashlib
@@ -25,10 +35,10 @@ from typing import Optional, Sequence, get_origin
 
 import numpy as np
 
-from .data import Dataset, population_sd, varying_columns
+from .data import Dataset, population_sd, stack_views, varying_columns
 from .errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from .permutation import STATISTIC_NAMES, permutation_pvalues
-from .regression import fit_ols
+from .regression import control_arm_coefficients, fit_ols
 from .rng import STREAM_VERSION, derive_seed, stream
 
 __all__ = [
@@ -221,23 +231,57 @@ class PowerStudyResult:
     pvalues: dict[str, np.ndarray] = field(compare=False)
 
 
-def _run_replicate(args):
-    cfg, replicate_index, statistics, b, weight_policy = args
+def _run_replicate(cfg, replicate_index, d, weights, statistics, b, weight_policy):
+    """One replicate's p-values and standardized bias. The p-values are None
+    where the replicate failed: its dataset could not be drawn (``d`` is
+    None), its control-arm fit raised (``weights`` holds the error) or its
+    permutation test raised."""
+    if d is None or isinstance(weights, BalanceLabError):
+        return replicate_index, None, float("nan")
     try:
-        d = generate_dataset(cfg, replicate_index)
         perm_seed = derive_seed(cfg.seed, replicate_index, 1)
         results = permutation_pvalues(
-            d, statistics, b, perm_seed, weight_policy=weight_policy
+            d, statistics, b, perm_seed, weight_policy=weight_policy, weights=weights
         )
-        pvals = {name: results[name].p_value for name in statistics}
-        y0 = d.y_obs - cfg.tau * d.z
-        sd_y0 = population_sd(y0)
-        treated = d.z == 1
-        diff = float(d.y_obs[treated].mean() - d.y_obs[~treated].mean()) - cfg.tau
-        bias = diff / sd_y0 if sd_y0 > 0 else 0.0
-        return replicate_index, pvals, bias
     except BalanceLabError:
         return replicate_index, None, float("nan")
+    pvals = {name: results[name].p_value for name in statistics}
+    y0 = d.y_obs - cfg.tau * d.z
+    sd_y0 = population_sd(y0)
+    treated = d.z == 1
+    diff = float(d.y_obs[treated].mean() - d.y_obs[~treated].mean()) - cfg.tau
+    bias = diff / sd_y0 if sd_y0 > 0 else 0.0
+    return replicate_index, pvals, bias
+
+
+def _run_group(args) -> list:
+    """The ``_run_replicate`` outcomes of a group of (cfg, replicate index)
+    pairs whose configurations share n and p, in order.
+
+    The datasets are drawn one by one; their covariate views and, under the
+    fixed policy, their control-arm weights are then computed as one stack
+    each. A replicate whose dataset or weights raise a ``BalanceLabError``
+    fails alone.
+    """
+    members, statistics, b, weight_policy = args
+    datasets = []
+    for cfg, replicate_index in members:
+        try:
+            datasets.append(generate_dataset(cfg, replicate_index))
+        except BalanceLabError:
+            datasets.append(None)
+    drawn = [i for i, d in enumerate(datasets) if d is not None]
+    weights = [None] * len(members)
+    if drawn:
+        stack = [datasets[i] for i in drawn]
+        stack_views(stack)
+        if weight_policy == "fixed" and "rw" in statistics:
+            for i, w in zip(drawn, control_arm_coefficients(stack)):
+                weights[i] = w
+    return [
+        _run_replicate(cfg, replicate_index, d, w, statistics, b, weight_policy)
+        for (cfg, replicate_index), d, w in zip(members, datasets, weights)
+    ]
 
 
 def _cell_fingerprint(cfg: DgpConfig, statistics, replicates, b, alpha, weight_policy) -> str:
@@ -299,10 +343,29 @@ def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str) -> 
     os.replace(tmp, path)
 
 
-def _chunksize(n_tasks: int, replicates: int, threads: int) -> int:
-    """Replicates per pool task: about four chunks per worker, none larger
-    than one cell, so a cell's checkpoint never waits on much later work."""
-    return max(1, min(replicates, math.ceil(n_tasks / (4 * threads))))
+# Covariate values (n * p) that the replicates of one group hold at most.
+# A stacked view of a group then takes at most 0.5 MB, so peak memory does
+# not grow with the study.
+_GROUP_VALUES = 1 << 16
+
+
+def _chunksize(n_tasks: int, threads: int, values_per_replicate: int) -> int:
+    """Replicates per group, each group one pool task: about four groups per
+    worker, and at most ``_GROUP_VALUES`` covariate values per group. A
+    group may span cells, so a cell's checkpoint waits at most for the rest
+    of the group that holds its last replicate."""
+    limit = max(1, _GROUP_VALUES // values_per_replicate)
+    return max(1, min(limit, math.ceil(n_tasks / (4 * threads))))
+
+
+def _groups(tasks: list, size: int) -> list:
+    """``tasks``, (cfg, replicate index) pairs, cut into runs of at most
+    ``size`` consecutive pairs whose configurations share n and p."""
+    groups = []
+    for _, run in itertools.groupby(tasks, key=lambda task: (task[0].n, task[0].p)):
+        run = list(run)
+        groups.extend(run[start : start + size] for start in range(0, len(run), size))
+    return groups
 
 
 def _summarize_cell(
@@ -373,13 +436,15 @@ def run_power_study(
     of recomputed, as long as its fingerprint (configuration and random
     stream version) still matches.
 
-    With ``threads > 1`` one worker pool, the package's only one, serves the
-    whole study: the replicates of every cell still to compute are queued as
-    one ordered stream, so replicates of different cells run concurrently,
-    while cells are still summarized, checkpointed and reported to
-    ``progress`` in grid order. Each replicate runs its permutations
-    serially inside its worker. Any exception, interrupt included, cancels
-    the queued work.
+    The replicates of every cell still to compute form one ordered stream,
+    cut into groups of consecutive replicates (``_chunksize``) that may span
+    cells; a group shares one stacked standardization, whitening and
+    control-arm fit. With ``threads > 1`` one worker pool, the package's
+    only one, serves the whole study and runs one group per task, so
+    replicates of different cells run concurrently, while cells are still
+    summarized, checkpointed and reported to ``progress`` in grid order.
+    Each replicate runs its permutations serially inside its worker. Any
+    exception, interrupt included, cancels the queued work.
     """
     if not grid:
         raise ConfigError("grid must contain at least one cell")
@@ -396,21 +461,20 @@ def run_power_study(
         for path, fp in zip(paths, fingerprints)
     ]
     tasks = [
-        (cfg, r, statistics, b_permutations, weight_policy)
-        for cfg, done in zip(grid, resumed)
-        if done is None
-        for r in range(replicates)
+        (cfg, r) for cfg, done in zip(grid, resumed) if done is None for r in range(replicates)
+    ]
+    size = _chunksize(len(tasks), threads, max(cfg.n * cfg.p for cfg in grid))
+    groups = [
+        (group, statistics, b_permutations, weight_policy) for group in _groups(tasks, size)
     ]
 
     pool = None
     try:
-        if threads > 1 and tasks:
-            chunksize = _chunksize(len(tasks), replicates, threads)
-            workers = min(threads, math.ceil(len(tasks) / chunksize))
-            pool = ProcessPoolExecutor(max_workers=workers)
-            outcomes = pool.map(_run_replicate, tasks, chunksize=chunksize)
-        else:
-            outcomes = map(_run_replicate, tasks)
+        run = map
+        if threads > 1 and groups:
+            pool = ProcessPoolExecutor(max_workers=min(threads, len(groups)))
+            run = pool.map
+        outcomes = itertools.chain.from_iterable(run(_run_group, groups))
         results = []
         for cell_index, (cfg, result) in enumerate(zip(grid, resumed)):
             status = "resumed"

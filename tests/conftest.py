@@ -37,7 +37,7 @@ def residualize(x: np.ndarray, j: int) -> np.ndarray:
     else:
         others = np.delete(x, j, axis=1)
         fit = fit_ols(others, target)
-        residual = fit.residuals
+        residual = target - (fit.intercept + others @ fit.coefficients)
     scale = float(np.sqrt(centered @ centered))
     if float(np.sqrt(residual @ residual)) <= 1e-10 * max(scale, 1.0):
         raise RankDeficient(

@@ -37,7 +37,6 @@ def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None, scale="raw"):
         coefficients=w,
         intercept=intercept,
         standardized_coefficients=w,
-        residuals=np.zeros(0),
         r_squared=0.0,
         n_used=0,
         arm=arm,

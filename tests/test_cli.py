@@ -155,6 +155,15 @@ class TestCmdTest:
         err = capsys.readouterr().err
         assert "row 5, column 'y': missing value" in err
 
+    def test_duplicate_header_column_exits_2(self, tmp_path, capsys):
+        lines = pathlib.Path(FIXTURE).read_text().splitlines()
+        lines[0] = lines[0].replace("y_lag", "x2")
+        path = tmp_path / "duplicate.csv"
+        path.write_text("\n".join(lines) + "\n")
+        args = [str(path) if a == FIXTURE else a for a in BASE_ARGS]
+        assert run_cli(args + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert "column 'x2' appears 2 times" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         code = run_cli(
             ["test", "--input", str(tmp_path / "nope.csv"), "--treatment", "z",

@@ -21,6 +21,7 @@ from balance_lab.errors import (
     AllColumnsConstant,
     BalanceLabError,
     DegenerateAssignment,
+    DuplicateColumn,
     MissingColumn,
     NonBinaryTreatment,
     NonNumericValue,
@@ -67,6 +68,16 @@ class TestLoadDataset:
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
             load_dataset(csv_stream(MINIMAL), "z", "y", ["nope"])
+
+    def test_duplicate_header_column_refused(self):
+        # the second x1 must not be silently ignored
+        text = "z,y,x1, x1 \n1,0,1,9\n1,1,2,8\n0,2,3,7\n0,3,4,6\n"
+        with pytest.raises(DuplicateColumn, match=r"column 'x1' appears 2 times"):
+            load_dataset(csv_stream(text), "z", "y", ["x1"])
+        # a repeated name that no argument asks for is no error
+        unread = "z,y,x1,id,id\n1,0,1,5,9\n1,1,2,5,8\n0,2,3,5,7\n0,3,4,5,6\n"
+        d = load_dataset(csv_stream(unread), "z", "y", ["x1"])
+        assert d.x[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_too_few_rows(self):
         text = "\n".join(MINIMAL.strip().splitlines()[:3])
@@ -220,6 +231,11 @@ def oracle_load(text, covariates, lenient, delimiter=",", treated_level=None):
     top = min(i for i, row in enumerate(rows) if row)
     header = [h.strip() for h in rows[top]]
     names = ["z", "y", *covariates]
+    for name in names:
+        if header.count(name) > 1:
+            return DuplicateColumn(
+                f"column {name!r} appears {header.count(name)} times in header {header!r}"
+            ), 0
     positions = [header.index(name) for name in names]
     kept, dropped = [], 0
     for row, record in enumerate(rows, start=1):
@@ -267,7 +283,8 @@ def oracle_load(text, covariates, lenient, delimiter=",", treated_level=None):
 @st.composite
 def messy_tables(draw):
     """A comma- or tab-separated table, in some tables after blank lines,
-    whose header holds z, y and x1..xp in any order among unused columns:
+    whose header holds z, y and x1..xp in any order among unused columns,
+    in some tables with one name repeated:
     rows of formatted floats with, in some tables, rows mixing in odd cells,
     short rows and blank lines. The treatment column holds 0/1, true/false,
     or two labels read with a treated level. Returns the text, the
@@ -285,7 +302,10 @@ def messy_tables(draw):
     )
     covariates = [f"x{j + 1}" for j in range(p)]
     unused = draw(st.lists(st.sampled_from(["id", "note"]), unique=True))
-    header = draw(st.permutations(["z", "y", *covariates, *unused]))
+    repeated = []
+    if draw(st.integers(0, 3)) == 3:
+        repeated = [draw(st.sampled_from(["z", "y", *covariates, *unused]))]
+    header = draw(st.permutations(["z", "y", *covariates, *unused, *repeated]))
     others = [name for name in header if name != "z"]
     number = st.builds(
         str.format, st.sampled_from(["{!r}", "{:.9g}", "{:.3f}", " {:g} "]), st.floats(-1e6, 1e6)
@@ -513,9 +533,11 @@ class TestStandardize:
         assert len(standardize_calls) == 1
 
     def test_replicate_standardizes_once(self, standardize_calls):
+        # one stacked standardization serves a whole group of replicates
         cfg = simulation.DgpConfig(n=40, p=3, rho_x1_y=0.3, seed=5)
-        _, pvals, _ = simulation._run_replicate((cfg, 0, ("uw", "rw", "hotelling"), 20, "fixed"))
-        assert pvals is not None
+        members = [(cfg, r) for r in range(5)]
+        outcomes = simulation._run_group((members, ("uw", "rw", "hotelling"), 20, "fixed"))
+        assert [pvals is not None for _, pvals, _ in outcomes] == [True] * 5
         assert len(standardize_calls) == 1
 
     @pytest.fixture
@@ -543,9 +565,11 @@ class TestStandardize:
         assert len(eigh_calls) == 1
 
     def test_replicate_whitens_once(self, eigh_calls):
+        # one stacked eigendecomposition serves a whole group of replicates
         cfg = simulation.DgpConfig(n=40, p=3, rho_x1_y=0.3, seed=5)
-        _, pvals, _ = simulation._run_replicate((cfg, 0, ("uw", "rw", "hotelling"), 20, "fixed"))
-        assert pvals is not None
+        members = [(cfg, r) for r in range(5)]
+        outcomes = simulation._run_group((members, ("uw", "rw", "hotelling"), 20, "fixed"))
+        assert [pvals is not None for _, pvals, _ in outcomes] == [True] * 5
         assert len(eigh_calls) == 1
 
     def test_scaled_view_is_cached_and_read_only(self, rng):

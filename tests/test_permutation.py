@@ -317,8 +317,9 @@ def looped_refit(xs, y, z_cols, deltas):
         singular_values = np.linalg.svd(design, compute_uv=False)
         kappa = singular_values[0] / singular_values[-1]
         w = np.linalg.norm([fit.intercept, *fit.coefficients[live]])
-        fitted = np.linalg.norm(y[control] - fit.residuals)
-        residual = np.linalg.norm(fit.residuals)
+        fitted_values = fit.intercept + xs[control] @ fit.coefficients
+        fitted = np.linalg.norm(fitted_values)
+        residual = np.linalg.norm(y[control] - fitted_values)
         bound = w * (2 * kappa * np.linalg.norm(y[control]) + kappa**2 * residual) / fitted
         scales[i] = np.finfo(float).eps * bound * np.linalg.norm(deltas[live, i])
     return values, scales

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balance_lab import Dataset, control_arm_weights, fit_ols, regression, treatment_arm_weights
-from balance_lab.data import population_sd
-from balance_lab.errors import ControlArmTooSmall, InsufficientRows, RankDeficient
+from balance_lab.data import population_sd, scaled_covariates, stack_views, whitened_covariates
+from balance_lab.errors import BalanceLabError, ControlArmTooSmall, InsufficientRows, RankDeficient
 from balance_lab.regression import RANK_RTOL, RCOND_GATE
 from conftest import residualize
 
@@ -71,7 +71,8 @@ class TestFitOls:
         fit = fit_ols(x, x[:, 0])
         assert np.isclose(fit.coefficients[0], 1.0)
         assert np.isclose(fit.r_squared, 1.0)
-        assert np.abs(fit.residuals).max() < 1e-12
+        residuals = x[:, 0] - (fit.intercept + x @ fit.coefficients)
+        assert np.abs(residuals).max() < 1e-12
 
     def test_recovers_known_coefficients(self, rng):
         x = rng.normal(size=(60, 2))
@@ -94,10 +95,11 @@ class TestFitOls:
             x = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             fit = fit_ols(x, y)
+            residuals = y - (fit.intercept + x @ fit.coefficients)
             scale = max(np.abs(y).max(), 1.0)
-            assert abs(fit.residuals.sum()) < 1e-8 * n * scale
+            assert abs(residuals.sum()) < 1e-8 * n * scale
             for j in range(p):
-                assert abs(fit.residuals @ x[:, j]) < 1e-8 * n * scale * max(np.abs(x[:, j]).max(), 1.0)
+                assert abs(residuals @ x[:, j]) < 1e-8 * n * scale * max(np.abs(x[:, j]).max(), 1.0)
 
     def test_rank_deficient_reports_columns(self, rng):
         x = rng.normal(size=(20, 2))
@@ -343,3 +345,94 @@ class TestArmWeights:
             named[scale] = info.value.columns
             assert str(info.value.columns) in str(info.value)
         assert named["standardized"] == named["raw"] == (3,)
+
+
+STACK_KINDS = ["good", "constant", "control_constant", "collinear", "ill_conditioned"]
+
+
+@st.composite
+def dataset_stacks(draw):
+    """1-8 datasets that share n, p and the assignment vector. Besides
+    well-conditioned members the stack mixes in a column constant over all
+    units, a column constant in the control arm only, a column proportional
+    to another, and a near copy of a column (condition number about 1e8)
+    that fails ``RCOND_GATE`` but keeps full rank. Returns the datasets and
+    their kinds."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 60))
+    p = draw(st.integers(1, 4))
+    n1 = draw(st.integers(1, n - 1))
+    kinds = draw(st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=8))
+    z = np.zeros(n, dtype=np.int64)
+    z[g.choice(n, n1, replace=False)] = 1
+    datasets = []
+    for kind in kinds:
+        x = g.normal(size=(n, p)) * g.uniform(0.1, 10, size=p) + g.normal(size=p) * 5
+        j, k = g.choice(p, 2, replace=False) if p >= 2 else (0, 0)
+        if kind == "constant":
+            x[:, j] = 2.5
+        elif kind == "control_constant":
+            x[z == 0, j] = -1.0
+        elif kind == "collinear" and p >= 2:
+            x[:, k] = 3.0 * x[:, j] - 1.0
+        elif kind == "ill_conditioned" and p >= 2:
+            x[:, k] = x[:, j] + 1e-8 * np.abs(x[:, j]).max() * g.normal(size=n)
+        y = x @ g.normal(size=p) + g.normal(size=n)
+        datasets.append(Dataset(x=x, z=z, y_obs=y))
+    return datasets, kinds
+
+
+def outcome(call):
+    """``call()``'s value, or the typed error it raised."""
+    try:
+        return call()
+    except BalanceLabError as exc:
+        return exc
+
+
+def assert_same_outcome(stacked, alone):
+    """The same bits, or the same error type, message and columns."""
+    if isinstance(alone, BalanceLabError):
+        assert type(stacked) is type(alone) and str(stacked) == str(alone)
+        assert getattr(stacked, "columns", None) == getattr(alone, "columns", None)
+    elif isinstance(alone, tuple):
+        assert stacked[1] == alone[1]
+        assert_same_outcome(stacked[0], alone[0])
+    else:
+        assert stacked.shape == alone.shape and stacked.tobytes() == alone.tobytes()
+
+
+class TestStackedFits:
+    @settings(max_examples=150, deadline=None)
+    @given(stack=dataset_stacks())
+    def test_matches_single_dataset_path(self, stack):
+        """Every member's views, weights and gate decision from the stacked
+        path equal those of the member alone, bit for bit; a member that
+        fails raises the error it raises alone."""
+        datasets, kinds = stack
+        alone = [Dataset(x=d.x, z=d.z, y_obs=d.y_obs) for d in datasets]
+        pivoted = []
+        original = regression._pivoted_qr_solve
+
+        def spy(design, y, covariate_of):
+            pivoted.append(y.tobytes())
+            return original(design, y, covariate_of)
+
+        with mock.patch.object(regression, "_pivoted_qr_solve", spy):
+            stack_views(datasets)
+            weights = regression.control_arm_coefficients(datasets)
+            stacked_gate = sorted(pivoted)
+            pivoted.clear()
+            for d, w in zip(alone, weights):
+                assert_same_outcome(w, outcome(lambda: control_arm_weights(d).coefficients))
+            alone_gate = sorted(pivoted)
+        assert stacked_gate == alone_gate
+        for member, d in zip(datasets, alone):
+            assert_same_outcome(
+                outcome(lambda: scaled_covariates(member, "standardized")),
+                outcome(lambda: scaled_covariates(d, "standardized")),
+            )
+            assert_same_outcome(
+                outcome(lambda: whitened_covariates(member)),
+                outcome(lambda: whitened_covariates(d)),
+            )

@@ -10,6 +10,7 @@ from balance_lab import DgpConfig, StudyConfig, diagnostics, generate_dataset, r
 from balance_lab import simulation
 from balance_lab.data import Dataset, population_sd
 from balance_lab.errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
+from balance_lab.permutation import STATISTIC_NAMES
 from balance_lab.simulation import build_grid
 
 
@@ -281,8 +282,8 @@ class TestRunPowerStudy:
         grid = build_grid(study)
         assert len(grid) == 4
         replicates = 7
-        # pending cells 1 and 3 give 14 tasks; chunks must straddle cells
-        assert replicates % simulation._chunksize(2 * replicates, replicates, 2) != 0
+        # pending cells 1 and 3 give 14 tasks; groups must straddle cells
+        assert replicates % simulation._chunksize(2 * replicates, 2, study.n * study.p) != 0
         kwargs = dict(replicates=replicates, b_permutations=30)
         base = run_power_study(grid, threads=1, **kwargs)
 
@@ -305,6 +306,66 @@ class TestRunPowerStudy:
             assert set(a.pvalues) == set(b.pvalues)
             for name in a.pvalues:
                 assert np.array_equal(a.pvalues[name], b.pvalues[name])
+
+    def test_groups_spanning_cells_match_each_replicate_alone(self, tmp_path):
+        study = tiny_study(imbalance_levels=(0.2,), prognosis_levels=(0.0, 0.3, 0.5), n=40)
+        grid = build_grid(study)
+        replicates = 7
+        # groups of 6 at one worker, 3 at two and 2 when resuming two cells at
+        # two: each spans cells, and none divides the replicates of a cell
+        values = study.n * study.p
+        sizes = [simulation._chunksize(k * replicates, t, values) for k, t in ((3, 1), (3, 2), (2, 2))]
+        assert sizes == [6, 3, 2]
+        kwargs = dict(replicates=replicates, b_permutations=30)
+        alone = [
+            simulation._run_group(([(cfg, r)], STATISTIC_NAMES, 30, "fixed"))[0]
+            for cfg in grid
+            for r in range(replicates)
+        ]
+        runs = [run_power_study(grid, threads=t, **kwargs) for t in (1, 2)]
+        ckpt = tmp_path / "checkpoints"
+        run_power_study(grid, checkpoint_dir=str(ckpt), **kwargs)
+        for i in (0, 2):
+            (ckpt / f"cell_{i:04d}.json").unlink()
+        runs.append(
+            run_power_study(grid, threads=2, checkpoint_dir=str(ckpt), resume=True, **kwargs)
+        )
+        for results in runs:
+            for cell, result in enumerate(results):
+                outcomes = alone[cell * replicates : (cell + 1) * replicates]
+                assert result.n_failed == 0
+                assert result.standardized_bias == np.mean([bias for _, _, bias in outcomes])
+                for name in STATISTIC_NAMES:
+                    expected = [pvals[name] for _, pvals, _ in outcomes]
+                    assert result.pvalues[name].tolist() == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_collinear_replicate_fails_alone_in_its_group(self, monkeypatch, threads):
+        study = tiny_study(imbalance_levels=(0.0,), prognosis_levels=(0.0, 0.3), n=20)
+        grid = build_grid(study)
+        # one failure in 101 replicates stays below the 1% that stops a cell
+        replicates = 101
+        kwargs = dict(replicates=replicates, b_permutations=10, threads=threads)
+        assert simulation._chunksize(2 * replicates, threads, study.n * study.p) > 10
+        base = run_power_study(grid, **kwargs)
+        real_generate = simulation.generate_dataset
+
+        def collinear_at_3(cfg, replicate_index):
+            d = real_generate(cfg, replicate_index)
+            if cfg.seed != grid[0].seed or replicate_index != 3:
+                return d
+            x = d.x.copy()
+            x[:, 1] = 3.0 * x[:, 0]
+            return Dataset(x=x, z=d.z, y_obs=d.y_obs)
+
+        monkeypatch.setattr(simulation, "generate_dataset", collinear_at_3)
+        results = run_power_study(grid, **kwargs)
+        assert [r.n_failed for r in results] == [1, 0]
+        for name in STATISTIC_NAMES:
+            expected = base[0].pvalues[name].copy()
+            expected[3] = np.nan
+            assert np.array_equal(results[0].pvalues[name], expected, equal_nan=True)
+            assert np.array_equal(results[1].pvalues[name], base[1].pvalues[name])
 
     def test_keep_pvalues(self):
         study = tiny_study()
