@@ -117,8 +117,9 @@ class Dataset:
             raise ValueError(f"expected {p} column names, got {len(names)}")
         if n < 4:
             raise TooFewRows(f"need at least 4 rows, got {n}")
-        if not np.isin(z, (0, 1)).all():
-            bad = np.unique(z[~np.isin(z, (0, 1))])
+        binary = (z == 0) | (z == 1)
+        if not binary.all():
+            bad = np.unique(z[~binary])
             raise NonBinaryTreatment(f"assignment contains values outside {{0,1}}: {bad!r}")
         z = z.astype(np.int64)
         n1 = int(z.sum())

@@ -1,7 +1,8 @@
 """Randomization inference: permute assignment labels, recompute, compare.
 
 The B permutations are drawn in fixed chunks of ``_CHUNK`` = 1024. Each
-chunk draws from one counter-based stream keyed by (seed, chunk index).
+chunk draws from one stream keyed by (seed, chunk index) through
+``SeedSequence`` spawning, on which the streams' independence rests.
 Permutation i of a chunk gives each of the n units a 32-bit key, taken in
 order from the stream's raw words, and treats the units that hold the n1
 smallest keys. The keys are iid, so every n1-subset is equally likely to be
@@ -63,11 +64,12 @@ class PermutationResult:
     separation gives +inf, counted as extreme.
     ``permuted_values`` keeps the draw order. The draws come from one
     stream per (seed, chunk index), in fixed chunks of 1024, so the first
-    k of B values are the same for every B >= k. Under random-stream
-    version 3 each draw treats the n1 units holding the smallest of n iid
-    32-bit keys, which makes every assignment with the observed arm sizes
-    equally likely; a draw whose keys tie at the boundary is redrawn by a
-    shuffle on a stream of its own (see ``rng``).
+    k of B values are the same for every B >= k. The streams come from
+    ``SeedSequence`` spawning, which makes them independent. Under
+    random-stream version 4 each draw treats the n1 units holding the
+    smallest of n iid 32-bit keys, which makes every assignment with the
+    observed arm sizes equally likely; a draw whose keys tie at the
+    boundary is redrawn by a shuffle on a stream of its own (see ``rng``).
     """
 
     statistic_name: str

@@ -1,14 +1,18 @@
-"""Counter-based random streams.
+"""Keyed random streams.
 
-All randomness in the package flows through Philox keyed by a user seed
-plus an integer spawn key, so any stream can be reconstructed
-independently of execution order or worker count (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11). A dataset replicate
-is keyed by (seed, replicate_index, 0); permutation draws are keyed by
+All randomness in the package flows through ``SeedSequence(seed,
+spawn_key=key)``, a user seed plus an integer spawn key, feeding a
+PCG64DXSM generator, so any stream can be reconstructed independently of
+execution order or worker count. Stream independence rests on
+``SeedSequence`` spawning, numpy's documented mechanism for parallel
+streams: it hashes each key into its own well-mixed generator state.
+PCG64DXSM is O'Neill's PCG family with the DXSM output function, the
+variant numpy advises for many parallel streams. A dataset replicate is
+keyed by (seed, replicate_index, 0); permutation draws are keyed by
 (permutation seed, chunk index), one stream for each fixed chunk of 1024
 permutations, so the first k of B draws do not depend on B.
 
-Under version 3 a chunk's stream is read as raw 64-bit Philox words, and
+Since version 3 a chunk's stream is read as raw 64-bit words, and
 permutation i of the chunk takes the next ceil(n/2) of them. Each word is
 split into two 32-bit keys through its little-endian bytes (low half
 first), so every host reads the same keys; the n1 units with the smallest
@@ -29,7 +33,8 @@ __all__ = ["STREAM_VERSION", "stream", "derive_seed"]
 # recomputed instead of resumed. Version 2 keys permutation draws by chunk
 # instead of by permutation. Version 3 draws each permutation of a chunk as
 # the smallest of iid 32-bit keys instead of by ``Generator.permuted``.
-STREAM_VERSION = 3
+# Version 4 reads every stream from PCG64DXSM instead of Philox.
+STREAM_VERSION = 4
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -38,7 +43,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     The same (seed, key) pair always yields the same stream, regardless
     of how many other streams were drawn before it.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:

@@ -338,8 +338,10 @@ def _load_checkpoint(path: str, fingerprint: str) -> Optional[PowerStudyResult]:
 def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
+    # json.dumps, not json.dump: only dumps takes the C encoder
+    text = json.dumps({"fingerprint": fingerprint, **asdict(result)}, default=np.ndarray.tolist)
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"fingerprint": fingerprint, **asdict(result)}, fh, default=np.ndarray.tolist)
+        fh.write(text)
     os.replace(tmp, path)
 
 

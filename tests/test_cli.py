@@ -25,11 +25,11 @@ BASE_ARGS = [
 ]
 
 # Frozen results of the committed null fixture (seed 12345, B=500) under
-# random-stream version 3. Determinism makes these exact.
+# random-stream version 4. Determinism makes these exact.
 FROZEN = {
-    "uw": (-0.22412536691045684, 0.354),
-    "rw": (-0.004336305130310903, 0.824),
-    "hotelling": (3.243783800161633, 0.342),
+    "uw": (-0.22412536691045684, 0.414),
+    "rw": (-0.004336305130310903, 0.89),
+    "hotelling": (3.243783800161633, 0.398),
 }
 FIXTURE_DIGEST = "db58519ff829825d"
 

@@ -452,6 +452,21 @@ class TestDataset:
                 y_obs=np.zeros(4),
             )
 
+    @pytest.mark.parametrize(
+        "z, bad",
+        [
+            (np.array([2, 0, 1, 0]), "array([2])"),
+            (np.array([0.5, 0.0, 1.0, 0.0]), "array([0.5])"),
+            (np.array([np.nan, 0.0, 1.0, 0.0]), "array([nan])"),
+            (np.array(["1", "0", "1", "0"]), "array(['0', '1'], dtype='<U1')"),
+            (np.array(["1", 0, 1, 0], dtype=object), "array(['1'], dtype=object)"),
+        ],
+    )
+    def test_non_binary_assignment_names_its_values(self, z, bad):
+        with pytest.raises(NonBinaryTreatment) as info:
+            Dataset(x=np.ones((4, 1)), z=z, y_obs=np.zeros(4))
+        assert str(info.value) == f"assignment contains values outside {{0,1}}: {bad}"
+
     def test_population_variance_convention(self):
         # 1/N convention: var of (0,0,1,1) is 0.25, not 1/3, so the SD is 0.5
         assert np.var(np.array([0.0, 0.0, 1.0, 1.0]), ddof=0) == 0.25
