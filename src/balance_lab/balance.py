@@ -1,8 +1,12 @@
 """Per-covariate mean differences and the three omnibus balance statistics.
 
-Each statistic has one kernel over a batch of assignment columns: the
-observed assignment is a batch of one, permutation draws are larger
-batches, so both are computed by the same arithmetic. Under the ``refit``
+Each statistic has one kernel over the assignment columns of a stack of
+datasets: each member's observed assignment is one more column beside its
+permutation draws, so both are computed by the same arithmetic. The
+products of a member's covariates with its assignment columns, and its
+regression-weighted sums, are formed one member at a time
+(``_column_products``); the rest of every statistic runs once for the
+whole stack (``_statistic_columns``). Under the ``refit``
 weight policy the control-arm regressions of a batch are solved together
 from one QR of the data over all units and, per column, the Gram matrix of
 the control rows of its orthonormal factor; a design that is
@@ -56,22 +60,25 @@ def _observed_column(d: Dataset) -> np.ndarray:
     return d.z.astype(np.float64)[:, None]
 
 
-def _delta_columns(xs: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.ndarray:
-    """Per-covariate mean differences for each assignment column: (p, B)."""
-    treated_sums = xs.T @ z_cols
-    totals = xs.sum(axis=0)[:, None]
-    return treated_sums * (1.0 / n1 + 1.0 / n0) - totals / n0
+def _deltas(sums: np.ndarray, totals: np.ndarray, n1: int, n0: int) -> np.ndarray:
+    """Per-covariate mean differences, (..., p, B), from the treated sums
+    ``xs' z`` of assignment columns, (..., p, B), and the covariate totals,
+    (..., p, 1). The arithmetic is elementwise, so a slice of the columns
+    gets the bits it gets in the whole."""
+    return sums * (1.0 / n1 + 1.0 / n0) - totals / n0
 
 
-def _hotelling_columns(xw: np.ndarray, z_cols: np.ndarray, n1: int, n0: int) -> np.ndarray:
-    """Hotelling T-squared for each assignment column.
+def _hotelling(whitened_sums: np.ndarray, n1: int, n0: int) -> np.ndarray:
+    """Hotelling T-squared from the sums ``xw' z`` of the whitened
+    covariates over the treated units of each assignment column,
+    (..., k, B).
 
     The pooled scatter is G - k S S' (S the treated sums, G the Gram matrix,
     k = N / (n1 n0)), so by Sherman-Morrison T-squared = (N - 2) kq / (1 - kq)
     with q = S' G^+ S = |xw' z|^2. kq = 1 is perfect separation: +inf.
     """
     n = n1 + n0
-    kq = (n / (n1 * n0)) * np.square(xw.T @ z_cols).sum(axis=0)
+    kq = (n / (n1 * n0)) * np.square(whitened_sums).sum(axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         t2 = (n - 2) * kq / (1.0 - kq)
     return np.where(kq >= 1.0 - 1e-12, np.inf, t2)
@@ -178,26 +185,55 @@ def _refit_rw_columns(
     return values, failures, int(np.count_nonzero(pending))
 
 
-def _statistic_columns(
-    statistics, xs, xw, y, n1, n0, weight_policy, w_fixed, z_cols
-) -> tuple[dict[str, np.ndarray], int, int]:
-    """Each requested statistic for every column of ``z_cols``, plus the
-    numbers of failed refits and of refits through ``fit_ols``. ``xs`` is on
-    the balance scale, ``xw`` whitened (see ``data.whitened_covariates``)."""
+def _column_products(
+    xs, xw, y, z_cols, totals, n1, n0, w_fixed, deltas, whitened, rw
+) -> tuple[int, int]:
+    """Write what one dataset's assignment columns ``z_cols`` contribute to
+    its rows of a group's arrays, and return the numbers of failed refits
+    and of refits through ``fit_ols``. Each array may be None, when no
+    requested statistic reads it.
+
+    ``deltas`` receives the per-covariate mean differences and ``whitened``
+    the sums ``xw' z`` in its first ``xw.shape[1]`` rows; the zeros below
+    them add exactly nothing to a sum of squares. ``rw`` receives the
+    regression-weighted sums: ``w_fixed @ deltas`` under fixed weights, else
+    the sums with weights refit on each column's own control arm. They stay
+    one product per dataset and call: the last bits of a BLAS product depend
+    on its operands' layout and on a column's place among the columns, and a
+    one-column product is a dot product. ``xs`` is on the balance scale,
+    with column totals ``totals``, (p, 1), and ``xw`` is whitened (see
+    ``data.whitened_covariates``).
+    """
+    if deltas is not None or rw is not None:
+        columns = _deltas(xs.T @ z_cols, totals, n1, n0)
+        if deltas is not None:
+            deltas[...] = columns
+    if whitened is not None:
+        whitened[: xw.shape[1]] = xw.T @ z_cols
+    if rw is None:
+        return 0, 0
+    if w_fixed is not None:
+        rw[...] = w_fixed @ columns
+        return 0, 0
+    rw[...], failures, fallbacks = _refit_rw_columns(xs, y, z_cols, columns)
+    return failures, fallbacks
+
+
+def _statistic_columns(statistics, deltas, whitened, rw, n1, n0) -> dict[str, np.ndarray]:
+    """Each requested statistic for every assignment column of a stack of R
+    datasets, as (R, B) arrays, from the arrays ``_column_products`` filled:
+    ``deltas`` and ``whitened``, (R, p, B), and the weighted sums ``rw``,
+    (R, B), returned as they are. Every column's sums run over its p values
+    in order, the observed column's too, so a column's statistics do not
+    depend on the other columns or members of the stack."""
     out: dict[str, np.ndarray] = {}
-    failures = fallbacks = 0
-    if "uw" in statistics or "rw" in statistics:
-        deltas = _delta_columns(xs, z_cols, n1, n0)
     if "uw" in statistics:
-        out["uw"] = deltas.sum(axis=0)
+        out["uw"] = deltas.sum(axis=1)
     if "rw" in statistics:
-        if weight_policy == "fixed":
-            out["rw"] = w_fixed @ deltas
-        else:
-            out["rw"], failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+        out["rw"] = rw
     if "hotelling" in statistics:
-        out["hotelling"] = _hotelling_columns(xw, z_cols, n1, n0)
-    return out, failures, fallbacks
+        out["hotelling"] = _hotelling(whitened, n1, n0)
+    return out
 
 
 def _checked_weighted_sum(
@@ -239,10 +275,10 @@ def compute_balance_report(
     xs = scaled_covariates(d, scale)
     sizes = d.sizes
     z_obs = _observed_column(d)
-    delta = _delta_columns(xs, z_obs, sizes.n1, sizes.n0)[:, 0]
+    delta = _deltas(xs.T @ z_obs, xs.sum(axis=0)[:, None], sizes.n1, sizes.n0)[:, 0]
     delta_rw, fitted_diff = _checked_weighted_sum(d, weights, xs, delta)
     xw, collinear = whitened_covariates(d)
-    t2 = _hotelling_columns(xw, z_obs, sizes.n1, sizes.n0)
+    t2 = _hotelling(xw.T @ z_obs, sizes.n1, sizes.n0)
 
     return BalanceReport(
         delta=delta,

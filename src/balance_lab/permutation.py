@@ -10,22 +10,27 @@ the smallest (Knuth, TAOCP vol. 2, section 3.4.2); a row whose n1-th and
 (n1+1)-th smallest keys tie is redrawn by a shuffle on its own stream.
 Row i takes the same words whatever the chunk's size, so the first k of B
 draws are the same for every B >= k. The chunks are evaluated one after
-another in the calling process. The statistics themselves come from the
-column kernels in ``balance``, which evaluate the observed assignment as a
-batch of one.
+another in the calling process.
+
+One call tests a stack of datasets that share one shape and one
+assignment vector, such as a group of ``simulate``'s replicates; a single
+dataset is a stack of one. Each member draws its own assignments and forms
+its own products with them; the statistics and their counts are then
+computed once for the whole stack, by the column kernels in ``balance``,
+with each member's observed assignment as one more column beside its
+draws.
 """
 
 # Unused: perfbench's tracer patches this binding until ROADMAP item 1 drops it.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import _observed_column, _statistic_columns
+from .balance import _column_products, _observed_column, _statistic_columns
 from .data import Dataset, scaled_covariates, whitened_covariates
-from .errors import InternalNumericalError
+from .errors import BalanceLabError, InternalNumericalError
 from .regression import RegressionFit, _weight_vector, control_arm_weights
 from .rng import stream
 
@@ -70,6 +75,8 @@ class PermutationResult:
     smallest of n iid 32-bit keys, which makes every assignment with the
     observed arm sizes equally likely; a draw whose keys tie at the
     boundary is redrawn by a shuffle on a stream of its own (see ``rng``).
+    A dataset tested in a stack (see ``permutation_pvalues``) gets the
+    result it gets alone, bit for bit, whatever the other members.
     """
 
     statistic_name: str
@@ -124,21 +131,24 @@ def _select_smallest(
     """
     n1 = int(np.count_nonzero(z))
     # one kth: numpy's vectorized partition takes a single index only
-    threshold = np.partition(keys, n1 - 1, axis=1)[:, n1 - 1 : n1]
+    part = np.partition(keys, n1 - 1, axis=1)
+    threshold = part[:, n1 - 1 : n1]
     np.less_equal(keys, threshold, out=rows)
-    for i in np.flatnonzero(rows.sum(axis=1) != n1):
+    # The keys after position n1 - 1 of the partition are all at least the
+    # threshold, so a tie is their minimum equal to it.
+    for i in np.flatnonzero(part[:, n1:].min(axis=1) == threshold[:, 0]):
         rows[i] = stream(seed, chunk, first + i + 1).permuted(z)
 
 
 def permutation_pvalues(
-    d: Dataset,
+    d: Union[Dataset, Sequence[Dataset]],
     statistics: Sequence[str],
     b: int,
-    seed: int,
+    seed: Union[int, Sequence[int]],
     weight_policy: str = "fixed",
     scale: str = "standardized",
-    weights: Union[RegressionFit, np.ndarray, None] = None,
-) -> dict[str, PermutationResult]:
+    weights: Union[RegressionFit, np.ndarray, Sequence, None] = None,
+):
     """Run the permutation test for several statistics over shared draws.
 
     All statistics are evaluated on the same B permuted assignments (the
@@ -146,7 +156,20 @@ def permutation_pvalues(
     and what the simulation protocol prescribes. The observed statistics go
     through the same evaluation as one more assignment, so under ``refit``
     the observed ``rw`` is refit on the observed control arm; ``weights``
-    applies to the ``fixed`` policy only and is refused under ``refit``.
+    (a ``RegressionFit`` or a weight vector) applies to the ``fixed``
+    policy only and is refused under ``refit``. Returns a dict of
+    ``PermutationResult`` by statistic.
+
+    ``d`` may also be a stack: a sequence of datasets that share one shape
+    and one assignment vector (ValueError otherwise), with one seed per
+    member in ``seed`` and, unless it is None, one weights entry per member
+    in ``weights``. The result is then a list with each member's dict or,
+    in its place, the ``BalanceLabError`` that member's test raised; a
+    single dataset is a stack of one whose error is raised. Each member
+    draws its own assignments and forms its own products ``xs' Z`` and
+    ``xw' Z`` (and, under ``refit``, its own refits); the statistics and
+    the counts are then computed once for the whole stack. A member's
+    results equal, bit for bit, those it gets as a stack of one.
     The chunks are evaluated in order in the calling process; parallel work
     belongs to ``run_power_study``, which spreads groups of whole replicates.
     """
@@ -157,53 +180,97 @@ def permutation_pvalues(
         raise ValueError(f"unknown statistics: {sorted(unknown)}")
     if weight_policy not in ("fixed", "refit"):
         raise ValueError(f"unknown weight policy {weight_policy!r}")
-
-    if weight_policy == "refit" and weights is not None:
+    single = isinstance(d, Dataset)
+    if single:
+        d, seed, weights = [d], [seed], [weights]
+    datasets, seeds = list(d), list(seed)
+    weights = [None] * len(datasets) if weights is None else list(weights)
+    if weight_policy == "refit" and any(w is not None for w in weights):
         raise ValueError("weights apply to the fixed policy only; refit fits its own")
+    if not len(datasets) == len(seeds) == len(weights):
+        raise ValueError("need one seed and one weights entry per dataset")
+    if not datasets:
+        return []
+    first = datasets[0]
+    if any(e.x.shape != first.x.shape or not np.array_equal(e.z, first.z) for e in datasets):
+        raise ValueError("the datasets must share one shape and one assignment vector")
+    outcomes = _stack_pvalues(datasets, tuple(statistics), b, seeds, weight_policy, scale, weights)
+    if not single:
+        return outcomes
+    if isinstance(outcomes[0], BalanceLabError):
+        raise outcomes[0]
+    return outcomes[0]
 
-    w_fixed = None
-    if "rw" in statistics and weight_policy == "fixed":
-        if weights is None:
-            weights = control_arm_weights(d, scale=scale)
-        w_fixed = _weight_vector(weights, d.p)
-    sizes = d.sizes
-    xw = whitened_covariates(d)[0] if "hotelling" in statistics else None
-    evaluate = partial(
-        _statistic_columns, tuple(statistics), scaled_covariates(d, scale), xw,
-        d.y_obs, sizes.n1, sizes.n0, weight_policy, w_fixed,
-    )
-    observed_values, observed_failures, _ = evaluate(_observed_column(d))
-    if observed_failures:
-        # The observed control arm cannot be fit; raise that fit's typed error.
-        control_arm_weights(d, scale=scale)
-        raise InternalNumericalError("observed control-arm refit failed")
-    observed = {name: float(observed_values[name][0]) for name in statistics}
 
-    pieces = [
-        evaluate(_permuted_z(d.z, seed, start, min(_CHUNK, b - start)))
-        for start in range(0, b, _CHUNK)
-    ]
-    values = {name: np.concatenate([piece[0][name] for piece in pieces]) for name in statistics}
-    n_failed = sum(piece[1] for piece in pieces)
-    n_refit_fallback = sum(piece[2] for piece in pieces)
+def _assignment_columns(d: Dataset, seed: int, b: int):
+    """The assignment columns of one test, lazily, as (columns of the group
+    arrays, (n, k) assignments) pairs: column 0 holds the observed
+    assignment, then each chunk of draws fills its own columns."""
+    yield slice(0, 1), _observed_column(d)
+    for start in range(0, b, _CHUNK):
+        count = min(_CHUNK, b - start)
+        yield slice(1 + start, 1 + start + count), _permuted_z(d.z, seed, start, count)
 
-    results = {}
-    for name in statistics:
-        obs = observed[name]
-        count = int(np.count_nonzero(np.abs(values[name]) >= abs(obs)))
-        results[name] = PermutationResult(
-            statistic_name=name,
-            observed=obs,
-            b=b,
-            permuted_values=values[name],
-            p_value=count / b,
-            p_conservative=(count + 1) / (b + 1),
-            seed=seed,
-            weight_policy=weight_policy if name == "rw" else "fixed",
-            n_failed=n_failed if name == "rw" else 0,
-            n_refit_fallback=n_refit_fallback if name == "rw" else 0,
-        )
-    return results
+
+def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights) -> list:
+    """``permutation_pvalues`` of a validated, non-empty stack."""
+    r, p = len(datasets), datasets[0].p
+    sizes = datasets[0].sizes
+    fixed_rw = "rw" in statistics and weight_policy == "fixed"
+    # One row of columns per member: the observed assignment, then B draws.
+    deltas = np.zeros((r, p, 1 + b)) if "uw" in statistics else None
+    whitened = np.zeros((r, p, 1 + b)) if "hotelling" in statistics else None
+    rw = np.zeros((r, 1 + b)) if "rw" in statistics else None
+    failed, fallbacks = [0] * r, [0] * r
+    outcomes: list = [None] * r
+    for i, (d, seed) in enumerate(zip(datasets, seeds)):
+        try:
+            w_fixed = None
+            if fixed_rw:
+                w = weights[i] if weights[i] is not None else control_arm_weights(d, scale=scale)
+                w_fixed = _weight_vector(w, p)
+            xs = scaled_covariates(d, scale)
+            xw = whitened_covariates(d)[0] if whitened is not None else None
+            totals = xs.sum(axis=0)[:, None]
+            for cols, z_cols in _assignment_columns(d, seed, b):
+                f, fb = _column_products(
+                    xs, xw, d.y_obs, z_cols, totals, sizes.n1, sizes.n0, w_fixed,
+                    *(None if a is None else a[i, ..., cols] for a in (deltas, whitened, rw)),
+                )
+                if cols.start:
+                    failed[i] += f
+                    fallbacks[i] += fb
+                elif f:
+                    # The observed control arm cannot be fit; raise that fit's typed error.
+                    control_arm_weights(d, scale=scale)
+                    raise InternalNumericalError("observed control-arm refit failed")
+        except BalanceLabError as exc:
+            outcomes[i] = exc
+
+    values = _statistic_columns(statistics, deltas, whitened, rw, sizes.n1, sizes.n0)
+    counts = {
+        name: np.count_nonzero(np.abs(v[:, 1:]) >= np.abs(v[:, :1]), axis=1)
+        for name, v in values.items()
+    }
+    for i, seed in enumerate(seeds):
+        if outcomes[i] is not None:
+            continue
+        outcomes[i] = {
+            name: PermutationResult(
+                statistic_name=name,
+                observed=float(values[name][i, 0]),
+                b=b,
+                permuted_values=values[name][i, 1:],
+                p_value=int(counts[name][i]) / b,
+                p_conservative=(int(counts[name][i]) + 1) / (b + 1),
+                seed=seed,
+                weight_policy=weight_policy if name == "rw" else "fixed",
+                n_failed=failed[i] if name == "rw" else 0,
+                n_refit_fallback=fallbacks[i] if name == "rw" else 0,
+            )
+            for name in statistics
+        }
+    return outcomes
 
 
 def permutation_test(

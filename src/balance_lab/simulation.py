@@ -17,11 +17,11 @@ A study runs its replicates in groups of consecutive replicates whose
 cells share n and p, and so the balanced assignment vector; a group may
 span cells. Each group, one pool task when the study has a pool, draws
 its datasets one by one, then makes their standardized and whitened
-covariate views (``data.stack_views``) and their control-arm weights
-(``regression.control_arm_coefficients``) as one stack each. The
-permutation test of each replicate then runs on its own. Every member
-gets the bits it would get alone, so results do not depend on how the
-replicates are grouped.
+covariate views (``data.stack_views``), their control-arm weights
+(``regression.control_arm_coefficients``), their permutation tests (one
+``permutation.permutation_pvalues`` call) and their standardized biases
+as one stack each. Every member gets the bits it would get alone, so
+results do not depend on how the replicates are grouped.
 """
 
 import hashlib
@@ -231,37 +231,36 @@ class PowerStudyResult:
     pvalues: dict[str, np.ndarray] = field(compare=False)
 
 
-def _run_replicate(cfg, replicate_index, d, weights, statistics, b, weight_policy):
-    """One replicate's p-values and standardized bias. The p-values are None
-    where the replicate failed: its dataset could not be drawn (``d`` is
-    None), its control-arm fit raised (``weights`` holds the error) or its
-    permutation test raised."""
-    if d is None or isinstance(weights, BalanceLabError):
-        return replicate_index, None, float("nan")
-    try:
-        perm_seed = derive_seed(cfg.seed, replicate_index, 1)
-        results = permutation_pvalues(
-            d, statistics, b, perm_seed, weight_policy=weight_policy, weights=weights
-        )
-    except BalanceLabError:
-        return replicate_index, None, float("nan")
-    pvals = {name: results[name].p_value for name in statistics}
-    y0 = d.y_obs - cfg.tau * d.z
-    sd_y0 = population_sd(y0)
-    treated = d.z == 1
-    diff = float(d.y_obs[treated].mean() - d.y_obs[~treated].mean()) - cfg.tau
-    bias = diff / sd_y0 if sd_y0 > 0 else 0.0
-    return replicate_index, pvals, bias
+def _standardized_biases(datasets: Sequence[Dataset], taus: Sequence[float]) -> np.ndarray:
+    """Each dataset's difference in mean observed outcome between the arms,
+    less its tau, over the population SD of its outcomes without the
+    effect (0 where that SD is 0), for datasets that share one assignment
+    vector. Each member gets the bits it gets alone: the arm means are taken
+    over C-contiguous copies, whose rows numpy sums pairwise as it sums a
+    single dataset's arm; a strided view would be summed one column at a
+    time."""
+    z = datasets[0].z
+    y = np.stack([d.y_obs for d in datasets])
+    tau = np.asarray(taus, dtype=np.float64)
+    sd_y0 = population_sd(y - tau[:, None] * z, axis=1)
+    treated = z == 1
+    means = [np.ascontiguousarray(y[:, arm]).mean(axis=1) for arm in (treated, ~treated)]
+    diff = means[0] - means[1] - tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sd_y0 > 0, diff / sd_y0, 0.0)
 
 
 def _run_group(args) -> list:
-    """The ``_run_replicate`` outcomes of a group of (cfg, replicate index)
-    pairs whose configurations share n and p, in order.
+    """The outcomes of a group of (cfg, replicate index) pairs whose
+    configurations share n and p, in order: for each replicate, its index,
+    its p-values by statistic and its standardized bias. The p-values are
+    None and the bias NaN where the replicate failed: its dataset could not
+    be drawn, its control-arm fit raised or its permutation test raised.
 
-    The datasets are drawn one by one; their covariate views and, under the
-    fixed policy, their control-arm weights are then computed as one stack
-    each. A replicate whose dataset or weights raise a ``BalanceLabError``
-    fails alone.
+    The datasets are drawn one by one; their covariate views, under the
+    fixed policy their control-arm weights, their permutation tests and
+    their standardized biases are then computed as one stack each. A
+    replicate that raises a ``BalanceLabError`` fails alone.
     """
     members, statistics, b, weight_policy = args
     datasets = []
@@ -270,18 +269,28 @@ def _run_group(args) -> list:
             datasets.append(generate_dataset(cfg, replicate_index))
         except BalanceLabError:
             datasets.append(None)
-    drawn = [i for i, d in enumerate(datasets) if d is not None]
-    weights = [None] * len(members)
-    if drawn:
-        stack = [datasets[i] for i in drawn]
-        stack_views(stack)
+    ready = [i for i, d in enumerate(datasets) if d is not None]
+    weights = None
+    if ready:
+        stack_views([datasets[i] for i in ready])
         if weight_policy == "fixed" and "rw" in statistics:
-            for i, w in zip(drawn, control_arm_coefficients(stack)):
-                weights[i] = w
-    return [
-        _run_replicate(cfg, replicate_index, d, w, statistics, b, weight_policy)
-        for (cfg, replicate_index), d, w in zip(members, datasets, weights)
-    ]
+            fits = control_arm_coefficients([datasets[i] for i in ready])
+            ready = [i for i, w in zip(ready, fits) if not isinstance(w, BalanceLabError)]
+            weights = [w for w in fits if not isinstance(w, BalanceLabError)]
+    outcomes = [(replicate_index, None, float("nan")) for _, replicate_index in members]
+    if not ready:
+        return outcomes
+    stack = [datasets[i] for i in ready]
+    seeds = [derive_seed(members[i][0].seed, members[i][1], 1) for i in ready]
+    tests = permutation_pvalues(
+        stack, statistics, b, seeds, weight_policy=weight_policy, weights=weights
+    )
+    biases = _standardized_biases(stack, [members[i][0].tau for i in ready])
+    for i, test, bias in zip(ready, tests, biases):
+        if not isinstance(test, BalanceLabError):
+            pvals = {name: test[name].p_value for name in statistics}
+            outcomes[i] = (members[i][1], pvals, float(bias))
+    return outcomes
 
 
 def _cell_fingerprint(cfg: DgpConfig, statistics, replicates, b, alpha, weight_policy) -> str:
@@ -336,10 +345,15 @@ def _load_checkpoint(path: str, fingerprint: str) -> Optional[PowerStudyResult]:
 
 
 def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    """Write ``result`` to ``path``, whose directory exists, through a
+    temporary file. The payload is ``asdict(result)`` built field by field:
+    ``asdict`` would deep-copy every p-value array first."""
+    payload = {"fingerprint": fingerprint}
+    payload.update((f.name, getattr(result, f.name)) for f in fields(result))
+    payload["config"] = {f.name: getattr(result.config, f.name) for f in fields(result.config)}
     tmp = path + ".tmp"
     # json.dumps, not json.dump: only dumps takes the C encoder
-    text = json.dumps({"fingerprint": fingerprint, **asdict(result)}, default=np.ndarray.tolist)
+    text = json.dumps(payload, default=np.ndarray.tolist)
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
@@ -378,7 +392,7 @@ def _summarize_cell(
     b: int,
     alpha: float,
 ) -> PowerStudyResult:
-    """Aggregate one cell's ``_run_replicate`` outcomes into its result."""
+    """Aggregate one cell's ``_run_group`` outcomes into its result."""
     pvals = {name: np.full(replicates, np.nan) for name in statistics}
     bias = np.full(replicates, np.nan)
     n_failed = 0
@@ -457,6 +471,7 @@ def run_power_study(
     ]
     paths = [None] * len(grid)
     if checkpoint_dir is not None:
+        os.makedirs(checkpoint_dir, exist_ok=True)
         paths = [os.path.join(checkpoint_dir, f"cell_{i:04d}.json") for i in range(len(grid))]
     resumed = [
         _load_checkpoint(path, fp) if resume and path else None

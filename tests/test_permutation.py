@@ -7,11 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from balance_lab import Dataset, control_arm_weights, permutation_test
-from balance_lab.balance import _GRAM_KAPPA, _refit_rw_columns
-from balance_lab.data import varying_columns
+from balance_lab import Dataset, control_arm_weights, permutation, permutation_test
+from balance_lab.balance import _GRAM_KAPPA, _hotelling, _refit_rw_columns
+from balance_lab.data import varying_columns, whitened_covariates
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall
-from balance_lab.permutation import _CHUNK, _permuted_z, _select_smallest, permutation_pvalues
+from balance_lab.permutation import (
+    _CHUNK,
+    STATISTIC_NAMES,
+    _permuted_z,
+    _select_smallest,
+    permutation_pvalues,
+)
 from balance_lab.regression import RCOND_GATE, fit_ols
 from balance_lab.rng import stream
 from conftest import random_dataset
@@ -111,6 +117,28 @@ class TestChunkDraws:
         _select_smallest(keys[:k], z, 31, 0, 0, head)
         _select_smallest(keys[k:], z, 31, 0, k, rest)
         np.testing.assert_array_equal(np.vstack([head, rest]), rows)
+
+    @pytest.mark.parametrize("n1", [1, 3, 6])
+    def test_redrawn_rows_are_the_boundary_ties(self, monkeypatch, n1):
+        # keys from {0, ..., 3} tie in most rows, at the boundary and away
+        # from it; only a tie of the n1-th and (n1+1)-th smallest keys
+        # redraws the row, on the stream keyed by its column
+        z = np.array([1.0] * n1 + [0.0] * (7 - n1))
+        keys = np.random.default_rng(n1).integers(0, 4, size=(300, 7), dtype=np.uint32)
+        ordered = np.sort(keys, axis=1)
+        tied = ordered[:, n1 - 1] == ordered[:, n1]
+        assert tied.any() and not tied.all()
+        redrawn = []
+
+        def recording(seed, *key):
+            redrawn.append((seed, *key))
+            return stream(seed, *key)
+
+        monkeypatch.setattr(permutation, "stream", recording)
+        rows = np.empty((300, 7))
+        _select_smallest(keys, z, 31, 2, 40, rows)
+        assert redrawn == [(31, 2, 40 + i + 1) for i in np.flatnonzero(tied)]
+        np.testing.assert_array_equal(rows[~tied], keys[~tied] <= ordered[~tied, n1 - 1 : n1])
 
     @pytest.mark.parametrize("k", FIRST_K)
     def test_first_k_draws_do_not_depend_on_b(self, k):
@@ -640,3 +668,76 @@ class TestHotellingSeparation:
         np.testing.assert_array_equal(np.isinf(res.permuted_values), separating)
         extreme = np.count_nonzero(res.permuted_values[~separating] >= res.observed)
         assert res.p_value == (separating.sum() + extreme) / b
+
+
+def stack_member(kind, g, z, p):
+    """A dataset for a stack: Gaussian covariates, or one constant covariate,
+    or the second covariate a multiple of the first (a collinear whitening)."""
+    x = g.normal(size=(z.size, p))
+    if kind == "constant":
+        x[:, g.integers(p)] = 2.5
+    elif kind == "collinear" and p >= 2:
+        x[:, 1] = 3.0 * x[:, 0]
+    return Dataset(x=x, z=z, y_obs=x @ g.normal(size=p) + g.normal(size=z.size))
+
+
+class TestStackedPermutationTests:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(["gaussian", "constant", "collinear"]), min_size=1, max_size=6),
+        p=st.integers(1, 12),
+        b=st.integers(1, 1100),
+        weight_policy=st.sampled_from(["fixed", "refit"]),
+        statistics=st.lists(st.sampled_from(STATISTIC_NAMES), min_size=1, max_size=3, unique=True),
+    )
+    @example(seed=1, kinds=["gaussian"] * 3, p=3, b=1025, weight_policy="refit", statistics=list(STATISTIC_NAMES))
+    def test_stack_equals_members_alone(self, seed, kinds, p, b, weight_policy, statistics):
+        # B crosses the blocks of 128 rows and the chunk of 1024; a member
+        # that raises alone holds its error in the stack, and a collinear
+        # member's whitened view is narrower than its neighbours'
+        g = np.random.default_rng(seed)
+        n = 2 * (p + 4 + int(g.integers(0, 10)))
+        z = g.permutation(np.repeat([1, 0], n // 2))
+        datasets = [stack_member(kind, g, z, p) for kind in kinds]
+        seeds = [int(s) for s in g.integers(0, 2**63, size=len(kinds))]
+        stacked = permutation_pvalues(datasets, statistics, b, seeds, weight_policy=weight_policy)
+        assert len(stacked) == len(datasets)
+        for d, member_seed, outcome in zip(datasets, seeds, stacked):
+            try:
+                alone = permutation_pvalues(d, statistics, b, member_seed, weight_policy=weight_policy)
+            except BalanceLabError as exc:
+                assert type(outcome) is type(exc) and str(outcome) == str(exc)
+                continue
+            assert list(outcome) == list(statistics)
+            for name in statistics:
+                got, expected = outcome[name], alone[name]
+                assert (got.statistic_name, got.b, got.seed, got.weight_policy) == (
+                    expected.statistic_name, expected.b, expected.seed, expected.weight_policy
+                )
+                assert np.array_equal(got.observed, expected.observed, equal_nan=True)
+                assert np.array_equal(got.permuted_values, expected.permuted_values, equal_nan=True)
+                assert (got.p_value, got.p_conservative) == (expected.p_value, expected.p_conservative)
+                assert (got.n_failed, got.n_refit_fallback) == (expected.n_failed, expected.n_refit_fallback)
+            if "hotelling" in statistics:
+                # the stack's whitened sums are p rows deep; a member whose
+                # whitened view is narrower gets its own width's statistics
+                xw = whitened_covariates(d)[0]
+                z_cols = np.column_stack([d.z, chunk_draws(d.z, member_seed, b)])
+                res = outcome["hotelling"]
+                np.testing.assert_allclose(
+                    np.append(res.observed, res.permuted_values),
+                    _hotelling(xw.T @ z_cols, n // 2, n // 2),
+                    rtol=1e-12,
+                )
+
+    def test_stack_is_validated(self, rng):
+        d = random_dataset(rng, n=20, p=2)
+        other = Dataset(x=d.x, z=d.z[::-1], y_obs=d.y_obs)
+        with pytest.raises(ValueError):
+            permutation_pvalues([d, other], ("uw",), 10, [1, 2])
+        with pytest.raises(ValueError):
+            permutation_pvalues([d, d], ("uw",), 10, [1])
+        with pytest.raises(ValueError):
+            permutation_pvalues([d], ("rw",), 10, [1], weight_policy="refit", weights=[np.ones(2)])
+        assert permutation_pvalues([], ("uw",), 10, []) == []

@@ -6,7 +6,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from balance_lab import DgpConfig, StudyConfig, diagnostics, generate_dataset, run_power_study
+from balance_lab import (
+    DgpConfig,
+    StudyConfig,
+    diagnostics,
+    generate_dataset,
+    permutation_test,
+    run_power_study,
+)
 from balance_lab import simulation
 from balance_lab.data import Dataset, population_sd
 from balance_lab.errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
@@ -115,6 +122,27 @@ class TestStandardizedBias:
         ]
         means = [mean_bias(cfg, 300).mean() for cfg in cells]
         assert means[0] < means[1] < means[2]
+
+    def test_group_biases_equal_each_replicate_alone(self):
+        # arms of n1 >= 8 units are summed pairwise, so a mean over a
+        # strided view would differ from the single-dataset mean
+        cfgs = [
+            DgpConfig(n=500, rho_x1_z=0.2, rho_x1_y=0.4, tau=tau, seed=35) for tau in (0.0, 0.3)
+        ]
+        prefix = [(generate_dataset(cfg, r), cfg.tau) for cfg in cfgs for r in range(4)]
+        z = np.random.default_rng(5).permutation(prefix[0][0].z)
+        shuffled = [(Dataset(x=d.x, z=z, y_obs=d.y_obs), tau) for d, tau in prefix]
+        shuffled.append((Dataset(x=shuffled[0][0].x, z=z, y_obs=np.full(500, 2.0)), 0.0))
+        for group in (prefix, shuffled):
+            alone = []
+            for d, tau in group:
+                y0 = d.y_obs - tau * d.z
+                treated = d.z == 1
+                diff = float(d.y_obs[treated].mean() - d.y_obs[~treated].mean()) - tau
+                sd_y0 = population_sd(y0)
+                alone.append(diff / sd_y0 if sd_y0 > 0 else 0.0)
+            datasets, taus = zip(*group)
+            assert simulation._standardized_biases(datasets, taus).tolist() == alone
 
 
 class TestStudyConfig:
@@ -359,6 +387,41 @@ class TestRunPowerStudy:
             return Dataset(x=x, z=d.z, y_obs=d.y_obs)
 
         monkeypatch.setattr(simulation, "generate_dataset", collinear_at_3)
+        results = run_power_study(grid, **kwargs)
+        assert [r.n_failed for r in results] == [1, 0]
+        for name in STATISTIC_NAMES:
+            expected = base[0].pvalues[name].copy()
+            expected[3] = np.nan
+            assert np.array_equal(results[0].pvalues[name], expected, equal_nan=True)
+            assert np.array_equal(results[1].pvalues[name], base[1].pvalues[name])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_observed_refit_fails_alone_in_its_group(self, monkeypatch, threads):
+        study = tiny_study(imbalance_levels=(0.0,), prognosis_levels=(0.0, 0.3), n=20)
+        grid = build_grid(study)
+        # one failure in 101 replicates stays below the 1% that stops a cell
+        replicates = 101
+        kwargs = dict(
+            replicates=replicates, b_permutations=10, threads=threads, weight_policy="refit"
+        )
+        assert simulation._chunksize(2 * replicates, threads, study.n * study.p) > 10
+        base = run_power_study(grid, **kwargs)
+        real_generate = simulation.generate_dataset
+
+        def control_collinear_at_3(cfg, replicate_index):
+            # collinear within the control arm only: the covariate views
+            # stand, the observed control-arm refit does not
+            d = real_generate(cfg, replicate_index)
+            if cfg.seed != grid[0].seed or replicate_index != 3:
+                return d
+            x = d.x.copy()
+            control = d.z == 0
+            x[control, 1] = 3.0 * x[control, 0]
+            return Dataset(x=x, z=d.z, y_obs=d.y_obs)
+
+        with pytest.raises(BalanceLabError):
+            permutation_test(control_collinear_at_3(grid[0], 3), "rw", 10, 1, weight_policy="refit")
+        monkeypatch.setattr(simulation, "generate_dataset", control_collinear_at_3)
         results = run_power_study(grid, **kwargs)
         assert [r.n_failed for r in results] == [1, 0]
         for name in STATISTIC_NAMES:
