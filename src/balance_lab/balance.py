@@ -6,13 +6,14 @@ permutation draws, so both are computed by the same arithmetic. The
 products of a member's covariates with its assignment columns, and its
 regression-weighted sums, are formed one member at a time
 (``_column_products``); the rest of every statistic runs once for the
-whole stack (``_statistic_columns``). Under the ``refit``
-weight policy the control-arm regressions of a batch are solved together
-from one QR of the data over all units and, per column, the Gram matrix of
-the control rows of its orthonormal factor; a design that is
-ill-conditioned, or whose Gram matrix is, goes through
-``regression.fit_ols`` instead, and the number of such columns is
-reported.
+whole stack (``_statistic_columns``). ``compute_balance_report`` runs
+them on the observed column alone, so its statistics are the permutation
+test's observed values, bit for bit. Under the ``refit`` weight policy the
+control-arm regressions of a batch are solved together from one QR of the
+data over all units and, per column, the Gram matrix of the control rows
+of its orthonormal factor; a design that is ill-conditioned, or whose Gram
+matrix is, goes through ``regression.fit_ols`` instead, and the number of
+such columns is reported.
 
 Every kernel reads the covariate views cached on the ``Dataset``: the
 balance-scale matrix from ``data.scaled_covariates`` and the whitened one
@@ -22,7 +23,7 @@ standardizes and whitens each dataset once.
 The observed regression-weighted sum is also computed as the difference
 between the fitted treatment-group mean and the observed control-group
 mean. The two are algebraically identical (the intercept cancels in the
-difference) and the module verifies the identity numerically.
+difference) and the report verifies the identity numerically.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ __all__ = [
     "BalanceReport",
     "compute_balance_report",
 ]
+
+STATISTIC_NAMES = ("uw", "rw", "hotelling")
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,11 @@ def _observed_column(d: Dataset) -> np.ndarray:
     return d.z.astype(np.float64)[:, None]
 
 
-def _deltas(sums: np.ndarray, totals: np.ndarray, n1: int, n0: int) -> np.ndarray:
-    """Per-covariate mean differences, (..., p, B), from the treated sums
-    ``xs' z`` of assignment columns, (..., p, B), and the covariate totals,
-    (..., p, 1). The arithmetic is elementwise, so a slice of the columns
-    gets the bits it gets in the whole."""
-    return sums * (1.0 / n1 + 1.0 / n0) - totals / n0
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of an (..., p, B) array over its p rows, in order from zero, as
+    numpy reduces strided rows; it sums a lone column's contiguous values
+    pairwise, which rounds differently once p >= 8."""
+    return sum(np.moveaxis(a, -2, 0), np.zeros(a.shape[:-2] + a.shape[-1:]))
 
 
 def _hotelling(whitened_sums: np.ndarray, n1: int, n0: int) -> np.ndarray:
@@ -78,7 +80,7 @@ def _hotelling(whitened_sums: np.ndarray, n1: int, n0: int) -> np.ndarray:
     with q = S' G^+ S = |xw' z|^2. kq = 1 is perfect separation: +inf.
     """
     n = n1 + n0
-    kq = (n / (n1 * n0)) * np.square(whitened_sums).sum(axis=-2)
+    kq = (n / (n1 * n0)) * _row_sums(np.square(whitened_sums))
     with np.errstate(divide="ignore", invalid="ignore"):
         t2 = (n - 2) * kq / (1.0 - kq)
     return np.where(kq >= 1.0 - 1e-12, np.inf, t2)
@@ -185,37 +187,37 @@ def _refit_rw_columns(
     return values, failures, int(np.count_nonzero(pending))
 
 
-def _column_products(
-    xs, xw, y, z_cols, totals, n1, n0, w_fixed, deltas, whitened, rw
-) -> tuple[int, int]:
-    """Write what one dataset's assignment columns ``z_cols`` contribute to
-    its rows of a group's arrays, and return the numbers of failed refits
-    and of refits through ``fit_ols``. Each array may be None, when no
-    requested statistic reads it.
+def _column_products(d, scale, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int]:
+    """Write what dataset ``d``'s assignment columns ``z_cols`` contribute
+    to its rows of a stack's arrays, and return the numbers of failed
+    refits and of refits through ``fit_ols``. Each array may be None, when
+    no requested statistic reads it.
 
-    ``deltas`` receives the per-covariate mean differences and ``whitened``
-    the sums ``xw' z`` in its first ``xw.shape[1]`` rows; the zeros below
-    them add exactly nothing to a sum of squares. ``rw`` receives the
-    regression-weighted sums: ``w_fixed @ deltas`` under fixed weights, else
-    the sums with weights refit on each column's own control arm. They stay
-    one product per dataset and call: the last bits of a BLAS product depend
-    on its operands' layout and on a column's place among the columns, and a
-    one-column product is a dot product. ``xs`` is on the balance scale,
-    with column totals ``totals``, (p, 1), and ``xw`` is whitened (see
-    ``data.whitened_covariates``).
+    ``deltas`` receives the mean differences on ``scale`` and ``whitened``
+    the sums ``xw' z`` (see ``data.whitened_covariates``) in its first
+    ``xw.shape[1]`` rows; the zeros below add nothing to a sum of squares.
+    ``rw`` receives ``w_fixed @ deltas`` under fixed weights, else the sums
+    with weights refit on each column's own control arm. They stay one
+    product per dataset and call: the last bits of a BLAS product depend on
+    its operands' layout and on a column's place among the columns.
     """
+    xs = scaled_covariates(d, scale)
+    sizes = d.sizes
     if deltas is not None or rw is not None:
-        columns = _deltas(xs.T @ z_cols, totals, n1, n0)
+        # Mean differences, elementwise: a slice of the columns gets its bits in the whole.
+        totals = xs.sum(axis=0)[:, None]
+        columns = (xs.T @ z_cols) * (1.0 / sizes.n1 + 1.0 / sizes.n0) - totals / sizes.n0
         if deltas is not None:
             deltas[...] = columns
     if whitened is not None:
+        xw = whitened_covariates(d)[0]
         whitened[: xw.shape[1]] = xw.T @ z_cols
     if rw is None:
         return 0, 0
     if w_fixed is not None:
         rw[...] = w_fixed @ columns
         return 0, 0
-    rw[...], failures, fallbacks = _refit_rw_columns(xs, y, z_cols, columns)
+    rw[...], failures, fallbacks = _refit_rw_columns(xs, d.y_obs, z_cols, columns)
     return failures, fallbacks
 
 
@@ -224,11 +226,11 @@ def _statistic_columns(statistics, deltas, whitened, rw, n1, n0) -> dict[str, np
     datasets, as (R, B) arrays, from the arrays ``_column_products`` filled:
     ``deltas`` and ``whitened``, (R, p, B), and the weighted sums ``rw``,
     (R, B), returned as they are. Every column's sums run over its p values
-    in order, the observed column's too, so a column's statistics do not
-    depend on the other columns or members of the stack."""
+    in order, so a column's statistics do not depend on the other columns
+    or members of the stack, nor on their number."""
     out: dict[str, np.ndarray] = {}
     if "uw" in statistics:
-        out["uw"] = deltas.sum(axis=1)
+        out["uw"] = _row_sums(deltas)
     if "rw" in statistics:
         out["rw"] = rw
     if "hotelling" in statistics:
@@ -236,12 +238,10 @@ def _statistic_columns(statistics, deltas, whitened, rw, n1, n0) -> dict[str, np
     return out
 
 
-def _checked_weighted_sum(
-    d: Dataset, weights: RegressionFit, xs: np.ndarray, delta: np.ndarray
-) -> tuple[float, float]:
-    """``w @ delta`` and the fitted-mean difference, required to agree."""
+def _checked_weighted_sum(d: Dataset, weights: RegressionFit, xs, weighted_sum) -> float:
+    """The fitted-mean difference, required to agree with ``weighted_sum``,
+    the kernel's ``w @ delta``."""
     w = _weight_vector(weights, d.p)
-    weighted_sum = float(w @ delta)
     # Fitted mean in the unobserved arm minus the observed mean in the fit arm.
     if weights.arm == "treatment":
         fitted_control = float(np.mean(xs[d.control_rows()] @ w)) + weights.intercept
@@ -255,7 +255,7 @@ def _checked_weighted_sum(
             "internal identity violated: weighted covariate sum "
             f"{weighted_sum!r} != fitted-mean difference {fitted_diff!r}"
         )
-    return weighted_sum, fitted_diff
+    return fitted_diff
 
 
 def compute_balance_report(
@@ -268,25 +268,29 @@ def compute_balance_report(
     ``treatment_arm_weights(d)`` for the Y(1) analogue. Hotelling is
     affine-invariant and ignores ``scale``; ``hotelling_used_pinv`` flags
     covariates collinear over all N units.
+
+    The statistics are the permutation test's kernels on a stack of one
+    dataset with one column, so under the same fixed weights they equal its
+    ``observed`` values bit for bit.
     """
     if weights is None:
         weights = control_arm_weights(d, scale=scale)
 
-    xs = scaled_covariates(d, scale)
-    sizes = d.sizes
-    z_obs = _observed_column(d)
-    delta = _deltas(xs.T @ z_obs, xs.sum(axis=0)[:, None], sizes.n1, sizes.n0)[:, 0]
-    delta_rw, fitted_diff = _checked_weighted_sum(d, weights, xs, delta)
-    xw, collinear = whitened_covariates(d)
-    t2 = _hotelling(xw.T @ z_obs, sizes.n1, sizes.n0)
+    p, sizes = d.p, d.sizes
+    deltas, whitened, rw = np.zeros((1, p, 1)), np.zeros((1, p, 1)), np.zeros((1, 1))
+    w = _weight_vector(weights, p)
+    _column_products(d, scale, _observed_column(d), w, deltas[0], whitened[0], rw[0])
+    values = _statistic_columns(STATISTIC_NAMES, deltas, whitened, rw, sizes.n1, sizes.n0)
+    delta_rw = float(values["rw"][0, 0])
+    fitted_diff = _checked_weighted_sum(d, weights, scaled_covariates(d, scale), delta_rw)
 
     return BalanceReport(
-        delta=delta,
-        delta_uw=float(delta.sum()),
+        delta=deltas[0, :, 0],
+        delta_uw=float(values["uw"][0, 0]),
         delta_rw=delta_rw,
-        hotelling_t2=float(t2[0]),
+        hotelling_t2=float(values["hotelling"][0, 0]),
         weights_used=weights,
         scale=scale,
-        hotelling_used_pinv=collinear,
+        hotelling_used_pinv=whitened_covariates(d)[1],
         fitted_mean_difference=fitted_diff,
     )

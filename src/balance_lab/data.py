@@ -226,24 +226,24 @@ def stack_views(datasets: Sequence[Dataset]) -> None:
     """Compute the standardized and whitened views of datasets that share
     one shape as stacks, and cache each member's slice on it.
 
-    The stack takes one ``standardize_columns`` and one eigendecomposition.
-    Only members whose every column varies join it, and only those whose
-    standardized values are finite join the whitening; any other member
-    computes its views alone on first use and raises its own errors there.
-    Raises ValueError unless the datasets share one shape.
+    One ``standardize_columns`` and one eigendecomposition serve each
+    ``permutation_pvalues`` stack. Only uncached members whose every column
+    varies join it, and only those whose standardized values are finite
+    join the whitening; any other member computes its views alone on first
+    use and raises its own errors there.
     """
-    x = np.stack([d.x for d in datasets])
-    members = np.flatnonzero(varying_columns(x).all(axis=1))
-    if not members.size:
+    fresh = [d for d in datasets if "_standardized_x" not in vars(d)]
+    members = [d for d in fresh if varying_columns(d.x).all()]
+    if not members:
         return
-    xs = standardize_columns(x[members])
+    xs = standardize_columns(np.stack([d.x for d in members]))
     finite = np.isfinite(xs).all(axis=(1, 2))
     # A cached_property reads the instance dict first, so a value stored
     # there is the cached view.
-    for i, view in zip(members, xs):
-        vars(datasets[i])["_standardized_x"] = view
-    for i, whitened in zip(members[finite], _whiten(xs[finite])):
-        vars(datasets[i])["_whitened"] = whitened
+    for d, view in zip(members, xs):
+        vars(d)["_standardized_x"] = view
+    for d, whitened in zip(compress(members, finite), _whiten(xs[finite])):
+        vars(d)["_whitened"] = whitened
 
 
 def varying_columns(x: np.ndarray) -> np.ndarray:

@@ -14,11 +14,12 @@ another in the calling process.
 
 One call tests a stack of datasets that share one shape and one
 assignment vector, such as a group of ``simulate``'s replicates; a single
-dataset is a stack of one. Each member draws its own assignments and forms
-its own products with them; the statistics and their counts are then
+dataset is a stack of one. The call prepares its stack: its covariate
+views and control-arm weights. Each member draws its own assignments and
+forms its own products with them; the statistics and their counts are then
 computed once for the whole stack, by the column kernels in ``balance``,
 with each member's observed assignment as one more column beside its
-draws.
+draws, as the balance report computes it.
 """
 
 # Unused: perfbench's tracer patches this binding until ROADMAP item 1 drops it.
@@ -28,10 +29,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import _column_products, _observed_column, _statistic_columns
-from .data import Dataset, scaled_covariates, whitened_covariates
+from .balance import STATISTIC_NAMES, _column_products, _observed_column, _statistic_columns
+from .data import Dataset, stack_views
 from .errors import BalanceLabError, InternalNumericalError
-from .regression import RegressionFit, _weight_vector, control_arm_weights
+from .regression import RegressionFit, _weight_vector, control_arm_coefficients, control_arm_weights
 from .rng import stream
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "permutation_pvalues",
     "STATISTIC_NAMES",
 ]
-
-STATISTIC_NAMES = ("uw", "rw", "hotelling")
 
 # Permutations per stream. Fixed, so that the first k draws do not depend on B.
 _CHUNK = 1024
@@ -147,7 +146,7 @@ def permutation_pvalues(
     seed: Union[int, Sequence[int]],
     weight_policy: str = "fixed",
     scale: str = "standardized",
-    weights: Union[RegressionFit, np.ndarray, Sequence, None] = None,
+    weights: Union[RegressionFit, np.ndarray, None] = None,
 ):
     """Run the permutation test for several statistics over shared draws.
 
@@ -162,10 +161,12 @@ def permutation_pvalues(
 
     ``d`` may also be a stack: a sequence of datasets that share one shape
     and one assignment vector (ValueError otherwise), with one seed per
-    member in ``seed`` and, unless it is None, one weights entry per member
-    in ``weights``. The result is then a list with each member's dict or,
-    in its place, the ``BalanceLabError`` that member's test raised; a
-    single dataset is a stack of one whose error is raised. Each member
+    member in ``seed``. The call makes the stack's views (``data.stack_views``)
+    and fits its weights (``regression.control_arm_coefficients``), so a
+    stack takes no ``weights``. The result is then a list with each
+    member's dict or, in its place, the ``BalanceLabError`` that member's
+    test (or fit) raised; a single dataset is a stack of one whose error is
+    raised. Each member
     draws its own assignments and forms its own products ``xs' Z`` and
     ``xw' Z`` (and, under ``refit``, its own refits); the statistics and
     the counts are then computed once for the whole stack. A member's
@@ -180,15 +181,16 @@ def permutation_pvalues(
         raise ValueError(f"unknown statistics: {sorted(unknown)}")
     if weight_policy not in ("fixed", "refit"):
         raise ValueError(f"unknown weight policy {weight_policy!r}")
+    if weight_policy == "refit" and weights is not None:
+        raise ValueError("weights apply to the fixed policy only; refit fits its own")
     single = isinstance(d, Dataset)
     if single:
-        d, seed, weights = [d], [seed], [weights]
+        d, seed = [d], [seed]
+    elif weights is not None:
+        raise ValueError("a stack fits its own weights; weights apply to a single dataset")
     datasets, seeds = list(d), list(seed)
-    weights = [None] * len(datasets) if weights is None else list(weights)
-    if weight_policy == "refit" and any(w is not None for w in weights):
-        raise ValueError("weights apply to the fixed policy only; refit fits its own")
-    if not len(datasets) == len(seeds) == len(weights):
-        raise ValueError("need one seed and one weights entry per dataset")
+    if len(datasets) != len(seeds):
+        raise ValueError("need one seed per dataset")
     if not datasets:
         return []
     first = datasets[0]
@@ -213,28 +215,30 @@ def _assignment_columns(d: Dataset, seed: int, b: int):
 
 
 def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights) -> list:
-    """``permutation_pvalues`` of a validated, non-empty stack."""
+    """``permutation_pvalues`` of a validated, non-empty stack; ``weights``
+    are those given to a stack of one, or None."""
     r, p = len(datasets), datasets[0].p
     sizes = datasets[0].sizes
-    fixed_rw = "rw" in statistics and weight_policy == "fixed"
+    stack_views(datasets)
+    fits: list = [None] * r
+    if "rw" in statistics and weight_policy == "fixed" and weights is not None:
+        fits = [_weight_vector(weights, p)]
+    elif "rw" in statistics and weight_policy == "fixed":
+        fits = control_arm_coefficients(datasets, scale=scale)
     # One row of columns per member: the observed assignment, then B draws.
     deltas = np.zeros((r, p, 1 + b)) if "uw" in statistics else None
     whitened = np.zeros((r, p, 1 + b)) if "hotelling" in statistics else None
     rw = np.zeros((r, 1 + b)) if "rw" in statistics else None
     failed, fallbacks = [0] * r, [0] * r
     outcomes: list = [None] * r
-    for i, (d, seed) in enumerate(zip(datasets, seeds)):
+    for i, (d, seed, w_fixed) in enumerate(zip(datasets, seeds, fits)):
+        if isinstance(w_fixed, BalanceLabError):
+            outcomes[i] = w_fixed
+            continue
         try:
-            w_fixed = None
-            if fixed_rw:
-                w = weights[i] if weights[i] is not None else control_arm_weights(d, scale=scale)
-                w_fixed = _weight_vector(w, p)
-            xs = scaled_covariates(d, scale)
-            xw = whitened_covariates(d)[0] if whitened is not None else None
-            totals = xs.sum(axis=0)[:, None]
             for cols, z_cols in _assignment_columns(d, seed, b):
                 f, fb = _column_products(
-                    xs, xw, d.y_obs, z_cols, totals, sizes.n1, sizes.n0, w_fixed,
+                    d, scale, z_cols, w_fixed,
                     *(None if a is None else a[i, ..., cols] for a in (deltas, whitened, rw)),
                 )
                 if cols.start:

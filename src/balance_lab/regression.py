@@ -20,6 +20,8 @@ fails the gate goes to the pivoted QR alone. A single fit is a stack of
 one. ``control_arm_coefficients`` fits the control arms of many datasets
 that share a shape and an assignment vector this way; each member's
 coefficients equal, bit for bit, those of ``control_arm_weights`` alone.
+The permutation test makes one such call for each stack it tests under
+fixed weights.
 Only ``fit_ols`` and the arm-weight fits, which report them, compute
 r-squared and the standardized coefficients.
 

@@ -16,12 +16,11 @@ construction is the one structural interpretation made.
 A study runs its replicates in groups of consecutive replicates whose
 cells share n and p, and so the balanced assignment vector; a group may
 span cells. Each group, one pool task when the study has a pool, draws
-its datasets one by one, then makes their standardized and whitened
-covariate views (``data.stack_views``), their control-arm weights
-(``regression.control_arm_coefficients``), their permutation tests (one
-``permutation.permutation_pvalues`` call) and their standardized biases
-as one stack each. Every member gets the bits it would get alone, so
-results do not depend on how the replicates are grouped.
+its datasets one by one, then tests them with one
+``permutation.permutation_pvalues`` call, which makes the stack's
+covariate views and control-arm weights itself, and computes their
+standardized biases as one stack. Every member gets the bits it would get
+alone, so results do not depend on how the replicates are grouped.
 """
 
 import hashlib
@@ -35,10 +34,10 @@ from typing import Optional, Sequence, get_origin
 
 import numpy as np
 
-from .data import Dataset, population_sd, stack_views, varying_columns
+from .data import Dataset, population_sd, varying_columns
 from .errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from .permutation import STATISTIC_NAMES, permutation_pvalues
-from .regression import control_arm_coefficients, fit_ols
+from .regression import fit_ols
 from .rng import STREAM_VERSION, derive_seed, stream
 
 __all__ = [
@@ -257,9 +256,8 @@ def _run_group(args) -> list:
     None and the bias NaN where the replicate failed: its dataset could not
     be drawn, its control-arm fit raised or its permutation test raised.
 
-    The datasets are drawn one by one; their covariate views, under the
-    fixed policy their control-arm weights, their permutation tests and
-    their standardized biases are then computed as one stack each. A
+    The datasets are drawn one by one, then tested by one
+    ``permutation_pvalues`` call and given their biases as one stack. A
     replicate that raises a ``BalanceLabError`` fails alone.
     """
     members, statistics, b, weight_policy = args
@@ -270,21 +268,12 @@ def _run_group(args) -> list:
         except BalanceLabError:
             datasets.append(None)
     ready = [i for i, d in enumerate(datasets) if d is not None]
-    weights = None
-    if ready:
-        stack_views([datasets[i] for i in ready])
-        if weight_policy == "fixed" and "rw" in statistics:
-            fits = control_arm_coefficients([datasets[i] for i in ready])
-            ready = [i for i, w in zip(ready, fits) if not isinstance(w, BalanceLabError)]
-            weights = [w for w in fits if not isinstance(w, BalanceLabError)]
     outcomes = [(replicate_index, None, float("nan")) for _, replicate_index in members]
     if not ready:
         return outcomes
     stack = [datasets[i] for i in ready]
     seeds = [derive_seed(members[i][0].seed, members[i][1], 1) for i in ready]
-    tests = permutation_pvalues(
-        stack, statistics, b, seeds, weight_policy=weight_policy, weights=weights
-    )
+    tests = permutation_pvalues(stack, statistics, b, seeds, weight_policy=weight_policy)
     biases = _standardized_biases(stack, [members[i][0].tau for i in ready])
     for i, test, bias in zip(ready, tests, biases):
         if not isinstance(test, BalanceLabError):
@@ -322,12 +311,12 @@ def _result_from_payload(payload: dict) -> PowerStudyResult:
     return result
 
 
-def _load_checkpoint(path: str, fingerprint: str) -> Optional[PowerStudyResult]:
-    """The checkpointed result at ``path``, or None if absent or stale.
+def _load_checkpoint(path: str, fingerprint: str, cfg: DgpConfig) -> Optional[PowerStudyResult]:
+    """The checkpointed result of cell ``cfg`` at ``path``, or None if absent or stale.
 
-    A file that does not decode (truncated, not JSON), or whose fields are
-    not exactly the result's (an older format among them), counts as
-    stale, so its cell is computed again.
+    A file that does not decode (truncated, not JSON), whose fields are not
+    exactly the result's (an older format among them), or whose config is
+    not ``cfg``, counts as stale, so its cell is computed again.
     """
     if not os.path.exists(path):
         return None
@@ -339,9 +328,10 @@ def _load_checkpoint(path: str, fingerprint: str) -> Optional[PowerStudyResult]:
     if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
         return None
     try:
-        return _result_from_payload(payload)
-    except (AttributeError, KeyError, TypeError, ValueError):
+        result = _result_from_payload(payload)
+    except (AttributeError, KeyError, TypeError, ValueError, BalanceLabError):
         return None
+    return result if result.config == cfg else None
 
 
 def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str) -> None:
@@ -474,8 +464,8 @@ def run_power_study(
         os.makedirs(checkpoint_dir, exist_ok=True)
         paths = [os.path.join(checkpoint_dir, f"cell_{i:04d}.json") for i in range(len(grid))]
     resumed = [
-        _load_checkpoint(path, fp) if resume and path else None
-        for path, fp in zip(paths, fingerprints)
+        _load_checkpoint(path, fp, cfg) if resume and path else None
+        for path, fp, cfg in zip(paths, fingerprints, grid)
     ]
     tasks = [
         (cfg, r) for cfg, done in zip(grid, resumed) if done is None for r in range(replicates)

@@ -18,6 +18,21 @@ def random_dataset(rng, n=None, p=None, prognostic=True) -> Dataset:
     return Dataset(x=x, z=z, y_obs=y)
 
 
+def stack_member(kind, g, z, p):
+    """A dataset for a stack: Gaussian covariates, or one constant covariate,
+    or the second covariate a multiple of the first (a collinear whitening),
+    or a multiple of it within the control arm only (a control-arm fit that
+    raises RankDeficient)."""
+    x = g.normal(size=(z.size, p))
+    if kind == "constant":
+        x[:, g.integers(p)] = 2.5
+    elif kind == "collinear" and p >= 2:
+        x[:, 1] = 3.0 * x[:, 0]
+    elif kind == "control_collinear" and p >= 2:
+        x[z == 0, 1] = 3.0 * x[z == 0, 0]
+    return Dataset(x=x, z=z, y_obs=x @ g.normal(size=p) + g.normal(size=z.size))
+
+
 def residualize(x: np.ndarray, j: int) -> np.ndarray:
     """Residual of column ``j`` after regressing it on the other columns.
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from balance_lab import Dataset, compute_balance_report, control_arm_weights
@@ -9,7 +9,7 @@ from balance_lab.errors import WeightDimensionMismatch
 from balance_lab.permutation import permutation_pvalues
 from balance_lab.regression import RegressionFit
 from balance_lab.variance import enumeration_oracle, variance_report
-from conftest import random_dataset
+from conftest import random_dataset, stack_member
 
 
 def naive_differences(d, scale):
@@ -277,3 +277,37 @@ class TestReport:
     def test_hotelling_nonnegative(self, seed):
         d = random_dataset(np.random.default_rng(seed))
         assert zero_weight_report(d).hotelling_t2 >= 0.0
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestReportIsPermutationObserved:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gaussian", "constant", "collinear", "control_collinear"]),
+        p=st.integers(1, 12),
+        scale=st.sampled_from(["standardized", "raw"]),
+    )
+    @example(seed=2, kind="gaussian", p=8, scale="standardized")
+    @example(seed=3, kind="gaussian", p=9, scale="raw")
+    def test_statistics_equal_observed_bit_for_bit(self, seed, kind, p, scale):
+        # one code path: the report is the permutation test's observed
+        # column, also where numpy would sum p >= 8 contiguous values pairwise
+        assume(kind != "constant" or p >= 2)  # no covariate would vary
+        g = np.random.default_rng(seed)
+        n = 2 * (p + 4 + int(g.integers(0, 20)))
+        d = stack_member(kind, g, g.permutation(np.repeat([1, 0], n // 2)), p)
+        w = fixed_weight_fit(g.normal(size=p), d=d, scale=scale)
+        report = compute_balance_report(d, scale, weights=w)
+        observed = {
+            name: result.observed
+            for name, result in permutation_pvalues(
+                d, ("uw", "rw", "hotelling"), 5, seed, scale=scale, weights=w
+            ).items()
+        }
+        assert bits(report.delta_uw) == bits(observed["uw"])
+        assert bits(report.delta_rw) == bits(observed["rw"])
+        assert bits(report.hotelling_t2) == bits(observed["hotelling"])

@@ -587,6 +587,21 @@ class TestStandardize:
         assert [pvals is not None for _, pvals, _ in outcomes] == [True] * 5
         assert len(eigh_calls) == 1
 
+    def test_stack_views_is_idempotent(self, standardize_calls, eigh_calls, rng):
+        # a second call leaves the cached members alone: nothing is recomputed
+        z = np.repeat([1, 0], 10)
+        datasets = [
+            Dataset(x=rng.normal(size=(20, 3)), z=z, y_obs=rng.normal(size=20)) for _ in range(3)
+        ]
+        data.stack_views(datasets)
+        views = [(scaled_covariates(d, "standardized"), whitened_covariates(d)) for d in datasets]
+        assert (len(standardize_calls), len(eigh_calls)) == (1, 1)
+        data.stack_views(datasets)
+        assert (len(standardize_calls), len(eigh_calls)) == (1, 1)
+        for d, (xs, whitened) in zip(datasets, views):
+            assert scaled_covariates(d, "standardized") is xs
+            assert whitened_covariates(d) is whitened
+
     def test_scaled_view_is_cached_and_read_only(self, rng):
         x = np.column_stack([np.full(10, 4.0), rng.normal(size=(10, 2))])
         d = Dataset(x=x, z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))

@@ -20,7 +20,7 @@ from balance_lab.permutation import (
 )
 from balance_lab.regression import RCOND_GATE, fit_ols
 from balance_lab.rng import stream
-from conftest import random_dataset
+from conftest import random_dataset, stack_member
 
 
 # prefix lengths on both sides of the chunk boundary at 1024
@@ -670,32 +670,34 @@ class TestHotellingSeparation:
         assert res.p_value == (separating.sum() + extreme) / b
 
 
-def stack_member(kind, g, z, p):
-    """A dataset for a stack: Gaussian covariates, or one constant covariate,
-    or the second covariate a multiple of the first (a collinear whitening)."""
-    x = g.normal(size=(z.size, p))
-    if kind == "constant":
-        x[:, g.integers(p)] = 2.5
-    elif kind == "collinear" and p >= 2:
-        x[:, 1] = 3.0 * x[:, 0]
-    return Dataset(x=x, z=z, y_obs=x @ g.normal(size=p) + g.normal(size=z.size))
-
-
 class TestStackedPermutationTests:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        kinds=st.lists(st.sampled_from(["gaussian", "constant", "collinear"]), min_size=1, max_size=6),
+        kinds=st.lists(
+            st.sampled_from(["gaussian", "constant", "collinear", "control_collinear"]),
+            min_size=1,
+            max_size=6,
+        ),
         p=st.integers(1, 12),
         b=st.integers(1, 1100),
         weight_policy=st.sampled_from(["fixed", "refit"]),
         statistics=st.lists(st.sampled_from(STATISTIC_NAMES), min_size=1, max_size=3, unique=True),
     )
     @example(seed=1, kinds=["gaussian"] * 3, p=3, b=1025, weight_policy="refit", statistics=list(STATISTIC_NAMES))
+    @example(
+        seed=2,
+        kinds=["gaussian", "control_collinear", "constant"],
+        p=3,
+        b=40,
+        weight_policy="fixed",
+        statistics=["uw", "rw"],
+    )
     def test_stack_equals_members_alone(self, seed, kinds, p, b, weight_policy, statistics):
         # B crosses the blocks of 128 rows and the chunk of 1024; a member
-        # that raises alone holds its error in the stack, and a collinear
-        # member's whitened view is narrower than its neighbours'
+        # that raises alone (its control-arm fit among the causes) holds its
+        # error in the stack, and a collinear member's whitened view is
+        # narrower than its neighbours'
         g = np.random.default_rng(seed)
         n = 2 * (p + 4 + int(g.integers(0, 10)))
         z = g.permutation(np.repeat([1, 0], n // 2))

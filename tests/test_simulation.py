@@ -291,6 +291,29 @@ class TestRunPowerStudy:
         assert how == ["computed"]
         assert resumed == base
 
+    @pytest.mark.parametrize("edit", [("rho_x1_y", 0.45), ("n", 3)])
+    def test_checkpoint_with_other_config_recomputed(self, tmp_path, edit):
+        # the fingerprint still matches: a feasible config of another cell
+        # must not be reused, and one DgpConfig refuses counts as stale
+        grid = build_grid(tiny_study())[:1]
+        ckpt = tmp_path / "checkpoints"
+        kwargs = dict(replicates=25, b_permutations=50, checkpoint_dir=str(ckpt))
+        base = run_power_study(grid, **kwargs)
+        path = ckpt / "cell_0000.json"
+        payload = json.loads(path.read_text())
+        key, value = edit
+        assert payload["config"][key] != value
+        payload["config"][key] = value
+        path.write_text(json.dumps(payload))
+
+        how = []
+        resumed = run_power_study(
+            grid, resume=True, progress=lambda i, total, status: how.append(status), **kwargs
+        )
+        assert how == ["computed"]
+        assert resumed == base
+        assert resumed[0].config == grid[0]
+
     def test_checkpoint_from_other_stream_version_recomputed(self, tmp_path, monkeypatch):
         grid = build_grid(tiny_study())[:1]
         ckpt = str(tmp_path / "checkpoints")
