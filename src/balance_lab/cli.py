@@ -31,6 +31,7 @@ from .reports import (
     PLOT_FIELDS,
     RESULTS_FIELDS,
     bytes_digest,
+    facets,
     file_digest,
     make_manifest,
     plot_data_rows,
@@ -212,6 +213,17 @@ def _maybe_asymptotic(value: float, variance) -> float | None:
         return None
 
 
+def _write_report(out_dir: str, stem: str, report: dict, render) -> str:
+    """Write ``report`` as ``<stem>.json`` and its rendering as ``<stem>.txt``
+    in ``out_dir`` (made if missing); returns the rendering."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_json(os.path.join(out_dir, f"{stem}.json"), report)
+    text = render(report)
+    with open(os.path.join(out_dir, f"{stem}.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return text
+
+
 def cmd_test(args) -> int:
     started = utc_now()
     seed, generated = _resolve_seed(args.seed)
@@ -311,11 +323,7 @@ def cmd_test(args) -> int:
         "diagnostics": asdict(diag),
     }
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_json(os.path.join(args.out_dir, "balance_report.json"), report)
-    text = render_test_report(report)
-    with open(os.path.join(args.out_dir, "balance_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    text = _write_report(args.out_dir, "balance_report", report, render_test_report)
     if args.dump_permutations:
         for name in statistics:
             np.save(
@@ -372,18 +380,14 @@ def cmd_simulate(args) -> int:
     write_csv(plot_path, PLOT_FIELDS, plot_data_rows(results))
 
     svg_paths = []
-    for level in study.imbalance_levels:
-        facet = [r for r in results if r.config.imbalance == level]
-        prognosis = [r.config.rho_x1_y for r in facet]
+    for label, stem, cells in facets(results):
+        prognosis = [r.config.rho_x1_y for r in cells]
         series = {
-            name: [r.rejection_rate[name] for r in facet] for name in study.statistics
+            name: [r.rejection_rate[name] for r in cells] for name in study.statistics
         }
-        bias = [r.standardized_bias for r in facet]
-        label = f"imbalance={level:g} (x{study.imbalance_covariate})"
+        bias = [r.standardized_bias for r in cells]
         svg = power_curve_svg(label, prognosis, series, bias, config_digest)
-        path = os.path.join(
-            args.out_dir, f"power_x{study.imbalance_covariate}_imb{level:g}.svg"
-        )
+        path = os.path.join(args.out_dir, f"{stem}.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
         svg_paths.append(path)
@@ -426,12 +430,7 @@ def cmd_diagnose(args) -> int:
         "dataset": _dataset_summary(d, rows_dropped),
         "diagnostics": asdict(diag),
     }
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_json(os.path.join(args.out_dir, "diagnose_report.json"), report)
-    text = render_diagnose_report(report)
-    with open(os.path.join(args.out_dir, "diagnose_report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(_write_report(args.out_dir, "diagnose_report", report, render_diagnose_report))
     return 0
 
 

@@ -176,6 +176,8 @@ def permutation_pvalues(
     """
     if b < 1:
         raise ValueError("need at least one permutation")
+    if not statistics:
+        raise ValueError("need at least one statistic")
     unknown = set(statistics) - set(STATISTIC_NAMES)
     if unknown:
         raise ValueError(f"unknown statistics: {sorted(unknown)}")

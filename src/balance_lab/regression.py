@@ -23,7 +23,8 @@ coefficients equal, bit for bit, those of ``control_arm_weights`` alone.
 The permutation test makes one such call for each stack it tests under
 fixed weights.
 Only ``fit_ols`` and the arm-weight fits, which report them, compute
-r-squared and the standardized coefficients.
+r-squared and the standardized coefficients, and both build their record
+from a solution through one builder, ``_fit_record``.
 
 The permutation test's ``refit`` policy solves most control-arm fits in
 batches (``balance._refit_rw_columns``): one unpivoted QR of the data over
@@ -73,7 +74,9 @@ class RegressionFit:
     ``coefficients`` has one entry per input covariate column (zero for
     dropped constant columns); the intercept is stored separately.
     ``standardized_coefficients`` rescales each slope by sd(x_j)/sd(y) so
-    the entries are comparable across covariates.
+    the entries are comparable across covariates. ``fit_ols`` takes both
+    SDs over the fitted rows; the arm fits take sd(x_j) over all N units
+    (population SD) and sd(y) over the arm.
     """
 
     coefficients: np.ndarray
@@ -208,6 +211,26 @@ def _r_squared(x: np.ndarray, y: np.ndarray, solution: np.ndarray) -> float:
     return min(max(1.0 - ssr / sst, 0.0), 1.0) if sst > 0.0 else 0.0
 
 
+def _fit_record(x: np.ndarray, y: np.ndarray, solution: np.ndarray, sd_x, arm: str) -> RegressionFit:
+    """The ``RegressionFit`` of the ``_lstsq`` solution of ``y`` on ``x``;
+    each slope is standardized as ``slope * sd_x / sd(y)`` (zeros when
+    sd(y) is 0)."""
+    coefficients = solution[1:]
+    sd_y = population_sd(y)
+    if sd_y > 0.0:
+        standardized = coefficients * sd_x / sd_y
+    else:
+        standardized = np.zeros(coefficients.size)
+    return RegressionFit(
+        coefficients=coefficients,
+        intercept=float(solution[0]),
+        standardized_coefficients=standardized,
+        r_squared=_r_squared(x, y, solution),
+        n_used=y.size,
+        arm=arm,
+    )
+
+
 def fit_ols(x: np.ndarray, y: np.ndarray, arm: str = "full-population") -> RegressionFit:
     """Ordinary least squares of ``y`` on the columns of ``x`` and an intercept.
 
@@ -232,27 +255,13 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: str = "full-population") -> Regre
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
-    n, p = x.shape
+    n = len(x)
     if y.shape != (n,):
         raise ValueError(f"y must have length {n}")
     solution = _lstsq(x[None], y[None])[0]
     if isinstance(solution, RankDeficient):
         raise solution
-    coefficients = solution[1:]
-    sd_y = population_sd(y)
-    if sd_y > 0.0:
-        standardized = coefficients * np.std(x, axis=0, ddof=0) / sd_y
-    else:
-        standardized = np.zeros(p)
-
-    return RegressionFit(
-        coefficients=coefficients,
-        intercept=float(solution[0]),
-        standardized_coefficients=standardized,
-        r_squared=_r_squared(x, y, solution),
-        n_used=n,
-        arm=arm,
-    )
+    return _fit_record(x, y, solution, population_sd(x), arm)
 
 
 def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str, scale: str) -> list:
@@ -286,22 +295,10 @@ def _arm_weights(d: Dataset, rows: np.ndarray, arm: str, scale: str) -> Regressi
     solution = _arm_solutions([d], rows, arm, scale)[0]
     if isinstance(solution, BalanceLabError):
         raise solution
-    coefficients = solution[1:]
-    y_arm = d.y_obs[rows]
-
     # Prognosis weights on the fully standardized scale: x scaled by its
     # population SD over all N units, y by the arm's own SD.
-    sd_y = population_sd(y_arm)
-    per_sd = coefficients if scale == "standardized" else coefficients * population_sd(d.x)
-    standardized = per_sd / sd_y if sd_y > 0.0 else np.zeros(d.p)
-    return RegressionFit(
-        coefficients=coefficients,
-        intercept=float(solution[0]),
-        standardized_coefficients=standardized,
-        r_squared=_r_squared(scaled_covariates(d, scale)[rows], y_arm, solution),
-        n_used=rows.size,
-        arm=arm,
-    )
+    sd_x = 1.0 if scale == "standardized" else population_sd(d.x)
+    return _fit_record(scaled_covariates(d, scale)[rows], d.y_obs[rows], solution, sd_x, arm)
 
 
 def control_arm_weights(d: Dataset, scale: str = "standardized") -> RegressionFit:

@@ -7,6 +7,7 @@ listed (with its content digest) in the run's manifest.json.
 
 import csv
 import hashlib
+import itertools
 import json
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -21,6 +22,7 @@ __all__ = [
     "write_json",
     "write_csv",
     "results_table_rows",
+    "facets",
     "plot_data_rows",
     "RESULTS_FIELDS",
     "PLOT_FIELDS",
@@ -112,32 +114,38 @@ def results_table_rows(results: Sequence) -> list[dict]:
     return rows
 
 
-def plot_data_rows(results: Sequence) -> list[dict]:
-    """Long-format table: one facet per imbalance level, x = prognosis."""
-    rows = []
-    for result in results:
-        imbalance, prognosis = result.config.grid_cell
-        covariate = result.config.imbalance_covariate
-        facet = f"imbalance={imbalance:g} (x{covariate})"
-        for name, rate in result.rejection_rate.items():
-            rows.append(
-                {
-                    "facet": facet,
-                    "imbalance_covariate": covariate,
-                    "x": prognosis,
-                    "series": name,
-                    "y": rate,
-                }
-            )
-        rows.append(
-            {
-                "facet": facet,
-                "imbalance_covariate": covariate,
-                "x": prognosis,
-                "series": "std_bias",
-                "y": result.standardized_bias,
-            }
+def facets(results: Sequence) -> list[tuple[str, str, list]]:
+    """Cut ``simulation.PowerStudyResult`` records, in grid order, into one
+    facet per imbalance level: its label, the stem of its plot's file name
+    and its cells, in prognosis order."""
+    out = []
+    for level, cells in itertools.groupby(results, key=lambda r: r.config.imbalance):
+        cells = list(cells)
+        covariate = cells[0].config.imbalance_covariate
+        out.append(
+            (f"imbalance={level:g} (x{covariate})", f"power_x{covariate}_imb{level:g}", cells)
         )
+    return out
+
+
+def plot_data_rows(results: Sequence) -> list[dict]:
+    """Long-format table: one facet per imbalance level, x = prognosis; each
+    cell gives one row per statistic's rejection rate, then its bias."""
+    rows = []
+    for facet, _, cells in facets(results):
+        for result in cells:
+            covariate = result.config.imbalance_covariate
+            series = [*result.rejection_rate.items(), ("std_bias", result.standardized_bias)]
+            for name, y in series:
+                rows.append(
+                    {
+                        "facet": facet,
+                        "imbalance_covariate": covariate,
+                        "x": result.config.rho_x1_y,
+                        "series": name,
+                        "y": y,
+                    }
+                )
     return rows
 
 

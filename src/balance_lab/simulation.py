@@ -151,8 +151,13 @@ class StudyConfig:
             levels = getattr(self, name)
             if not all(_is_number(level) for level in levels):
                 raise ConfigError(f"{name} must hold finite numbers, got {list(levels)!r}")
-        if not self.imbalance_levels or not self.prognosis_levels:
-            raise ConfigError("imbalance_levels and prognosis_levels must be non-empty")
+        for name in ("imbalance_levels", "prognosis_levels", "statistics"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must be non-empty")
+            # a set compares by ==, so 0.0 and -0.0 are one level
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {list(values)!r}")
         if self.imbalance_covariate not in (1, 2):
             raise ConfigError("imbalance_covariate must be 1 or 2")
         if self.replicates < 1 or self.permutations < 1:
@@ -455,6 +460,8 @@ def run_power_study(
     if not grid:
         raise ConfigError("grid must contain at least one cell")
     statistics = tuple(statistics)
+    if not statistics:
+        raise ConfigError("statistics must name at least one statistic")
     fingerprints = [
         _cell_fingerprint(cfg, statistics, replicates, b_permutations, alpha, weight_policy)
         for cfg in grid

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -327,6 +328,22 @@ def write_config(path, **overrides):
     return str(path)
 
 
+def assert_svgs_match_plot_data(out, covariate):
+    """One SVG per imbalance level, in grid order, named
+    power_x{covariate}_imb{level:g}.svg and titled with the facet that
+    plot_data.csv gives the level."""
+    with open(out / "results.csv", newline="") as fh:
+        levels = list(dict.fromkeys(float(row["imbalance"]) for row in csv.DictReader(fh)))
+    with open(out / "plot_data.csv", newline="") as fh:
+        facets = list(dict.fromkeys(row["facet"] for row in csv.DictReader(fh)))
+    assert len(facets) == len(levels)
+    names = [f"power_x{covariate}_imb{level:g}.svg" for level in levels]
+    assert sorted(p.name for p in out.glob("*.svg")) == sorted(names)
+    for name, facet in zip(names, facets):
+        svg = (out / name).read_text()
+        assert re.findall(r'<text x="\d+" y="20"[^>]*>([^<]*)</text>', svg) == [facet]
+
+
 class TestCmdSimulate:
     def test_outputs_and_manifest(self, tmp_path):
         config = write_config(tmp_path / "study.json")
@@ -339,6 +356,7 @@ class TestCmdSimulate:
         assert set(manifest["outputs"]) >= {"results.csv", "plot_data.csv"}
         header = open(out / "results.csv").readline().strip()
         assert header == "imbalance,prognosis,statistic,rejection_rate,mc_se,std_bias,replicates,b"
+        assert_svgs_match_plot_data(out, covariate=1)
 
     def test_x2_study_labels_every_facet_x2(self, tmp_path):
         # the shipped x2 study, shrunk; its imbalance-0 cells load on no
@@ -355,6 +373,7 @@ class TestCmdSimulate:
         facets = {row["facet"] for row in rows}
         assert facets == {"imbalance=0 (x2)", "imbalance=0.1 (x2)", "imbalance=0.2 (x2)"}
         assert (out / "power_x2_imb0.svg").exists()
+        assert_svgs_match_plot_data(out, covariate=2)
 
     def test_resume_reproduces_results(self, tmp_path):
         config = write_config(tmp_path / "study.json")
@@ -419,6 +438,18 @@ class TestCmdSimulate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run_cli(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        # configs whose results could not be told apart or reported
+        for i, bad in enumerate((
+            {"statistics": []},
+            {"statistics": ["uw", "uw"]},
+            {"imbalance_levels": [0.2, 0.2]},
+            {"imbalance_levels": [0.0, -0.0]},
+            {"prognosis_levels": [0.0, 0.0]},
+        )):
+            config = write_config(tmp_path / f"bad{i}.json", **bad)
+            out = tmp_path / f"bad{i}"
+            assert run_cli(["simulate", "--config", config, "--out-dir", str(out)]) == 2, bad
+            assert not (out / "results.csv").exists()
 
 
 SMALL_CONFIG = {"imbalance_levels": [0.0], "prognosis_levels": [0.0], "replicates": 2}

@@ -743,3 +743,15 @@ class TestStackedPermutationTests:
         with pytest.raises(ValueError):
             permutation_pvalues([d], ("rw",), 10, [1], weight_policy="refit", weights=[np.ones(2)])
         assert permutation_pvalues([], ("uw",), 10, []) == []
+
+    def test_empty_statistics_refused_before_drawing(self, rng, monkeypatch):
+        d = random_dataset(rng, n=20, p=2)
+
+        def no_draws(*args):
+            raise AssertionError("drew assignments")
+
+        monkeypatch.setattr(permutation, "_permuted_z", no_draws)
+        with pytest.raises(ValueError, match="at least one statistic"):
+            permutation_pvalues(d, (), 10, 1)
+        with pytest.raises(ValueError, match="at least one statistic"):
+            permutation_pvalues([d, d], [], 10, [1, 2])

@@ -159,6 +159,15 @@ class TestStudyConfig:
             StudyConfig(statistics=("uw", "median"))
         with pytest.raises(ConfigError):
             StudyConfig(imbalance_covariate=3)
+        for bad in (
+            dict(statistics=()),
+            dict(statistics=("uw", "uw")),
+            dict(imbalance_levels=(0.2, 0.2)),
+            dict(imbalance_levels=(0.0, -0.0)),
+            dict(prognosis_levels=(0.0, 0.1, 0.1)),
+        ):
+            with pytest.raises(ConfigError):
+                StudyConfig(**bad)
 
     def test_round_trip(self):
         study = StudyConfig(imbalance_levels=(0.0, 0.2), prognosis_levels=(0.0, 0.1))
@@ -466,6 +475,10 @@ class TestRunPowerStudy:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             run_power_study([])
+
+    def test_empty_statistics_rejected(self):
+        with pytest.raises(ConfigError):
+            run_power_study(build_grid(tiny_study()), statistics=())
 
 
 class TestCellFailure:
