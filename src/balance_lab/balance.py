@@ -179,7 +179,7 @@ def _refit_rw_columns(
     for i in np.flatnonzero(pending):
         control = z_cols[:, i] == 0.0
         try:
-            fit = fit_ols(xs[control], y[control], arm="control")
+            fit = fit_ols(xs[control], y[control])
             values[i] = float(fit.coefficients @ deltas[:, i])
         except BalanceLabError:
             values[i] = np.inf

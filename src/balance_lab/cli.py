@@ -21,6 +21,7 @@ from .errors import (
     BalanceLabError,
     CellFailure,
     ConfigError,
+    DuplicateColumn,
     InternalNumericalError,
     MissingColumn,
     ZeroVariance,
@@ -168,9 +169,13 @@ def _covariate_list(raw: str) -> list[str]:
 
 def _load_from_args(args):
     names = _covariate_list(args.covariates)
-    load_names = list(names)
-    if args.lag_column:
-        load_names.append(args.lag_column)
+    lag_name = args.lag_column
+    roles = {args.treatment: "treatment", args.outcome: "outcome"}
+    if lag_name in roles:
+        role = roles[lag_name]
+        raise DuplicateColumn(f"column {lag_name!r} is named 2 times: as {role} and lag column")
+    # a lag column that is also a covariate is read from that covariate
+    load_names = [*names, lag_name] if lag_name and lag_name not in names else names
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", MissingRowsDropped)
         full = load_dataset(
@@ -185,9 +190,10 @@ def _load_from_args(args):
     dropped = sum(getattr(w.message, "count", 0) for w in caught)
     lag = None
     d = full
-    if args.lag_column:
-        lag = full.x[:, -1].copy()
-        d = Dataset(x=full.x[:, :-1], z=full.z, y_obs=full.y_obs, column_names=tuple(names))
+    if lag_name:
+        lag = full.x[:, load_names.index(lag_name)].copy()
+        if lag_name not in names:
+            d = Dataset(x=full.x[:, :-1], z=full.z, y_obs=full.y_obs, column_names=tuple(names))
     return d, lag, dropped
 
 
@@ -243,7 +249,7 @@ def cmd_test(args) -> int:
         scale=args.scale,
         weights=weights if args.weight_policy == "fixed" else None,
     )
-    diag = diagnostics(d, lag)
+    diag = diagnostics(d, lag, weights)
     per_covariate = []
     for j, name in enumerate(d.column_names):
         delta_j = float(balance.delta[j])

@@ -226,23 +226,26 @@ def stack_views(datasets: Sequence[Dataset]) -> None:
     """Compute the standardized and whitened views of datasets that share
     one shape as stacks, and cache each member's slice on it.
 
-    One ``standardize_columns`` and one eigendecomposition serve each
-    ``permutation_pvalues`` stack. Only uncached members whose every column
-    varies join it, and only those whose standardized values are finite
-    join the whitening; any other member computes its views alone on first
-    use and raises its own errors there.
+    One ``standardize_columns`` call, and so one ``varying_columns`` test,
+    and one eigendecomposition serve each ``permutation_pvalues`` stack.
+    Every uncached member joins the standardization, unless some member has
+    no varying column (then none does), and those whose standardized values
+    are finite join the whitening. Any other member computes its views
+    alone on first use and raises its own errors there.
     """
     fresh = [d for d in datasets if "_standardized_x" not in vars(d)]
-    members = [d for d in fresh if varying_columns(d.x).all()]
-    if not members:
+    if not fresh:
         return
-    xs = standardize_columns(np.stack([d.x for d in members]))
+    try:
+        xs = standardize_columns(np.stack([d.x for d in fresh]))
+    except AllColumnsConstant:
+        return
     finite = np.isfinite(xs).all(axis=(1, 2))
     # A cached_property reads the instance dict first, so a value stored
     # there is the cached view.
-    for d, view in zip(members, xs):
+    for d, view in zip(fresh, xs):
         vars(d)["_standardized_x"] = view
-    for d, whitened in zip(compress(members, finite), _whiten(xs[finite])):
+    for d, whitened in zip(compress(fresh, finite), _whiten(xs[finite])):
         vars(d)["_whitened"] = whitened
 
 
@@ -270,16 +273,17 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     over its own N rows; raises if any member has no varying column."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     stack = x if x.ndim == 3 else x[None]
+    varying = varying_columns(stack)
+    if not varying.any(axis=1).all():
+        raise AllColumnsConstant("every covariate column is constant")
     # Moments over the full x, then the selection: the reductions of a
     # fancy-indexed copy can differ in the last place.
     a = _by_rows(stack)
-    varying = np.ptp(a, axis=0) > 0.0
-    if not varying.reshape(stack.shape[0], -1).any(axis=1).all():
-        raise AllColumnsConstant("every covariate column is constant")
+    where = varying.reshape(-1)
     means, sds = a.mean(axis=0), np.std(a, axis=0, ddof=0)
     out = np.zeros_like(a)
-    np.subtract(a, means, out=out, where=varying)
-    np.divide(out, sds, out=out, where=varying)
+    np.subtract(a, means, out=out, where=where)
+    np.divide(out, sds, out=out, where=where)
     out = _from_rows(out, stack.shape).reshape(x.shape)
     out.setflags(write=False)
     return out
@@ -372,6 +376,8 @@ def load_dataset(
         Column names for the assignment indicator and observed outcome.
     covariate_columns : sequence of str
         Covariate column names, in the order they should appear in ``x``.
+        No name may appear twice among the treatment, the outcome and the
+        covariates (``DuplicateColumn``).
     delimiter : str
         Field separator; comma by default, pass "\\t" for TSV.
     treated_level : str, optional
@@ -400,6 +406,18 @@ def load_dataset(
     """
     if not covariate_columns:
         raise MissingColumn("at least one covariate column must be named")
+    roles: dict[str, list[str]] = {}
+    for role, name in [
+        ("treatment", treatment_column),
+        ("outcome", outcome_column),
+        *(("covariate", name) for name in covariate_columns),
+    ]:
+        roles.setdefault(name, []).append(role)
+    for name, named in roles.items():
+        if len(named) > 1:
+            raise DuplicateColumn(
+                f"column {name!r} is named {len(named)} times: as {' and '.join(named)}"
+            )
 
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:

@@ -10,7 +10,9 @@ class MissingColumn(BalanceLabError):
 
 
 class DuplicateColumn(BalanceLabError):
-    """A named column's name appears more than once in the input header."""
+    """A named column's name appears more than once in the input header, or
+    one column is named in more than one role (treatment, outcome,
+    covariate; lag column beside treatment or outcome)."""
 
 
 class NonBinaryTreatment(BalanceLabError):

@@ -77,6 +77,9 @@ class RegressionFit:
     the entries are comparable across covariates. ``fit_ols`` takes both
     SDs over the fitted rows; the arm fits take sd(x_j) over all N units
     (population SD) and sd(y) over the arm.
+
+    ``arm`` names the sample fit: "control" or "treatment" for the arm
+    fits, "full-population" for every ``fit_ols`` record.
     """
 
     coefficients: np.ndarray
@@ -231,19 +234,17 @@ def _fit_record(x: np.ndarray, y: np.ndarray, solution: np.ndarray, sd_x, arm: s
     )
 
 
-def fit_ols(x: np.ndarray, y: np.ndarray, arm: str = "full-population") -> RegressionFit:
+def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionFit:
     """Ordinary least squares of ``y`` on the columns of ``x`` and an intercept.
 
     The intercept is what the fitted-mean identity of the regression-weighted
-    balance statistic needs.
+    balance statistic needs. The record's ``arm`` is "full-population":
+    only ``control_arm_weights`` and ``treatment_arm_weights`` label an arm.
 
     Parameters
     ----------
     x : (n, p) array
     y : (n,) array
-    arm : str
-        Label recording which sample was fit ("control", "treatment",
-        or "full-population").
 
     Raises
     ------
@@ -261,7 +262,7 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: str = "full-population") -> Regre
     solution = _lstsq(x[None], y[None])[0]
     if isinstance(solution, RankDeficient):
         raise solution
-    return _fit_record(x, y, solution, population_sd(x), arm)
+    return _fit_record(x, y, solution, population_sd(x), "full-population")
 
 
 def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str, scale: str) -> list:

@@ -21,6 +21,11 @@ its datasets one by one, then tests them with one
 covariate views and control-arm weights itself, and computes their
 standardized biases as one stack. Every member gets the bits it would get
 alone, so results do not depend on how the replicates are grouped.
+
+``diagnostics`` reads the prognosis R^2 from a control-arm fit
+(``regression.control_arm_weights``), the one that gives the prognosis
+weights, and fits one regression of its own: the imbalance fit of the
+assignment on the covariates over every unit.
 """
 
 import hashlib
@@ -37,7 +42,7 @@ import numpy as np
 from .data import Dataset, population_sd, varying_columns
 from .errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from .permutation import STATISTIC_NAMES, permutation_pvalues
-from .regression import fit_ols
+from .regression import RegressionFit, control_arm_weights, fit_ols
 from .rng import STREAM_VERSION, derive_seed, stream
 
 __all__ = [
@@ -511,7 +516,12 @@ def run_power_study(
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Figure-1 style coordinates plus optional lagged-outcome correlations."""
+    """Figure-1 style coordinates plus optional lagged-outcome correlations.
+
+    ``prognosis_r2`` is the R^2 of the control-arm fit that gives the
+    prognosis weights; ``imbalance_r2`` that of the assignment indicator
+    on the covariates over every unit.
+    """
 
     prognosis_r2: float
     imbalance_r2: float
@@ -525,18 +535,26 @@ def _correlation(a: np.ndarray, b: np.ndarray) -> Optional[float]:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def diagnostics(d: Dataset, lag: Optional[np.ndarray] = None) -> Diagnostics:
+def diagnostics(
+    d: Dataset, lag: Optional[np.ndarray] = None, weights: RegressionFit | None = None
+) -> Diagnostics:
     """Prognosis and imbalance R-squared for one dataset.
 
     Prognosis is the R^2 of observed outcomes on all covariates within the
-    control arm; imbalance is the R^2 of the assignment indicator on all
-    covariates over every unit (linear probability fit). When a lagged
-    outcome column is supplied, its Pearson correlation with the observed
-    outcome is reported for the control arm and for the full data; it is
-    None (undefined) where either vector is constant.
+    control arm, read from ``weights``, a control-arm fit of ``d`` such as
+    the one the balance report uses (ValueError for another arm's fit). It
+    defaults to ``control_arm_weights(d, scale="raw")``, which also fits
+    data whose every covariate is constant. Imbalance is the R^2 of the
+    assignment indicator on all covariates over every unit (linear
+    probability fit). When a lagged outcome column is supplied, its Pearson
+    correlation with the observed outcome is reported for the control arm
+    and for the full data; it is None (undefined) where either vector is
+    constant.
     """
-    control = d.control_rows()
-    prognosis = fit_ols(d.x[control], d.y_obs[control], arm="control")
+    if weights is None:
+        weights = control_arm_weights(d, scale="raw")
+    elif weights.arm != "control":
+        raise ValueError(f"prognosis needs a control-arm fit, got a {weights.arm!r} fit")
     imbalance = fit_ols(d.x, d.z.astype(np.float64))
 
     lag_control = lag_full = None
@@ -544,11 +562,12 @@ def diagnostics(d: Dataset, lag: Optional[np.ndarray] = None) -> Diagnostics:
         lag = np.asarray(lag, dtype=np.float64)
         if lag.shape != (d.n,):
             raise ValueError(f"lag column must have length {d.n}")
+        control = d.control_rows()
         lag_control = _correlation(lag[control], d.y_obs[control])
         lag_full = _correlation(lag, d.y_obs)
 
     return Diagnostics(
-        prognosis_r2=prognosis.r_squared,
+        prognosis_r2=weights.r_squared,
         imbalance_r2=imbalance.r_squared,
         lagged_correlation_control=lag_control,
         lagged_correlation_full=lag_full,

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from balance_lab import cli
+from balance_lab import cli, regression
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "null_small.csv")
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -91,6 +91,43 @@ class TestCmdTest:
         }
         assert "(n_refit_fallback): {'rw': 0}\n" in texts["refit"]
         assert "n_refit_fallback" not in texts["fixed"]
+
+    @pytest.mark.parametrize("policy", ["fixed", "refit"])
+    @pytest.mark.parametrize("scale", ["standardized", "raw"])
+    def test_one_prognosis_fit(self, policy, scale, tmp_path, monkeypatch):
+        # the weights' control-arm fit is the only fit of the observed
+        # control arm and gives the one prognosis R^2; the other least
+        # squares are the refit fallbacks and the imbalance fit
+        rows = []
+        original = regression._lstsq
+
+        def counting(x, y):
+            rows.append(x.shape[1])
+            return original(x, y)
+
+        monkeypatch.setattr(regression, "_lstsq", counting)
+        args = ["--weight-policy", policy, "--scale", scale, "--out-dir", str(tmp_path)]
+        assert run_cli(BASE_ARGS + args) == 0
+        report = json.load(open(tmp_path / "balance_report.json"))
+        assert report["weights"]["r_squared"] == report["diagnostics"]["prognosis_r2"]
+        rw = next(row for row in report["statistics"] if row["name"] == "rw")
+        n0, n = report["dataset"]["n0"], report["dataset"]["n"]
+        assert rows == [n0] * (1 + rw.get("n_refit_fallback", 0)) + [n]
+
+    def test_lag_column_may_be_a_covariate(self, tmp_path):
+        # the lag is read from the covariate's column, not loaded twice
+        data = ["--input", FIXTURE, "--treatment", "z", "--outcome", "y", "--lag-column", "y_lag"]
+        for name, covariates in (("apart", "x1"), ("covariate", "x1,y_lag")):
+            out = str(tmp_path / name)
+            assert run_cli(["diagnose", *data, "--covariates", covariates, "--out-dir", out]) == 0
+        reports = {
+            name: json.load(open(tmp_path / name / "diagnose_report.json"))
+            for name in ("apart", "covariate")
+        }
+        assert reports["covariate"]["dataset"]["columns"] == ["x1", "y_lag"]
+        for key in ("lagged_correlation_control", "lagged_correlation_full"):
+            value = reports["covariate"]["diagnostics"][key]
+            assert value is not None and value == reports["apart"]["diagnostics"][key]
 
     @pytest.mark.parametrize("scale", ["standardized", "raw"])
     def test_constant_covariate_dropped(self, tmp_path, scale):
@@ -484,6 +521,11 @@ INVALID_CONFIGS = {
         "test-threads-negative",
         "simulate-threads-negative",
         "simulate-seed-negative",
+        "test-covariate-is-outcome",
+        "test-outcome-is-treatment",
+        "test-covariate-repeated",
+        "test-lag-is-outcome",
+        "diagnose-lag-is-treatment",
         *INVALID_CONFIGS,
     ],
 )
@@ -505,6 +547,11 @@ def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
         "simulate-threads-negative": simulate + ["--threads", "-4"],
         "simulate-seed-negative": simulate + ["--seed", "-1"],
         "config-list-with-seed-flag": simulate + ["--seed", "3"],
+        "test-covariate-is-outcome": test + ["--covariates", "x1,y"],
+        "test-outcome-is-treatment": test + ["--outcome", "z"],
+        "test-covariate-repeated": test + ["--covariates", "x1,x1"],
+        "test-lag-is-outcome": test + ["--lag-column", "y"],
+        "diagnose-lag-is-treatment": ["diagnose", *BASE_ARGS[1:9], "--lag-column", "z", "--out-dir", str(tmp_path)],
     }.get(case, simulate)
     try:
         code = run_cli(args)

@@ -69,6 +69,21 @@ class TestLoadDataset:
         with pytest.raises(MissingColumn):
             load_dataset(csv_stream(MINIMAL), "z", "y", ["nope"])
 
+    @pytest.mark.parametrize(
+        "treatment, outcome, covariates, message",
+        [
+            ("z", "y", ["x1", "y"], "column 'y' is named 2 times: as outcome and covariate"),
+            ("z", "z", ["x1"], "column 'z' is named 2 times: as treatment and outcome"),
+            ("z", "y", ["z"], "column 'z' is named 2 times: as treatment and covariate"),
+            ("z", "y", ["x1", "x1"], "column 'x1' is named 2 times: as covariate and covariate"),
+            ("y", "y", ["y"], "column 'y' is named 3 times: as treatment and outcome and covariate"),
+        ],
+        ids=["outcome-covariate", "treatment-outcome", "treatment-covariate", "covariate-twice", "all-three"],
+    )
+    def test_column_in_two_roles_refused(self, treatment, outcome, covariates, message):
+        with pytest.raises(DuplicateColumn, match=f"^{message}$"):
+            load_dataset(csv_stream(MINIMAL), treatment, outcome, covariates)
+
     def test_duplicate_header_column_refused(self):
         # the second x1 must not be silently ignored
         text = "z,y,x1, x1 \n1,0,1,9\n1,1,2,8\n0,2,3,7\n0,3,4,6\n"
@@ -601,6 +616,27 @@ class TestStandardize:
         for d, (xs, whitened) in zip(datasets, views):
             assert scaled_covariates(d, "standardized") is xs
             assert whitened_covariates(d) is whitened
+
+    def test_stack_views_tests_constant_columns_once(self, monkeypatch, rng):
+        # one varying_columns call tests the whole stack; a member with a
+        # constant column joins it
+        calls = []
+        original = data.varying_columns
+
+        def counting(x):
+            calls.append(x.shape)
+            return original(x)
+
+        monkeypatch.setattr(data, "varying_columns", counting)
+        z = np.repeat([1, 0], 10)
+        xs = [rng.normal(size=(20, 3)) for _ in range(4)]
+        xs[1][:, 2] = 0.1
+        datasets = [Dataset(x=x, z=z, y_obs=rng.normal(size=20)) for x in xs]
+        data.stack_views(datasets)
+        assert calls == [(4, 20, 3)]
+        assert all("_standardized_x" in vars(d) and "_whitened" in vars(d) for d in datasets)
+        data.stack_views(datasets)
+        assert calls == [(4, 20, 3)]
 
     def test_scaled_view_is_cached_and_read_only(self, rng):
         x = np.column_stack([np.full(10, 4.0), rng.normal(size=(10, 2))])

@@ -335,7 +335,7 @@ def looped_refit(xs, y, z_cols, deltas):
     for i in range(z_cols.shape[1]):
         control = z_cols[:, i] == 0.0
         try:
-            fit = fit_ols(xs[control], y[control], arm="control")
+            fit = fit_ols(xs[control], y[control])
         except BalanceLabError:
             values[i] = np.inf
             continue

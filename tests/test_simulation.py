@@ -5,14 +5,19 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balance_lab import (
     DgpConfig,
     StudyConfig,
+    control_arm_weights,
     diagnostics,
+    fit_ols,
     generate_dataset,
     permutation_test,
     run_power_study,
+    treatment_arm_weights,
 )
 from balance_lab import simulation
 from balance_lab.data import Dataset, population_sd
@@ -549,3 +554,51 @@ class TestDiagnostics:
         d = Dataset(x=x, z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
         with pytest.raises(ValueError):
             diagnostics(d, lag=np.ones(5))
+
+    def test_arm_fit_is_read(self, rng):
+        x = rng.normal(size=(30, 2))
+        d = Dataset(x=x, z=np.array([1, 0] * 15), y_obs=x[:, 0] + rng.normal(size=30))
+        weights = control_arm_weights(d, scale="standardized")
+        assert diagnostics(d, weights=weights).prognosis_r2 == weights.r_squared
+
+    def test_other_arm_fit_refused(self, rng):
+        x = rng.normal(size=(30, 2))
+        d = Dataset(x=x, z=np.array([1, 0] * 15), y_obs=rng.normal(size=30))
+        for fit in (treatment_arm_weights(d), fit_ols(d.x, d.y_obs)):
+            with pytest.raises(ValueError, match="control-arm fit"):
+                diagnostics(d, weights=fit)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gaussian", "binary", "wide", "constant"]),
+        n=st.integers(8, 79),
+        p=st.integers(1, 5),
+    )
+    def test_prognosis_r2_equals_control_arm_ols(self, seed, kind, n, p):
+        # the default fit gives the R^2 of a plain OLS of the control arm,
+        # bit for bit, and fails where that fit or the imbalance fit fails
+        g = np.random.default_rng(seed)
+        if kind == "binary":
+            x = g.integers(0, 2, size=(n, p)).astype(np.float64)
+        else:
+            x = g.normal(size=(n, p))
+        if kind == "wide":
+            x = x * 10.0 ** g.uniform(-6, 6, size=p) + 10.0 ** g.uniform(-3, 6, size=p)
+        if kind == "constant":
+            x[:, g.integers(p)] = 0.1
+        z = np.zeros(n, dtype=np.int64)
+        z[g.choice(n, int(g.integers(1, n)), replace=False)] = 1
+        y = x @ g.normal(size=p) + g.normal(size=n)
+        d = Dataset(x=x, z=z, y_obs=y)
+        control = d.control_rows()
+        try:
+            reference = fit_ols(d.x[control], d.y_obs[control]).r_squared
+            imbalance = fit_ols(d.x, d.z.astype(np.float64)).r_squared
+        except BalanceLabError:
+            with pytest.raises(BalanceLabError):
+                diagnostics(d)
+            return
+        diag = diagnostics(d)
+        assert diag.prognosis_r2 == reference
+        assert diag.imbalance_r2 == imbalance
