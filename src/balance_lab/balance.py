@@ -18,7 +18,9 @@ such columns is reported.
 Every kernel reads the covariate views cached on the ``Dataset``: the
 balance-scale matrix from ``data.scaled_covariates`` and the whitened one
 of the Hotelling statistic from ``data.whitened_covariates``, so one call
-standardizes and whitens each dataset once.
+standardizes and whitens each dataset once. The Hotelling statistic is a
+function of kq (``_kq``), the R^2 of the assignment on the covariates, which
+``simulation.diagnostics`` reports as the imbalance R^2 from these kernels.
 
 The observed regression-weighted sum is also computed as the difference
 between the fitted treatment-group mean and the observed control-group
@@ -70,17 +72,30 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return sum(np.moveaxis(a, -2, 0), np.zeros(a.shape[:-2] + a.shape[-1:]))
 
 
-def _hotelling(whitened_sums: np.ndarray, n1: int, n0: int) -> np.ndarray:
-    """Hotelling T-squared from the sums ``xw' z`` of the whitened
+def _kq(whitened_sums: np.ndarray, n1: int, n0: int) -> np.ndarray:
+    """kq = N / (n1 n0) |xw' z|^2 from the sums ``xw' z`` of the whitened
     covariates over the treated units of each assignment column,
     (..., k, B).
+
+    The whitened columns are centered and orthonormal, and the centered
+    assignment has squared norm n1 n0 / N, so kq, the squared norm of its
+    projection on the covariates over its own, is the R^2 of the least
+    squares fit of the assignment on an intercept and the covariates
+    (Flury and Riedwyl, The American Statistician 39, 1985). It lies in
+    [0, 1] up to rounding.
+    """
+    return ((n1 + n0) / (n1 * n0)) * _row_sums(np.square(whitened_sums))
+
+
+def _hotelling(whitened_sums: np.ndarray, n1: int, n0: int) -> np.ndarray:
+    """Hotelling T-squared from the sums ``xw' z`` (see ``_kq``).
 
     The pooled scatter is G - k S S' (S the treated sums, G the Gram matrix,
     k = N / (n1 n0)), so by Sherman-Morrison T-squared = (N - 2) kq / (1 - kq)
     with q = S' G^+ S = |xw' z|^2. kq = 1 is perfect separation: +inf.
     """
     n = n1 + n0
-    kq = (n / (n1 * n0)) * _row_sums(np.square(whitened_sums))
+    kq = _kq(whitened_sums, n1, n0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t2 = (n - 2) * kq / (1.0 - kq)
     return np.where(kq >= 1.0 - 1e-12, np.inf, t2)

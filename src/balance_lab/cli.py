@@ -115,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="covariate scale for the difference statistics",
     )
     p_test.add_argument(
-        "--alpha", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), default=0.05,
-        help="nominal test level in (0, 1) (reporting only)",
-    )
-    p_test.add_argument(
         "--threads", type=_NON_NEGATIVE, default=None,
         help="recorded in the manifest only; test runs in one process",
     )
@@ -297,7 +293,6 @@ def cmd_test(args) -> int:
         "permutations": args.permutations,
         "weight_policy": args.weight_policy,
         "scale": args.scale,
-        "alpha": args.alpha,
         "threads": threads,
         "lag_column": args.lag_column,
         "lenient_missing": args.lenient_missing,

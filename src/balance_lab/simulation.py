@@ -22,10 +22,11 @@ covariate views and control-arm weights itself, and computes their
 standardized biases as one stack. Every member gets the bits it would get
 alone, so results do not depend on how the replicates are grouped.
 
-``diagnostics`` reads the prognosis R^2 from a control-arm fit
-(``regression.control_arm_weights``), the one that gives the prognosis
-weights, and fits one regression of its own: the imbalance fit of the
-assignment on the covariates over every unit.
+``diagnostics`` fits no regression of its own. It reads the prognosis R^2
+from a control-arm fit (``regression.control_arm_weights``), the one that
+gives the prognosis weights, and the imbalance R^2 from the Hotelling
+kernel of ``balance``: kq, the R^2 of the assignment on the covariates
+over every unit, with T^2 = (N - 2) kq / (1 - kq).
 """
 
 import hashlib
@@ -39,10 +40,11 @@ from typing import Optional, Sequence, get_origin
 
 import numpy as np
 
+from .balance import _column_products, _kq, _observed_column
 from .data import Dataset, population_sd, varying_columns
 from .errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from .permutation import STATISTIC_NAMES, permutation_pvalues
-from .regression import RegressionFit, control_arm_weights, fit_ols
+from .regression import RegressionFit, control_arm_weights
 from .rng import STREAM_VERSION, derive_seed, stream
 
 __all__ = [
@@ -520,7 +522,8 @@ class Diagnostics:
 
     ``prognosis_r2`` is the R^2 of the control-arm fit that gives the
     prognosis weights; ``imbalance_r2`` that of the assignment indicator
-    on the covariates over every unit.
+    on the covariates over every unit, the Hotelling kernel's kq. Both are
+    0.0 when no covariate varies.
     """
 
     prognosis_r2: float
@@ -543,19 +546,31 @@ def diagnostics(
     Prognosis is the R^2 of observed outcomes on all covariates within the
     control arm, read from ``weights``, a control-arm fit of ``d`` such as
     the one the balance report uses (ValueError for another arm's fit). It
-    defaults to ``control_arm_weights(d, scale="raw")``, which also fits
-    data whose every covariate is constant. Imbalance is the R^2 of the
-    assignment indicator on all covariates over every unit (linear
-    probability fit). When a lagged outcome column is supplied, its Pearson
-    correlation with the observed outcome is reported for the control arm
-    and for the full data; it is None (undefined) where either vector is
-    constant.
+    defaults to ``control_arm_weights(d)``, the standardized fit that
+    ``test`` makes by default. Imbalance is the R^2 of the assignment
+    indicator on all covariates over every unit (linear probability fit),
+    read as kq from the Hotelling kernel on the whitened covariates
+    (``data.whitened_covariates``), so T^2 = (N - 2) R^2 / (1 - R^2): it is
+    shift- and scale-invariant, and covariates collinear over all units
+    give the R^2 of the directions the whitening keeps. It is capped at
+    1.0 where rounding takes kq above 1 (perfect separation). With no
+    varying covariate both values are 0.0 and nothing is fit. When a
+    lagged outcome column is supplied, its Pearson correlation with the
+    observed outcome is reported for the control arm and for the full
+    data; it is None (undefined) where either vector is constant.
     """
-    if weights is None:
-        weights = control_arm_weights(d, scale="raw")
-    elif weights.arm != "control":
+    if weights is not None and weights.arm != "control":
         raise ValueError(f"prognosis needs a control-arm fit, got a {weights.arm!r} fit")
-    imbalance = fit_ols(d.x, d.z.astype(np.float64))
+    prognosis = imbalance = 0.0
+    if len(d.constant_columns) < d.p:
+        if weights is None:
+            weights = control_arm_weights(d)
+        prognosis = weights.r_squared
+        # The observed column of compute_balance_report's Hotelling statistic.
+        whitened = np.zeros((d.p, 1))
+        _column_products(d, "standardized", _observed_column(d), None, None, whitened, None)
+        sizes = d.sizes
+        imbalance = min(float(_kq(whitened, sizes.n1, sizes.n0)[0]), 1.0)
 
     lag_control = lag_full = None
     if lag is not None:
@@ -567,8 +582,8 @@ def diagnostics(
         lag_full = _correlation(lag, d.y_obs)
 
     return Diagnostics(
-        prognosis_r2=weights.r_squared,
-        imbalance_r2=imbalance.r_squared,
+        prognosis_r2=prognosis,
+        imbalance_r2=imbalance,
         lagged_correlation_control=lag_control,
         lagged_correlation_full=lag_full,
     )

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from balance_lab import cli, regression
+from balance_lab import Diagnostics, cli, fit_ols, load_dataset, regression
+from balance_lab.data import scaled_covariates
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "null_small.csv")
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -97,7 +98,7 @@ class TestCmdTest:
     def test_one_prognosis_fit(self, policy, scale, tmp_path, monkeypatch):
         # the weights' control-arm fit is the only fit of the observed
         # control arm and gives the one prognosis R^2; the other least
-        # squares are the refit fallbacks and the imbalance fit
+        # squares are the refit fallbacks
         rows = []
         original = regression._lstsq
 
@@ -111,8 +112,8 @@ class TestCmdTest:
         report = json.load(open(tmp_path / "balance_report.json"))
         assert report["weights"]["r_squared"] == report["diagnostics"]["prognosis_r2"]
         rw = next(row for row in report["statistics"] if row["name"] == "rw")
-        n0, n = report["dataset"]["n0"], report["dataset"]["n"]
-        assert rows == [n0] * (1 + rw.get("n_refit_fallback", 0)) + [n]
+        n0 = report["dataset"]["n0"]
+        assert rows == [n0] * (1 + rw.get("n_refit_fallback", 0))
 
     def test_lag_column_may_be_a_covariate(self, tmp_path):
         # the lag is read from the covariate's column, not loaded twice
@@ -277,6 +278,58 @@ class TestCmdTest:
             BASE_ARGS + ["--permutations", "2100", "--threads", "2", "--out-dir", str(tmp_path)]
         )
         assert code == 0
+
+
+def _write_table(path, columns):
+    names = list(columns)
+    rows = zip(*(columns[name] for name in names))
+    lines = [",".join(names)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _collinear_table(path):
+    # 20 treated, then 20 control; x1 marks 10 treated units and x2 = 1 - x1
+    g = np.random.default_rng(31)
+    x1 = np.zeros(40)
+    x1[:10] = 1.0
+    x3, y = g.normal(size=(2, 40))
+    _write_table(path, {"z": np.repeat([1, 0], 20), "y": y, "x1": x1, "x2": 1.0 - x1, "x3": x3})
+
+
+def _offset_table(path):
+    # a timestamp-like column: a spread of 1e-3 about 2e6
+    g = np.random.default_rng(37)
+    z = np.zeros(200, dtype=int)
+    z[g.permutation(200)[:100]] = 1
+    x1 = 2e6 + 1e-3 * g.normal(size=200)
+    x2 = 5e4 + 2e4 * g.normal(size=200)
+    x3, y = g.normal(size=(2, 200))
+    _write_table(path, {"z": z, "y": y, "x1": x1, "x2": x2, "x3": x3})
+
+
+@pytest.mark.parametrize(
+    "table, kept", [(_collinear_table, [0, 2]), (_offset_table, [0, 1, 2])], ids=["collinear", "offset"]
+)
+def test_covariates_the_statistics_handle_exit_0(table, kept, tmp_path, monkeypatch):
+    # covariates collinear over all units, or with a large offset, are no
+    # reason for test or diagnose to exit 2: no fit over all units is made
+    path = tmp_path / "table.csv"
+    table(path)
+    data = ["--input", str(path), "--treatment", "z", "--outcome", "y", "--covariates", "x1,x2,x3"]
+    test = ["test", *data, "--seed", "1"]
+    assert run_cli(["diagnose", *data, "--out-dir", str(tmp_path / "diagnose")]) == 0
+    assert run_cli(test + ["--out-dir", str(tmp_path / "test")]) == 0
+    monkeypatch.setattr(cli, "diagnostics", lambda d, lag, weights: Diagnostics(0.0, 0.0))
+    assert run_cli(test + ["--out-dir", str(tmp_path / "stubbed")]) == 0
+    reports = {
+        name: json.load(open(next((tmp_path / name).glob("*.json"))))
+        for name in ("diagnose", "test", "stubbed")
+    }
+    assert reports["test"]["statistics"] == reports["stubbed"]["statistics"]
+    d = load_dataset(str(path), "z", "y", ["x1", "x2", "x3"])
+    expected = fit_ols(scaled_covariates(d, "standardized")[:, kept], d.z.astype(float)).r_squared
+    for name in ("diagnose", "test"):
+        assert reports[name]["diagnostics"]["imbalance_r2"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestCmdDiagnose:
@@ -514,8 +567,7 @@ INVALID_CONFIGS = {
     [
         "test-seed-negative",
         "test-permutations-zero",
-        "test-alpha-above-one",
-        "test-alpha-zero",
+        "test-alpha-unrecognized",
         "threads-env-not-int",
         "threads-env-negative",
         "test-threads-negative",
@@ -539,8 +591,7 @@ def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
     args = {
         "test-seed-negative": test + ["--seed", "-1"],
         "test-permutations-zero": test + ["--permutations", "0"],
-        "test-alpha-above-one": test + ["--alpha", "7"],
-        "test-alpha-zero": test + ["--alpha", "0"],
+        "test-alpha-unrecognized": test + ["--alpha", "0.05"],
         "threads-env-not-int": test,
         "threads-env-negative": test,
         "test-threads-negative": test + ["--threads", "-4"],
@@ -560,6 +611,8 @@ def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("error:") or ": error: " in line for line in err)
+    if case == "test-alpha-unrecognized":
+        assert any(line.endswith("unrecognized arguments: --alpha 0.05") for line in err)
 
 
 @pytest.mark.parametrize("command", ["test", "diagnose"])

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from balance_lab import (
@@ -19,10 +19,10 @@ from balance_lab import (
     run_power_study,
     treatment_arm_weights,
 )
-from balance_lab import simulation
+from balance_lab import regression, simulation
 from balance_lab.data import Dataset, population_sd
 from balance_lab.errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
-from balance_lab.permutation import STATISTIC_NAMES
+from balance_lab.permutation import STATISTIC_NAMES, permutation_pvalues
 from balance_lab.simulation import build_grid
 
 
@@ -568,6 +568,23 @@ class TestDiagnostics:
             with pytest.raises(ValueError, match="control-arm fit"):
                 diagnostics(d, weights=fit)
 
+    def test_one_fit_and_only_by_default(self, rng, monkeypatch):
+        # the imbalance R^2 comes from the Hotelling kernel: a given fit
+        # leaves no least squares to run, the default one standardized fit
+        x = rng.normal(size=(30, 2))
+        d = Dataset(x=x, z=np.array([1, 0] * 15), y_obs=x[:, 0] + rng.normal(size=30))
+        weights = control_arm_weights(d)
+        rows = []
+        original = regression._lstsq
+
+        def counting(x, y):
+            rows.append(x.shape[1])
+            return original(x, y)
+
+        monkeypatch.setattr(regression, "_lstsq", counting)
+        assert diagnostics(d, weights=weights) == diagnostics(d)
+        assert rows == [d.sizes.n0]
+
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -575,9 +592,10 @@ class TestDiagnostics:
         n=st.integers(8, 79),
         p=st.integers(1, 5),
     )
-    def test_prognosis_r2_equals_control_arm_ols(self, seed, kind, n, p):
-        # the default fit gives the R^2 of a plain OLS of the control arm,
-        # bit for bit, and fails where that fit or the imbalance fit fails
+    def test_r2_values_are_arm_fit_and_assignment_projection(self, seed, kind, n, p):
+        # the prognosis R^2 is the default standardized control-arm fit's,
+        # bit for bit, and fails where it fails; the imbalance R^2 never
+        # fails and is that of an independent least squares of the assignment
         g = np.random.default_rng(seed)
         if kind == "binary":
             x = g.integers(0, 2, size=(n, p)).astype(np.float64)
@@ -591,10 +609,22 @@ class TestDiagnostics:
         z[g.choice(n, int(g.integers(1, n)), replace=False)] = 1
         y = x @ g.normal(size=p) + g.normal(size=n)
         d = Dataset(x=x, z=z, y_obs=y)
-        control = d.control_rows()
+        if len(d.constant_columns) == p:
+            diag = diagnostics(d)
+            assert (diag.prognosis_r2, diag.imbalance_r2) == (0.0, 0.0)
+            return
+        stand_in = regression.RegressionFit(np.zeros(p), 0.0, np.zeros(p), 0.0, 0, "control")
+        imbalance = diagnostics(d, weights=stand_in).imbalance_r2
+        # The whitening keeps directions whose singular value exceeds 1e-6
+        # of the largest. Largest difference seen over 6000 draws: 8.1e-15.
+        varying = d.x[:, list(np.ptp(d.x, axis=0) > 0)]
+        xs = (varying - varying.mean(axis=0)) / varying.std(axis=0)
+        xs -= xs.mean(axis=0)
+        zc = z - z.mean()
+        fitted = xs @ np.linalg.lstsq(xs, zc, rcond=1e-6)[0]
+        assert abs(imbalance - (fitted @ fitted) / (zc @ zc)) <= 1e-12
         try:
-            reference = fit_ols(d.x[control], d.y_obs[control]).r_squared
-            imbalance = fit_ols(d.x, d.z.astype(np.float64)).r_squared
+            reference = control_arm_weights(d).r_squared
         except BalanceLabError:
             with pytest.raises(BalanceLabError):
                 diagnostics(d)
@@ -602,3 +632,29 @@ class TestDiagnostics:
         diag = diagnostics(d)
         assert diag.prognosis_r2 == reference
         assert diag.imbalance_r2 == imbalance
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gaussian", "binary", "collinear"]),
+        n=st.integers(6, 60),
+        p=st.integers(1, 5),
+    )
+    def test_imbalance_r2_gives_hotelling_t2(self, seed, kind, n, p):
+        # T^2 = (N - 2) R^2 / (1 - R^2), bit for bit wherever T^2 is finite
+        g = np.random.default_rng(seed)
+        if kind == "binary":
+            x = g.integers(0, 2, size=(n, p)).astype(np.float64)
+        else:
+            x = g.normal(size=(n, p))
+        if kind == "collinear":
+            x = np.column_stack([x, x @ g.normal(size=p)])
+        z = np.zeros(n, dtype=np.int64)
+        z[g.choice(n, int(g.integers(1, n)), replace=False)] = 1
+        d = Dataset(x=x, z=z, y_obs=g.normal(size=n))
+        assume(len(d.constant_columns) < d.p)
+        stand_in = regression.RegressionFit(np.zeros(d.p), 0.0, np.zeros(d.p), 0.0, 0, "control")
+        r2 = diagnostics(d, weights=stand_in).imbalance_r2
+        t2 = permutation_pvalues(d, ("hotelling",), 1, seed)["hotelling"].observed
+        if np.isfinite(t2):
+            assert (n - 2) * r2 / (1 - r2) == t2
