@@ -567,7 +567,8 @@ INVALID_CONFIGS = {
     [
         "test-seed-negative",
         "test-permutations-zero",
-        "test-alpha-unrecognized",
+        "test-alpha-above-one",
+        "test-alpha-zero",
         "threads-env-not-int",
         "threads-env-negative",
         "test-threads-negative",
@@ -591,7 +592,8 @@ def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
     args = {
         "test-seed-negative": test + ["--seed", "-1"],
         "test-permutations-zero": test + ["--permutations", "0"],
-        "test-alpha-unrecognized": test + ["--alpha", "0.05"],
+        "test-alpha-above-one": test + ["--alpha", "7"],
+        "test-alpha-zero": test + ["--alpha", "0"],
         "threads-env-not-int": test,
         "threads-env-negative": test,
         "test-threads-negative": test + ["--threads", "-4"],
@@ -611,8 +613,8 @@ def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("error:") or ": error: " in line for line in err)
-    if case == "test-alpha-unrecognized":
-        assert any(line.endswith("unrecognized arguments: --alpha 0.05") for line in err)
+    if case.startswith("test-alpha-"):  # test has no --alpha: any value is refused
+        assert any(line.endswith(f"unrecognized arguments: {' '.join(args[-2:])}") for line in err)
 
 
 @pytest.mark.parametrize("command", ["test", "diagnose"])
