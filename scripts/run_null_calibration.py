@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from balance_lab import DgpConfig, run_power_study
+from balance_lab.errors import ConfigError
 
 
 def null_rate(alpha: float, b: int) -> float:
@@ -63,15 +64,19 @@ def main():
     parser.add_argument("--check-tail", type=float, default=None)
     args = parser.parse_args()
 
-    cells = [DgpConfig(n=args.n, p=3, seed=seed) for seed in args.seed]
     start = time.perf_counter()
-    results = run_power_study(
-        cells,
-        replicates=args.replicates,
-        b_permutations=args.permutations,
-        alpha=args.alpha,
-        threads=args.threads,
-    )
+    try:
+        cells = [DgpConfig(n=args.n, p=3, seed=seed) for seed in args.seed]
+        results = run_power_study(
+            cells,
+            replicates=args.replicates,
+            b_permutations=args.permutations,
+            alpha=args.alpha,
+            threads=args.threads,
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     elapsed = time.perf_counter() - start
 
     print(f"null calibration: n={args.n}, replicates={args.replicates}, "

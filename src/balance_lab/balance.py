@@ -11,9 +11,9 @@ them on the observed column alone, so its statistics are the permutation
 test's observed values, bit for bit. Under the ``refit`` weight policy the
 control-arm regressions of a batch are solved together from one QR of the
 data over all units and, per column, the Gram matrix of the control rows
-of its orthonormal factor; a design that is ill-conditioned, or whose Gram
-matrix is, goes through ``regression.fit_ols`` instead, and the number of
-such columns is reported.
+of its orthonormal factor; the designs that are ill-conditioned, or whose
+Gram matrix is, are fit as one stack by ``regression``'s least-squares
+engine instead, and the number of such columns is reported.
 
 Every kernel reads the covariate views cached on the ``Dataset``: the
 balance-scale matrix from ``data.scaled_covariates`` and the whitened one
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, scaled_covariates, varying_columns, whitened_covariates
-from .errors import BalanceLabError, InternalNumericalError
-from .regression import RCOND_GATE, RegressionFit, _weight_vector, control_arm_weights, fit_ols
+from .errors import InternalNumericalError, RankDeficient
+from .regression import RCOND_GATE, RegressionFit, _lstsq, _weight_vector, control_arm_weights
 
 __all__ = [
     "BalanceReport",
@@ -104,7 +104,7 @@ def _hotelling(whitened_sums: np.ndarray, n1: int, n0: int) -> np.ndarray:
 # The Gram matrix G of an arm's rows of Q is near the identity times the
 # arm's share of the units. The arm's R factor, taken from the Cholesky
 # factor of G (Cholesky QR), carries a relative error of about kappa(G) * eps,
-# so an arm whose G has a condition number above _GRAM_KAPPA goes to fit_ols.
+# so an arm whose G has a condition number above _GRAM_KAPPA falls back.
 # The ratio of G's Gershgorin disc ends bounds kappa(G) from above, so a G
 # it keeps within _GRAM_KAPPA needs no eigenvalues.
 _GRAM_KAPPA = 1e2
@@ -128,9 +128,10 @@ def _refit_rw_columns(
 ) -> tuple[np.ndarray, int, int]:
     """Regression-weighted sums with weights refit on each column's control arm.
 
-    Returns the sums, the number of failed refits (their sums are +inf, so
-    they count as extreme) and the number of columns refit through
-    ``fit_ols``. The data ``[1 | xs | y]`` go through one Householder QR,
+    The columns permute one assignment, so every control arm has the first
+    column's size. Returns the sums, the number of failed refits (their
+    sums are +inf, so they count as extreme) and the number of fallback
+    columns. The data ``[1 | xs | y]`` go through one Householder QR,
     ``Q R``, per call. One product of the row-wise products of Q with
     ``z_cols`` gives every column's control Gram matrix
     ``G = Q'Q - Q' diag(z) Q``; with ``G = L L'``, ``L' R`` is upper
@@ -149,19 +150,18 @@ def _refit_rw_columns(
     ``sqrt(kappa(G)) * kappa(R11)``, R11 the design block of R and kappa(G)
     taken from the disc bound or the eigenvalues, and only the columns that
     bound cannot certify take the singular values of their design's R.
-    ``fit_ols``, whose pivoted QR decides the rank of every design that
-    fails the gate and raises the typed errors, takes the rest:
-    ill-conditioned designs (a covariate constant within the arm lands
-    here), and every column when the control arms differ in size or have at
-    most p + 1 units.
+    The rest fall back: ill-conditioned designs (a covariate constant
+    within the arm lands here) go through one ``regression._lstsq`` stack of
+    their control arms, whose pivoted QR decides the rank of each design
+    that fails the gate, and arms of at most p + 1 units all fail.
     """
     n, p = xs.shape
     b = z_cols.shape[1]
     values = np.empty(b)
     pending = np.ones(b, dtype=bool)
-    n0 = n - np.count_nonzero(z_cols, axis=0)
-    if b and n0.min() == n0.max() and n0[0] > p + 1:
-        # fit_ols gives a constant column a zero weight; the design here
+    n0 = n - np.count_nonzero(z_cols[:, 0]) if b else 0
+    if n0 > p + 1:
+        # _lstsq gives a constant column a zero weight; the design here
         # leaves out the columns constant over all units.
         live = np.flatnonzero(varying_columns(xs))
         k = live.size + 1
@@ -190,22 +190,22 @@ def _refit_rw_columns(
         values[solved] = (coefficients * deltas[np.ix_(live, solved)].T).sum(axis=1)
         pending[solved] = False
 
-    failures = 0
-    for i in np.flatnonzero(pending):
-        control = z_cols[:, i] == 0.0
-        try:
-            fit = fit_ols(xs[control], y[control])
-            values[i] = float(fit.coefficients @ deltas[:, i])
-        except BalanceLabError:
-            values[i] = np.inf
-            failures += 1
-    return values, failures, int(np.count_nonzero(pending))
+    fallback = np.flatnonzero(pending)
+    values[fallback] = np.inf
+    failures = fallback.size
+    if fallback.size and n0 > p + 1:
+        control = np.nonzero(z_cols[:, fallback].T == 0.0)[1].reshape(fallback.size, n0)
+        for i, solution in zip(fallback, _lstsq(xs[control], y[control])):
+            if not isinstance(solution, RankDeficient):
+                values[i] = float(solution[1:] @ deltas[:, i])
+                failures -= 1
+    return values, failures, fallback.size
 
 
 def _column_products(d, scale, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int]:
     """Write what dataset ``d``'s assignment columns ``z_cols`` contribute
     to its rows of a stack's arrays, and return the numbers of failed
-    refits and of refits through ``fit_ols``. Each array may be None, when
+    refits and of fallback refits. Each array may be None, when
     no requested statistic reads it.
 
     ``deltas`` receives the mean differences on ``scale`` and ``whitened``

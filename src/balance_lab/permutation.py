@@ -58,14 +58,17 @@ class PermutationResult:
     point); it can be exactly zero. ``p_conservative`` is the add-one
     variant (count+1)/(B+1), never zero. Failed replicates are recorded as
     +inf (counted as extreme). ``n_refit_fallback`` counts the replicates
-    whose ``refit`` weights came from ``fit_ols`` instead of the shared QR
-    (one per call, plus a Gram matrix of the control rows of its
+    whose ``refit`` weights came from the fallback instead of the shared
+    QR (one per call, plus a Gram matrix of the control rows of its
     orthonormal factor per replicate), failed ones included: their
     control design has condition number 1e6 or more, or that Gram matrix
     more than 1e2 (bounded by its Gershgorin discs, or where they cannot
-    certify it, by its eigenvalues). Hotelling is evaluated on covariates
-    whitened over all N units, so it is shift- and scale-invariant; perfect
-    separation gives +inf, counted as extreme.
+    certify it, by its eigenvalues). The fallback fits the control arms of
+    a chunk's such replicates as one stack by ``regression``'s
+    least-squares engine, each with the bits ``fit_ols`` gives it alone.
+    Hotelling is evaluated on covariates whitened over all N units, so it
+    is shift- and scale-invariant; perfect separation gives +inf, counted
+    as extreme.
     ``permuted_values`` keeps the draw order. The draws come from one
     stream per (seed, chunk index), in fixed chunks of 1024, so the first
     k of B values are the same for every B >= k. The streams come from

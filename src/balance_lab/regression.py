@@ -31,8 +31,9 @@ batches (``balance._refit_rw_columns``): one unpivoted QR of the data over
 all units, then for each arm the Cholesky factor of the Gram matrix of its
 rows of the orthonormal factor. That Gram matrix has condition number near
 1, unlike the design's normal equations, and the batch holds it to at most
-1e2. Any design that batch cannot certify under the same ``RCOND_GATE``
-comes here.
+1e2. The control arms that batch cannot certify under the same
+``RCOND_GATE`` come here as one ``_lstsq`` stack, not one ``fit_ols``
+record each.
 """
 
 from dataclasses import dataclass

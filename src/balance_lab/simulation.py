@@ -146,38 +146,24 @@ class StudyConfig:
     weight_policy: str = "fixed"
 
     def __post_init__(self):
-        for name in ("imbalance_covariate", "n", "p", "replicates", "permutations", "seed"):
+        for name in ("imbalance_covariate", "n", "p", "seed"):
             value = getattr(self, name)
             if not _is_number(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("alpha", "tau"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not _is_number(self.tau):
+            raise ConfigError(f"tau must be a finite number, got {self.tau!r}")
         for name in ("imbalance_levels", "prognosis_levels"):
             levels = getattr(self, name)
             if not all(_is_number(level) for level in levels):
                 raise ConfigError(f"{name} must hold finite numbers, got {list(levels)!r}")
-        for name in ("imbalance_levels", "prognosis_levels", "statistics"):
-            values = getattr(self, name)
-            if not values:
-                raise ConfigError(f"{name} must be non-empty")
-            # a set compares by ==, so 0.0 and -0.0 are one level
-            if len(set(values)) < len(values):
-                raise ConfigError(f"{name} must not repeat a value, got {list(values)!r}")
+            _check_distinct(name, levels)
         if self.imbalance_covariate not in (1, 2):
             raise ConfigError("imbalance_covariate must be 1 or 2")
-        if self.replicates < 1 or self.permutations < 1:
-            raise ConfigError("replicates and permutations must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.weight_policy not in ("fixed", "refit"):
-            raise ConfigError(f"unknown weight policy {self.weight_policy!r}")
-        unknown = set(self.statistics) - set(STATISTIC_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown statistics: {sorted(unknown)}")
+        _check_run_settings(
+            self.statistics, self.replicates, self.permutations, self.alpha, self.weight_policy
+        )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
@@ -202,6 +188,35 @@ class StudyConfig:
 def _is_number(value, kind=(int, float)) -> bool:
     """``isinstance(value, kind)`` and finite, where a bool is no number."""
     return isinstance(value, kind) and not isinstance(value, bool) and -math.inf < value < math.inf
+
+
+def _check_distinct(name: str, values) -> None:
+    """Raise ``ConfigError`` unless ``values`` is non-empty and repeats no value."""
+    if not values:
+        raise ConfigError(f"{name} must be non-empty")
+    # a set compares by ==, so 0.0 and -0.0 are one level
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{name} must not repeat a value, got {list(values)!r}")
+
+
+def _check_run_settings(statistics, replicates, permutations, alpha, weight_policy) -> None:
+    """Raise ``ConfigError`` unless the settings a study runs with are
+    valid: the rule of both ``StudyConfig`` and ``run_power_study``."""
+    for name, value in (("replicates", replicates), ("permutations", permutations)):
+        if not _is_number(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not _is_number(alpha):
+        raise ConfigError(f"alpha must be a finite number, got {alpha!r}")
+    _check_distinct("statistics", statistics)
+    if replicates < 1 or permutations < 1:
+        raise ConfigError("replicates and permutations must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    if weight_policy not in ("fixed", "refit"):
+        raise ConfigError(f"unknown weight policy {weight_policy!r}")
+    unknown = set(statistics) - set(STATISTIC_NAMES)
+    if unknown:
+        raise ConfigError(f"unknown statistics: {sorted(unknown)}")
 
 
 def build_grid(study: StudyConfig) -> list[DgpConfig]:
@@ -463,12 +478,16 @@ def run_power_study(
     summarized, checkpointed and reported to ``progress`` in grid order.
     Each replicate runs its permutations serially inside its worker. Any
     exception, interrupt included, cancels the queued work.
+
+    Invalid run settings raise ``ConfigError`` before any work starts, by
+    the rule that ``StudyConfig`` applies, as does ``threads`` below 1.
     """
     if not grid:
         raise ConfigError("grid must contain at least one cell")
     statistics = tuple(statistics)
-    if not statistics:
-        raise ConfigError("statistics must name at least one statistic")
+    _check_run_settings(statistics, replicates, b_permutations, alpha, weight_policy)
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads!r}")
     fingerprints = [
         _cell_fingerprint(cfg, statistics, replicates, b_permutations, alpha, weight_policy)
         for cfg in grid

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from balance_lab import Diagnostics, cli, fit_ols, load_dataset, regression
+from balance_lab import Diagnostics, balance, cli, fit_ols, load_dataset, regression
 from balance_lab.data import scaled_covariates
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "null_small.csv")
@@ -98,22 +98,30 @@ class TestCmdTest:
     def test_one_prognosis_fit(self, policy, scale, tmp_path, monkeypatch):
         # the weights' control-arm fit is the only fit of the observed
         # control arm and gives the one prognosis R^2; the other least
-        # squares are the refit fallbacks
-        rows = []
-        original = regression._lstsq
+        # squares are the refit fallbacks, one stacked fit per kernel call
+        # that has any
+        rows, kernel_fallbacks = [], []
+        original, kernel = regression._lstsq, balance._refit_rw_columns
 
         def counting(x, y):
             rows.append(x.shape[1])
             return original(x, y)
 
+        def counting_kernel(*args):
+            values, failures, fallbacks = kernel(*args)
+            kernel_fallbacks.append(fallbacks)
+            return values, failures, fallbacks
+
         monkeypatch.setattr(regression, "_lstsq", counting)
+        monkeypatch.setattr(balance, "_lstsq", counting)
+        monkeypatch.setattr(balance, "_refit_rw_columns", counting_kernel)
         args = ["--weight-policy", policy, "--scale", scale, "--out-dir", str(tmp_path)]
         assert run_cli(BASE_ARGS + args) == 0
         report = json.load(open(tmp_path / "balance_report.json"))
         assert report["weights"]["r_squared"] == report["diagnostics"]["prognosis_r2"]
-        rw = next(row for row in report["statistics"] if row["name"] == "rw")
         n0 = report["dataset"]["n0"]
-        assert rows == [n0] * (1 + rw.get("n_refit_fallback", 0))
+        assert bool(kernel_fallbacks) == (policy == "refit")
+        assert rows == [n0] * (1 + sum(fallbacks > 0 for fallbacks in kernel_fallbacks))
 
     def test_lag_column_may_be_a_covariate(self, tmp_path):
         # the lag is read from the covariate's column, not loaded twice

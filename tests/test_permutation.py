@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from balance_lab import Dataset, control_arm_weights, permutation, permutation_test
+from balance_lab import Dataset, balance, control_arm_weights, permutation, permutation_test
 from balance_lab.balance import _GRAM_KAPPA, _hotelling, _refit_rw_columns
 from balance_lab.data import varying_columns, whitened_covariates
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall
@@ -359,10 +359,14 @@ def refit_design(kind, g, n, p):
     a constant covariate as the standardized scale stores it, and
     ``offset`` is a raw column whose spread is tiny next to its level
     (fit_ols calls it rank deficient although its diagonal ratio looks
-    harmless)."""
+    harmless); ``constant_in_arm`` has a first column that is zero but on
+    two units, so it is constant in every arm without them."""
     if kind == "binary":
         return (g.random((n, p)) < 0.04).astype(float)
     x = g.normal(size=(n, p))
+    if kind == "constant_in_arm":
+        x[:, 0] = 0.0
+        x[g.choice(n, 2, replace=False), 0] = 1.0
     if kind == "collinear" and p > 1:
         x[:, -1] = x[:, 0] + 1e-3 * g.normal(size=n)
     if kind == "zero":
@@ -394,16 +398,15 @@ class TestStackedRefit:
         kind=st.sampled_from(["gaussian", "binary", "collinear", "zero", "offset"]),
         p=st.integers(1, 4),
         b=st.integers(1, 40),
-        mixed_sizes=st.booleans(),
     )
     # Column 37: terms summing to 4.8 cancel to 0.053, so a bound relative
     # to the result is below rounding. Seed 131: kappa = 1e4 puts the error
     # at 2e-9 of sum |w_j delta_j|. Seed 53: a small weight puts it at 2500
     # eps of that sum at kappa = 1.25.
-    @example(seed=4, kind="collinear", p=4, b=39, mixed_sizes=False)
-    @example(seed=131, kind="collinear", p=4, b=40, mixed_sizes=False)
-    @example(seed=53, kind="zero", p=2, b=40, mixed_sizes=False)
-    def test_matches_pivoted_loop(self, seed, kind, p, b, mixed_sizes):
+    @example(seed=4, kind="collinear", p=4, b=39)
+    @example(seed=131, kind="collinear", p=4, b=40)
+    @example(seed=53, kind="zero", p=2, b=40)
+    def test_matches_pivoted_loop(self, seed, kind, p, b):
         g = np.random.default_rng(seed)
         n = int(g.integers(2 * p + 8, 80))
         xs = refit_design(kind, g, n, p)
@@ -411,8 +414,7 @@ class TestStackedRefit:
         n1 = n // 2
         z_cols = np.zeros((n, b))
         for i in range(b):
-            treated = n1 + 1 if mixed_sizes and i == b - 1 else n1
-            z_cols[g.permutation(n)[:treated], i] = 1.0
+            z_cols[g.permutation(n)[:n1], i] = 1.0
         deltas = g.normal(size=(p, b))
 
         values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
@@ -424,10 +426,62 @@ class TestStackedRefit:
         error = np.abs(values[~failed] - expected[~failed])
         bound = 100 * scales[~failed]
         assert (error <= bound).all(), (error / np.where(bound > 0, bound, 1.0)).max()
-        if mixed_sizes and b > 1:
-            assert fallbacks == b
         if kind == "offset":
             assert failures == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["binary", "constant_in_arm", "offset", "collinear"]),
+        p=st.integers(1, 4),
+        b=st.integers(1, 60),
+    )
+    def test_fallbacks_are_fit_ols_bit_for_bit(self, seed, kind, p, b):
+        # One _lstsq call fits every fallback column's control arm, and each
+        # gets the value fit_ols gives it alone: the same bits, or +inf
+        # exactly where fit_ols raises.
+        g = np.random.default_rng(seed)
+        n = int(g.integers(p + 4, 60))
+        xs = refit_design(kind, g, n, p)
+        y = xs @ g.normal(size=p) + g.normal(size=n)
+        n1 = int(g.integers(1, n))
+        z_cols = np.zeros((n, b))
+        for i in range(b):
+            z_cols[g.permutation(n)[:n1], i] = 1.0
+        # distinct assignments, so each member of the stack names one column
+        z_cols = np.unique(z_cols, axis=1)
+        deltas = g.normal(size=(p, z_cols.shape[1]))
+
+        stacks = []
+        original = balance._lstsq
+
+        def spy(x, y):
+            stacks.append(y.copy())
+            return original(x, y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(balance, "_lstsq", spy)
+            values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+
+        controls = [z == 0.0 for z in z_cols.T]
+        if n - n1 <= p + 1:
+            # every arm is too small: no fit, every column fails
+            assert stacks == [] and failures == fallbacks == z_cols.shape[1]
+            fallback = range(z_cols.shape[1])
+        else:
+            assert len(stacks) == (1 if fallbacks else 0)
+            column_of = {y[control].tobytes(): i for i, control in enumerate(controls)}
+            fallback = [column_of[member.tobytes()] for stack in stacks for member in stack]
+            assert fallback == sorted(set(fallback)) and len(fallback) == fallbacks
+        expected = []
+        for i in fallback:
+            try:
+                fit = fit_ols(xs[controls[i]], y[controls[i]])
+                expected.append(float(fit.coefficients @ deltas[:, i]))
+            except BalanceLabError:
+                expected.append(np.inf)
+        assert values[list(fallback)].tolist() == expected
+        assert failures == expected.count(np.inf)
 
     def test_counts_fallbacks(self, rng):
         xs = rng.normal(size=(60, 2))
@@ -535,7 +589,7 @@ class TestStackedRefit:
 
     def test_rw_repeatable_across_chunk_boundary(self, rng):
         # a sparse binary covariate sends some columns of every chunk to
-        # fit_ols, so both routes meet the chunk boundary
+        # the fallback fit, so both routes meet the chunk boundary
         x = np.column_stack([rng.normal(size=(60, 2)), rng.random(60) < 0.06])
         d = Dataset(x=x, z=np.array([1, 0] * 30), y_obs=rng.normal(size=60))
         reference = permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit")

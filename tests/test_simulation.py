@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 from dataclasses import asdict
 
@@ -221,6 +222,40 @@ class TestRunPowerStudy:
                 assert res.mc_standard_error[name] == pytest.approx(expected_se)
         assert results[0].config.grid_cell == (0.0, 0.0)
         assert results[1].config.grid_cell == (0.4, 0.0)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            pytest.param(dict(replicates=0), id="replicates-zero"),
+            pytest.param(dict(replicates=2.5), id="replicates-not-integer"),
+            pytest.param(dict(b_permutations=0), id="permutations-zero"),
+            pytest.param(dict(alpha=0.0), id="alpha-zero"),
+            pytest.param(dict(alpha=3.0), id="alpha-above-one"),
+            pytest.param(dict(weight_policy="refitted"), id="weight-policy-unknown"),
+            pytest.param(dict(statistics=("uw", "median")), id="statistics-unknown"),
+            pytest.param(dict(statistics=()), id="statistics-empty"),
+            pytest.param(dict(statistics=("rw", "rw")), id="statistics-repeated"),
+            pytest.param(dict(threads=0), id="threads-zero"),
+        ],
+    )
+    def test_invalid_settings_refused_before_any_work(self, setting, tmp_path, monkeypatch):
+        # the rule StudyConfig applies, with its message; threads has no
+        # StudyConfig field
+        def no_work(args):
+            raise AssertionError("a group ran")
+
+        monkeypatch.setattr(simulation, "_run_group", no_work)
+        kwargs = dict(replicates=25, b_permutations=50, checkpoint_dir=str(tmp_path / "ckpt"))
+        kwargs.update(setting)
+        with pytest.raises(ConfigError) as refused:
+            run_power_study(build_grid(tiny_study())[:1], **kwargs)
+        assert not (tmp_path / "ckpt").exists()
+        if "threads" not in setting:
+            study_setting = {
+                "permutations" if k == "b_permutations" else k: v for k, v in setting.items()
+            }
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(refused.value))}$"):
+                tiny_study(**study_setting)
 
     def test_worker_count_does_not_change_results(self):
         study = tiny_study()
