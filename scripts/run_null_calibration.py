@@ -5,9 +5,9 @@ All three statistics should reject at roughly the nominal level; this is
 the quickest end-to-end sanity check of the whole inference stack.
 
 Several ``--seed`` values run one null cell each and pool their rejection
-counts. With ``--check-tail``, the script exits 1 unless every pooled count
-lies in the Binomial(replicates, rate) interval whose two outer tails each
-have probability at most the given value. ``rate`` is the exact null rate
+counts. With ``--check-tail T``, 0 < T < 0.5, the script exits 1 unless
+every pooled count lies in the Binomial(replicates, rate) interval whose two
+outer tails each have probability at most T. ``rate`` is the exact null rate
 of ``p < alpha``: the observed statistic's rank is uniform over the B + 1
 values, and p = count / B.
 
@@ -51,6 +51,15 @@ def binomial_interval(m: int, p: float, tail: float) -> tuple[int, int]:
     return lo, hi
 
 
+def tail_probability(text: str) -> float:
+    """The ``--check-tail`` value, a probability strictly between 0 and 0.5:
+    at 0 the interval holds every count, and from 0.5 on it is empty."""
+    value = float(text)
+    if not 0.0 < value < 0.5:
+        raise argparse.ArgumentTypeError(f"must be in (0, 0.5), got {text}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -61,7 +70,7 @@ def main():
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, nargs="+", default=[90210])
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--check-tail", type=float, default=None)
+    parser.add_argument("--check-tail", type=tail_probability, default=None)
     args = parser.parse_args()
 
     start = time.perf_counter()

@@ -11,12 +11,7 @@ from . import errors
 from .balance import BalanceReport, compute_balance_report
 from .data import Dataset, GroupSizes, load_dataset
 from .permutation import PermutationResult, permutation_test
-from .regression import (
-    RegressionFit,
-    control_arm_weights,
-    fit_ols,
-    treatment_arm_weights,
-)
+from .regression import RegressionFit, control_arm_weights, treatment_arm_weights
 from .simulation import (
     DgpConfig,
     Diagnostics,
@@ -40,7 +35,6 @@ __all__ = [
     "GroupSizes",
     "load_dataset",
     "RegressionFit",
-    "fit_ols",
     "control_arm_weights",
     "treatment_arm_weights",
     "BalanceReport",

@@ -141,8 +141,8 @@ def _refit_rw_columns(
     the design: its condition number is about 1 where the design's normal
     equations would square the design's. A column stays on this path if
     kappa(G) <= ``_GRAM_KAPPA`` and its design has condition number below
-    ``1 / regression.RCOND_GATE``, the gate of ``fit_ols`` itself, so both
-    paths fit the same model. kappa(G) is bounded first by the Gershgorin
+    ``1 / regression.RCOND_GATE``, the gate of the arm fits themselves, so
+    both paths fit the same model. kappa(G) is bounded first by the Gershgorin
     discs of G (Golub and Van Loan, Matrix Computations, Thm 7.2.1), one
     pass of array arithmetic over the chunk; only the G the discs cannot
     keep within ``_GRAM_KAPPA`` take their eigenvalues, which decide them.
@@ -157,43 +157,44 @@ def _refit_rw_columns(
     """
     n, p = xs.shape
     b = z_cols.shape[1]
+    n0 = n - np.count_nonzero(z_cols[:, 0]) if b else 0
+    if n0 <= p + 1:
+        return np.full(b, np.inf), b, b
     values = np.empty(b)
     pending = np.ones(b, dtype=bool)
-    n0 = n - np.count_nonzero(z_cols[:, 0]) if b else 0
-    if n0 > p + 1:
-        # _lstsq gives a constant column a zero weight; the design here
-        # leaves out the columns constant over all units.
-        live = np.flatnonzero(varying_columns(xs))
-        k = live.size + 1
-        q, r = np.linalg.qr(np.column_stack([np.ones(n), xs[:, live], y]))
-        rows, cols = np.triu_indices(k + 1)
-        products = q[:, rows] * q[:, cols]
-        gram = np.empty((b, k + 1, k + 1))
-        gram[:, rows, cols] = (products.sum(axis=0)[:, None] - products.T @ z_cols).T
-        gram[:, cols, rows] = gram[:, rows, cols]
-        lowest, highest = _gershgorin_bounds(gram)
-        uncertain = np.flatnonzero(highest > _GRAM_KAPPA * lowest)
-        if uncertain.size:
-            eigenvalues = np.linalg.eigvalsh(gram[uncertain])
-            lowest[uncertain], highest[uncertain] = eigenvalues[:, 0], eigenvalues[:, -1]
-        stacked = np.flatnonzero(highest <= _GRAM_KAPPA * lowest)
-        t = np.swapaxes(np.linalg.cholesky(gram[stacked]), 1, 2) @ r
-        design_r, qty = t[:, :k, :k], t[:, :k, k]
-        r_singular_values = np.linalg.svd(r[:k, :k], compute_uv=False)
-        kappa_gram = highest[stacked] / lowest[stacked]
-        ok = np.sqrt(kappa_gram) * r_singular_values[0] * RCOND_GATE < r_singular_values[-1]
-        if not ok.all():
-            singular_values = np.linalg.svd(design_r[~ok], compute_uv=False)
-            ok[~ok] = singular_values[:, -1] > RCOND_GATE * singular_values[:, 0]
-        coefficients = np.linalg.solve(design_r[ok], qty[ok, :, None])[:, 1:, 0]
-        solved = stacked[ok]
-        values[solved] = (coefficients * deltas[np.ix_(live, solved)].T).sum(axis=1)
-        pending[solved] = False
+    # _lstsq gives a constant column a zero weight; the design here leaves
+    # out the columns constant over all units.
+    live = np.flatnonzero(varying_columns(xs))
+    k = live.size + 1
+    q, r = np.linalg.qr(np.column_stack([np.ones(n), xs[:, live], y]))
+    rows, cols = np.triu_indices(k + 1)
+    products = q[:, rows] * q[:, cols]
+    gram = np.empty((b, k + 1, k + 1))
+    gram[:, rows, cols] = (products.sum(axis=0)[:, None] - products.T @ z_cols).T
+    gram[:, cols, rows] = gram[:, rows, cols]
+    lowest, highest = _gershgorin_bounds(gram)
+    uncertain = np.flatnonzero(highest > _GRAM_KAPPA * lowest)
+    if uncertain.size:
+        eigenvalues = np.linalg.eigvalsh(gram[uncertain])
+        lowest[uncertain], highest[uncertain] = eigenvalues[:, 0], eigenvalues[:, -1]
+    stacked = np.flatnonzero(highest <= _GRAM_KAPPA * lowest)
+    t = np.swapaxes(np.linalg.cholesky(gram[stacked]), 1, 2) @ r
+    design_r, qty = t[:, :k, :k], t[:, :k, k]
+    r_singular_values = np.linalg.svd(r[:k, :k], compute_uv=False)
+    kappa_gram = highest[stacked] / lowest[stacked]
+    ok = np.sqrt(kappa_gram) * r_singular_values[0] * RCOND_GATE < r_singular_values[-1]
+    if not ok.all():
+        singular_values = np.linalg.svd(design_r[~ok], compute_uv=False)
+        ok[~ok] = singular_values[:, -1] > RCOND_GATE * singular_values[:, 0]
+    coefficients = np.linalg.solve(design_r[ok], qty[ok, :, None])[:, 1:, 0]
+    solved = stacked[ok]
+    values[solved] = (coefficients * deltas[np.ix_(live, solved)].T).sum(axis=1)
+    pending[solved] = False
 
     fallback = np.flatnonzero(pending)
     values[fallback] = np.inf
     failures = fallback.size
-    if fallback.size and n0 > p + 1:
+    if fallback.size:
         control = np.nonzero(z_cols[:, fallback].T == 0.0)[1].reshape(fallback.size, n0)
         for i, solution in zip(fallback, _lstsq(xs[control], y[control])):
             if not isinstance(solution, RankDeficient):

@@ -65,7 +65,7 @@ class PermutationResult:
     more than 1e2 (bounded by its Gershgorin discs, or where they cannot
     certify it, by its eigenvalues). The fallback fits the control arms of
     a chunk's such replicates as one stack by ``regression``'s
-    least-squares engine, each with the bits ``fit_ols`` gives it alone.
+    least-squares engine, ``_lstsq``, each with the bits it gets alone.
     Hotelling is evaluated on covariates whitened over all N units, so it
     is shift- and scale-invariant; perfect separation gives +inf, counted
     as extreme.

@@ -22,9 +22,8 @@ that share a shape and an assignment vector this way; each member's
 coefficients equal, bit for bit, those of ``control_arm_weights`` alone.
 The permutation test makes one such call for each stack it tests under
 fixed weights.
-Only ``fit_ols`` and the arm-weight fits, which report them, compute
-r-squared and the standardized coefficients, and both build their record
-from a solution through one builder, ``_fit_record``.
+Only the arm-weight fits (``_arm_weights``) build a ``RegressionFit``, the
+record that reports r-squared and the standardized coefficients.
 
 The permutation test's ``refit`` policy solves most control-arm fits in
 batches (``balance._refit_rw_columns``): one unpivoted QR of the data over
@@ -32,8 +31,8 @@ all units, then for each arm the Cholesky factor of the Gram matrix of its
 rows of the orthonormal factor. That Gram matrix has condition number near
 1, unlike the design's normal equations, and the batch holds it to at most
 1e2. The control arms that batch cannot certify under the same
-``RCOND_GATE`` come here as one ``_lstsq`` stack, not one ``fit_ols``
-record each.
+``RCOND_GATE`` come here as one ``_lstsq`` stack, the engine of the arm
+fits, and get the bits each would get alone.
 """
 
 from dataclasses import dataclass
@@ -52,7 +51,6 @@ from .errors import (
 
 __all__ = [
     "RegressionFit",
-    "fit_ols",
     "control_arm_weights",
     "control_arm_coefficients",
     "treatment_arm_weights",
@@ -70,17 +68,14 @@ _PIVOT_TIE = 64 * np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Least-squares fit of an outcome on covariates for one sample.
+    """Least-squares fit of observed outcomes on covariates within one arm.
 
     ``coefficients`` has one entry per input covariate column (zero for
     dropped constant columns); the intercept is stored separately.
     ``standardized_coefficients`` rescales each slope by sd(x_j)/sd(y) so
-    the entries are comparable across covariates. ``fit_ols`` takes both
-    SDs over the fitted rows; the arm fits take sd(x_j) over all N units
-    (population SD) and sd(y) over the arm.
-
-    ``arm`` names the sample fit: "control" or "treatment" for the arm
-    fits, "full-population" for every ``fit_ols`` record.
+    the entries are comparable across covariates: sd(x_j) is the
+    population SD over all N units and sd(y) that over the arm (zeros when
+    it is 0). ``arm`` names the arm fit, "control" or "treatment".
     """
 
     coefficients: np.ndarray
@@ -88,7 +83,7 @@ class RegressionFit:
     standardized_coefficients: np.ndarray
     r_squared: float
     n_used: int
-    arm: str = "full-population"
+    arm: str
 
 
 def _weight_vector(weights, p: int) -> np.ndarray:
@@ -215,57 +210,6 @@ def _r_squared(x: np.ndarray, y: np.ndarray, solution: np.ndarray) -> float:
     return min(max(1.0 - ssr / sst, 0.0), 1.0) if sst > 0.0 else 0.0
 
 
-def _fit_record(x: np.ndarray, y: np.ndarray, solution: np.ndarray, sd_x, arm: str) -> RegressionFit:
-    """The ``RegressionFit`` of the ``_lstsq`` solution of ``y`` on ``x``;
-    each slope is standardized as ``slope * sd_x / sd(y)`` (zeros when
-    sd(y) is 0)."""
-    coefficients = solution[1:]
-    sd_y = population_sd(y)
-    if sd_y > 0.0:
-        standardized = coefficients * sd_x / sd_y
-    else:
-        standardized = np.zeros(coefficients.size)
-    return RegressionFit(
-        coefficients=coefficients,
-        intercept=float(solution[0]),
-        standardized_coefficients=standardized,
-        r_squared=_r_squared(x, y, solution),
-        n_used=y.size,
-        arm=arm,
-    )
-
-
-def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionFit:
-    """Ordinary least squares of ``y`` on the columns of ``x`` and an intercept.
-
-    The intercept is what the fitted-mean identity of the regression-weighted
-    balance statistic needs. The record's ``arm`` is "full-population":
-    only ``control_arm_weights`` and ``treatment_arm_weights`` label an arm.
-
-    Parameters
-    ----------
-    x : (n, p) array
-    y : (n,) array
-
-    Raises
-    ------
-    InsufficientRows
-        If n does not exceed the column count plus one for the intercept.
-    RankDeficient
-        If non-constant columns are collinear; the offending covariate
-        indices are attached to the exception.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    n = len(x)
-    if y.shape != (n,):
-        raise ValueError(f"y must have length {n}")
-    solution = _lstsq(x[None], y[None])[0]
-    if isinstance(solution, RankDeficient):
-        raise solution
-    return _fit_record(x, y, solution, population_sd(x), "full-population")
-
-
 def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str, scale: str) -> list:
     """``_lstsq`` of the outcomes on the covariates over ``rows`` (the arm)
     of each dataset, as one stack; a member whose covariate view cannot be
@@ -297,10 +241,22 @@ def _arm_weights(d: Dataset, rows: np.ndarray, arm: str, scale: str) -> Regressi
     solution = _arm_solutions([d], rows, arm, scale)[0]
     if isinstance(solution, BalanceLabError):
         raise solution
+    y = d.y_obs[rows]
+    coefficients = solution[1:]
     # Prognosis weights on the fully standardized scale: x scaled by its
     # population SD over all N units, y by the arm's own SD.
     sd_x = 1.0 if scale == "standardized" else population_sd(d.x)
-    return _fit_record(scaled_covariates(d, scale)[rows], d.y_obs[rows], solution, sd_x, arm)
+    sd_y = population_sd(y)
+    return RegressionFit(
+        coefficients=coefficients,
+        intercept=float(solution[0]),
+        standardized_coefficients=(
+            coefficients * sd_x / sd_y if sd_y > 0.0 else np.zeros(coefficients.size)
+        ),
+        r_squared=_r_squared(scaled_covariates(d, scale)[rows], y, solution),
+        n_used=y.size,
+        arm=arm,
+    )
 
 
 def control_arm_weights(d: Dataset, scale: str = "standardized") -> RegressionFit:

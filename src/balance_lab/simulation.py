@@ -75,6 +75,7 @@ class DgpConfig:
     imbalance_covariate: int = 1
 
     def __post_init__(self):
+        _check_shared_fields(self, ("rho_x1_z", "rho_x2_z", "rho_x1_y", "tau"))
         if self.n < 4 or self.n % 2:
             raise ConfigError(f"n must be even and at least 4, got {self.n}")
         if self.p < 1:
@@ -146,12 +147,7 @@ class StudyConfig:
     weight_policy: str = "fixed"
 
     def __post_init__(self):
-        for name in ("imbalance_covariate", "n", "p", "seed"):
-            value = getattr(self, name)
-            if not _is_number(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not _is_number(self.tau):
-            raise ConfigError(f"tau must be a finite number, got {self.tau!r}")
+        _check_shared_fields(self, ("tau",))
         for name in ("imbalance_levels", "prognosis_levels"):
             levels = getattr(self, name)
             if not all(_is_number(level) for level in levels):
@@ -159,8 +155,6 @@ class StudyConfig:
             _check_distinct(name, levels)
         if self.imbalance_covariate not in (1, 2):
             raise ConfigError("imbalance_covariate must be 1 or 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_run_settings(
             self.statistics, self.replicates, self.permutations, self.alpha, self.weight_policy
         )
@@ -188,6 +182,23 @@ class StudyConfig:
 def _is_number(value, kind=(int, float)) -> bool:
     """``isinstance(value, kind)`` and finite, where a bool is no number."""
     return isinstance(value, kind) and not isinstance(value, bool) and -math.inf < value < math.inf
+
+
+def _check_shared_fields(cfg, numbers) -> None:
+    """Raise ``ConfigError`` unless ``cfg``'s ``imbalance_covariate``, ``n``,
+    ``p`` and ``seed`` are integers, ``seed`` is not negative and each field
+    named in ``numbers`` is a finite number: the rule ``StudyConfig`` and
+    ``DgpConfig`` share for the fields they share."""
+    for name in ("imbalance_covariate", "n", "p", "seed"):
+        value = getattr(cfg, name)
+        if not _is_number(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in numbers:
+        value = getattr(cfg, name)
+        if not _is_number(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed!r}")
 
 
 def _check_distinct(name: str, values) -> None:

@@ -19,7 +19,6 @@ from .regression import _weight_vector
 __all__ = [
     "VarianceReport",
     "OracleResult",
-    "population_covariance",
     "variance_report",
     "enumeration_oracle",
     "normal_approx_test",
@@ -62,7 +61,7 @@ def _check_sizes(n: int, n1: int, n0: int) -> None:
         raise ValueError(f"n1 + n0 = {n1 + n0} does not match {n} rows")
 
 
-def population_covariance(x: np.ndarray) -> np.ndarray:
+def _population_covariance(x: np.ndarray) -> np.ndarray:
     """Finite-population covariance matrix (1/N convention)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     centered = x - x.mean(axis=0)
@@ -84,7 +83,7 @@ def variance_report(
     w = _weight_vector(weights, d.p)
     sizes = d.sizes
     xs = scaled_covariates(d, scale)
-    pop_cov = population_covariance(xs)
+    pop_cov = _population_covariance(xs)
     cov_delta = _factor(d.n, sizes.n1, sizes.n0) * pop_cov
     ones = np.ones(d.p)
     return VarianceReport(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balance_lab import Dataset, fit_ols
+from balance_lab import Dataset, regression
 from balance_lab.errors import RankDeficient
 
 
@@ -33,6 +33,16 @@ def stack_member(kind, g, z, p):
     return Dataset(x=x, z=z, y_obs=x @ g.normal(size=p) + g.normal(size=z.size))
 
 
+def lstsq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``regression._lstsq`` of ``y`` on an intercept and the columns of
+    ``x`` alone: the intercept, then one coefficient per column. Raises the
+    ``RankDeficient`` it returns."""
+    solution = regression._lstsq(x[None], y[None])[0]
+    if isinstance(solution, RankDeficient):
+        raise solution
+    return solution
+
+
 def residualize(x: np.ndarray, j: int) -> np.ndarray:
     """Residual of column ``j`` after regressing it on the other columns.
 
@@ -50,9 +60,8 @@ def residualize(x: np.ndarray, j: int) -> np.ndarray:
     if p == 1:
         residual = centered
     else:
-        others = np.delete(x, j, axis=1)
-        fit = fit_ols(others, target)
-        residual = target - (fit.intercept + others @ fit.coefficients)
+        design = np.column_stack([np.ones(n), np.delete(x, j, axis=1)])
+        residual = target - design @ np.linalg.lstsq(design, target, rcond=None)[0]
     scale = float(np.sqrt(centered @ centered))
     if float(np.sqrt(residual @ residual)) <= 1e-10 * max(scale, 1.0):
         raise RankDeficient(

@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from balance_lab import Diagnostics, balance, cli, fit_ols, load_dataset, regression
+from balance_lab import Diagnostics, balance, cli, load_dataset, regression
 from balance_lab.data import scaled_covariates
+from conftest import lstsq
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "null_small.csv")
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -335,7 +336,8 @@ def test_covariates_the_statistics_handle_exit_0(table, kept, tmp_path, monkeypa
     }
     assert reports["test"]["statistics"] == reports["stubbed"]["statistics"]
     d = load_dataset(str(path), "z", "y", ["x1", "x2", "x3"])
-    expected = fit_ols(scaled_covariates(d, "standardized")[:, kept], d.z.astype(float)).r_squared
+    x, z = scaled_covariates(d, "standardized")[:, kept], d.z.astype(float)
+    expected = regression._r_squared(x, z, lstsq(x, z))
     for name in ("diagnose", "test"):
         assert reports[name]["diagnostics"]["imbalance_r2"] == pytest.approx(expected, abs=1e-12)
 

@@ -18,9 +18,9 @@ from balance_lab.permutation import (
     _select_smallest,
     permutation_pvalues,
 )
-from balance_lab.regression import RCOND_GATE, fit_ols
+from balance_lab.regression import RCOND_GATE
 from balance_lab.rng import stream
-from conftest import random_dataset, stack_member
+from conftest import lstsq, random_dataset, stack_member
 
 
 # prefix lengths on both sides of the chunk boundary at 1024
@@ -320,8 +320,8 @@ class TestEngineAgainstScratch:
 
 
 def looped_refit(xs, y, z_cols, deltas):
-    """One fit_ols per column, failures as +inf: the reference for
-    the stacked refit kernel.
+    """One least-squares fit (``conftest.lstsq``) per column, failures as
+    +inf: the reference for the stacked refit kernel.
 
     Also returns each column's error scale: a backward-stable least-squares
     solver gets the weights w (intercept included) of the design
@@ -335,17 +335,17 @@ def looped_refit(xs, y, z_cols, deltas):
     for i in range(z_cols.shape[1]):
         control = z_cols[:, i] == 0.0
         try:
-            fit = fit_ols(xs[control], y[control])
+            solution = lstsq(xs[control], y[control])
         except BalanceLabError:
             values[i] = np.inf
             continue
-        values[i] = fit.coefficients @ deltas[:, i]
+        values[i] = solution[1:] @ deltas[:, i]
         live = varying_columns(xs[control])
         design = np.column_stack([np.ones(np.count_nonzero(control)), xs[control][:, live]])
         singular_values = np.linalg.svd(design, compute_uv=False)
         kappa = singular_values[0] / singular_values[-1]
-        w = np.linalg.norm([fit.intercept, *fit.coefficients[live]])
-        fitted_values = fit.intercept + xs[control] @ fit.coefficients
+        w = np.linalg.norm([solution[0], *solution[1:][live]])
+        fitted_values = solution[0] + xs[control] @ solution[1:]
         fitted = np.linalg.norm(fitted_values)
         residual = np.linalg.norm(y[control] - fitted_values)
         bound = w * (2 * kappa * np.linalg.norm(y[control]) + kappa**2 * residual) / fitted
@@ -357,10 +357,10 @@ def refit_design(kind, g, n, p):
     """Covariates of one kind: ``binary`` makes some control arms hold a
     constant column, ``collinear`` nearly repeats a column, ``zero`` holds
     a constant covariate as the standardized scale stores it, and
-    ``offset`` is a raw column whose spread is tiny next to its level
-    (fit_ols calls it rank deficient although its diagonal ratio looks
-    harmless); ``constant_in_arm`` has a first column that is zero but on
-    two units, so it is constant in every arm without them."""
+    ``offset`` is a raw column whose spread is tiny next to its level (the
+    least-squares engine calls it rank deficient although its diagonal
+    ratio looks harmless); ``constant_in_arm`` has a first column that is
+    zero but on two units, so it is constant in every arm without them."""
     if kind == "binary":
         return (g.random((n, p)) < 0.04).astype(float)
     x = g.normal(size=(n, p))
@@ -438,8 +438,8 @@ class TestStackedRefit:
     )
     def test_fallbacks_are_fit_ols_bit_for_bit(self, seed, kind, p, b):
         # One _lstsq call fits every fallback column's control arm, and each
-        # gets the value fit_ols gives it alone: the same bits, or +inf
-        # exactly where fit_ols raises.
+        # gets the value _lstsq gives it alone: the same bits, or +inf
+        # exactly where that fit fails.
         g = np.random.default_rng(seed)
         n = int(g.integers(p + 4, 60))
         xs = refit_design(kind, g, n, p)
@@ -476,8 +476,8 @@ class TestStackedRefit:
         expected = []
         for i in fallback:
             try:
-                fit = fit_ols(xs[controls[i]], y[controls[i]])
-                expected.append(float(fit.coefficients @ deltas[:, i]))
+                solution = lstsq(xs[controls[i]], y[controls[i]])
+                expected.append(float(solution[1:] @ deltas[:, i]))
             except BalanceLabError:
                 expected.append(np.inf)
         assert values[list(fallback)].tolist() == expected

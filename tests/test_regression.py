@@ -6,16 +6,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, control_arm_weights, fit_ols, regression, treatment_arm_weights
+from balance_lab import Dataset, control_arm_weights, regression, treatment_arm_weights
 from balance_lab.data import population_sd, scaled_covariates, stack_views, whitened_covariates
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall, InsufficientRows, RankDeficient
 from balance_lab.regression import RANK_RTOL, RCOND_GATE
-from conftest import residualize
+from conftest import lstsq, residualize
 
 
 def scipy_reference(x, y):
-    """fit_ols as it was built on scipy: LAPACK's column-pivoted QR of
-    ``[1 | non-constant columns of x]``, rank read off ``|diag R|`` at
+    """The least-squares engine as scipy builds it: LAPACK's column-pivoted
+    QR of ``[1 | non-constant columns of x]``, rank read off ``|diag R|`` at
     ``RANK_RTOL``. Returns the design, its rank, the covariates named as
     collinear (None at full rank) and the solution, intercept first (None
     below full rank)."""
@@ -65,27 +65,36 @@ def oracle_design(kind, g, n, p, log_kappa):
     return x
 
 
+def half_control(x, y):
+    """A dataset whose odd rows form the control arm."""
+    return Dataset(x=x, z=np.array([1, 0] * (len(y) // 2)), y_obs=y)
+
+
 class TestFitOls:
+    """The least-squares engine of every arm fit, ``regression._lstsq``, one
+    design at a time (``conftest.lstsq``); the fit record through the raw
+    control-arm fit."""
+
     def test_exact_fit(self, rng):
-        x = rng.normal(size=(30, 1))
-        fit = fit_ols(x, x[:, 0])
+        x = rng.normal(size=(60, 1))
+        fit = control_arm_weights(half_control(x, x[:, 0]), "raw")
         assert np.isclose(fit.coefficients[0], 1.0)
         assert np.isclose(fit.r_squared, 1.0)
-        residuals = x[:, 0] - (fit.intercept + x @ fit.coefficients)
+        residuals = x[1::2, 0] - (fit.intercept + x[1::2] @ fit.coefficients)
         assert np.abs(residuals).max() < 1e-12
 
     def test_recovers_known_coefficients(self, rng):
         x = rng.normal(size=(60, 2))
         y = 3.0 * x[:, 0] - 2.0 * x[:, 1] + 5.0
-        fit = fit_ols(x, y)
-        np.testing.assert_allclose(fit.coefficients, [3.0, -2.0], atol=1e-8)
-        assert np.isclose(fit.intercept, 5.0, atol=1e-8)
+        solution = lstsq(x, y)
+        np.testing.assert_allclose(solution[1:], [3.0, -2.0], atol=1e-8)
+        assert np.isclose(solution[0], 5.0, atol=1e-8)
 
     def test_pure_noise_r_squared_small(self):
         g = np.random.default_rng(4)
         x = g.normal(size=(10000, 3))
         y = g.normal(size=10000)
-        fit = fit_ols(x, y)
+        fit = control_arm_weights(half_control(x, y), "raw")
         assert fit.r_squared < 0.01
 
     def test_residual_orthogonality(self, rng):
@@ -94,8 +103,8 @@ class TestFitOls:
             p = int(rng.integers(1, 5))
             x = rng.normal(size=(n, p))
             y = rng.normal(size=n)
-            fit = fit_ols(x, y)
-            residuals = y - (fit.intercept + x @ fit.coefficients)
+            solution = lstsq(x, y)
+            residuals = y - (solution[0] + x @ solution[1:])
             scale = max(np.abs(y).max(), 1.0)
             assert abs(residuals.sum()) < 1e-8 * n * scale
             for j in range(p):
@@ -105,7 +114,7 @@ class TestFitOls:
         x = rng.normal(size=(20, 2))
         x = np.column_stack([x, x[:, 0]])
         with pytest.raises(RankDeficient) as info:
-            fit_ols(x, rng.normal(size=20))
+            lstsq(x, rng.normal(size=20))
         assert set(info.value.columns) & {0, 2}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -117,7 +126,7 @@ class TestFitOls:
         y_bad[5] = bad
         for args in ((x_bad, y), (x, y_bad)):
             with pytest.raises(ValueError, match="infs or NaNs"):
-                fit_ols(*args)
+                lstsq(*args)
 
     def test_rank_deficient_columns_ignore_row_order(self):
         # One-hot indicators of every level are collinear with the intercept.
@@ -134,39 +143,40 @@ class TestFitOls:
             named = set()
             for order in [np.arange(n), *(g.permutation(n) for _ in range(5))]:
                 with pytest.raises(RankDeficient) as info:
-                    fit_ols(x[order], y[order])
+                    lstsq(x[order], y[order])
                 named.add(info.value.columns)
             assert len(named) == 1, named
 
     def test_insufficient_rows(self, rng):
         x = rng.normal(size=(4, 4))
         with pytest.raises(InsufficientRows):
-            fit_ols(x, rng.normal(size=4))
+            lstsq(x, rng.normal(size=4))
 
     def test_constant_column_gets_zero_coefficient(self, rng):
         x = rng.normal(size=(25, 2))
         x_aug = np.column_stack([x[:, 0], np.full(25, 7.0), x[:, 1]])
         y = rng.normal(size=25)
-        fit_aug = fit_ols(x_aug, y)
-        fit_plain = fit_ols(x, y)
-        assert fit_aug.coefficients[1] == 0.0
-        np.testing.assert_allclose(fit_aug.coefficients[[0, 2]], fit_plain.coefficients, atol=1e-10)
+        fit_aug = lstsq(x_aug, y)[1:]
+        fit_plain = lstsq(x, y)[1:]
+        assert fit_aug[1] == 0.0
+        np.testing.assert_allclose(fit_aug[[0, 2]], fit_plain, atol=1e-10)
 
     def test_standardized_coefficients_scaling(self, rng):
-        x = rng.normal(size=(40, 3)) * np.array([1.0, 5.0, 0.2])
-        y = x @ np.array([1.0, -0.5, 2.0]) + rng.normal(size=40)
-        fit = fit_ols(x, y)
-        expected = fit.coefficients * np.std(x, axis=0) / population_sd(y)
+        # sd(x_j) over all N units, sd(y) over the control arm
+        x = rng.normal(size=(80, 3)) * np.array([1.0, 5.0, 0.2])
+        y = x @ np.array([1.0, -0.5, 2.0]) + rng.normal(size=80)
+        fit = control_arm_weights(half_control(x, y), "raw")
+        expected = fit.coefficients * np.std(x, axis=0) / population_sd(y[1::2])
         np.testing.assert_allclose(fit.standardized_coefficients, expected, rtol=1e-12)
 
     def test_row_permutation_invariance(self, rng):
         x = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
         perm = rng.permutation(50)
-        a = fit_ols(x, y)
-        b = fit_ols(x[perm], y[perm])
-        np.testing.assert_allclose(a.coefficients, b.coefficients, rtol=1e-9, atol=1e-12)
-        assert np.isclose(a.intercept, b.intercept, rtol=1e-9, atol=1e-12)
+        a = lstsq(x, y)
+        b = lstsq(x[perm], y[perm])
+        np.testing.assert_allclose(a[1:], b[1:], rtol=1e-9, atol=1e-12)
+        assert np.isclose(a[0], b[0], rtol=1e-9, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -176,11 +186,11 @@ class TestFitOls:
         p = int(g.integers(2, 6))
         x = g.normal(size=(n, p))
         y = g.normal(size=n)
-        fit = fit_ols(x, y)
+        coefficients = lstsq(x, y)[1:]
         for j in range(p):
             resid = residualize(x, j)
             ratio = (y @ resid) / (resid @ resid)
-            assert abs(fit.coefficients[j] - ratio) <= 1e-8 * max(1.0, abs(ratio))
+            assert abs(coefficients[j] - ratio) <= 1e-8 * max(1.0, abs(ratio))
 
 
 class TestScipyOracle:
@@ -206,20 +216,19 @@ class TestScipyOracle:
             regression, "_pivoted_qr_solve", wraps=regression._pivoted_qr_solve
         ) as pivoted:
             if named is None:
-                fit = fit_ols(x, y)
+                got = lstsq(x, y)
             else:
                 with pytest.raises(RankDeficient) as info:
-                    fit_ols(x, y)
+                    lstsq(x, y)
         # the unpivoted QR keeps exactly the designs with kappa below 1e6
         if abs(singular_values[-1] - gate) > 1e-6 * gate:
             assert pivoted.called == (singular_values[-1] <= gate)
 
         if named is None:
-            retained = np.flatnonzero(np.ptp(x, axis=0) > 0)
-            got = np.concatenate([[fit.intercept], fit.coefficients[retained]])
+            retained = np.concatenate([[0], 1 + np.flatnonzero(np.ptp(x, axis=0) > 0)])
             bound = least_squares_error_bound(design, solution, y)
-            assert np.linalg.norm(got - solution) <= 100 * bound
-            assert not fit.coefficients[np.ptp(x, axis=0) == 0].any()
+            assert np.linalg.norm(got[retained] - solution) <= 100 * bound
+            assert not got[1:][np.ptp(x, axis=0) == 0].any()
             return
         k = design.shape[1]
         columns = info.value.columns
@@ -249,11 +258,10 @@ class TestScipyOracle:
         with mock.patch.object(
             regression, "_pivoted_qr_solve", wraps=regression._pivoted_qr_solve
         ) as pivoted:
-            fit = fit_ols(x, y)
+            got = lstsq(x, y)
             assert pivoted.call_count == 1
-            fit_ols(x[:, [0, 2]], y)  # well conditioned: no fallback
+            lstsq(x[:, [0, 2]], y)  # well conditioned: no fallback
             assert pivoted.call_count == 1
-        got = np.array([fit.intercept, *fit.coefficients])
         bound = least_squares_error_bound(design, solution, y)
         assert np.linalg.norm(got - solution) <= 100 * bound
 

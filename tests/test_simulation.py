@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import time
@@ -14,7 +15,6 @@ from balance_lab import (
     StudyConfig,
     control_arm_weights,
     diagnostics,
-    fit_ols,
     generate_dataset,
     permutation_test,
     run_power_study,
@@ -47,6 +47,40 @@ class TestDgpConfig:
         assert DgpConfig(rho_x2_z=0.2, imbalance_covariate=2).imbalance_covariate == 2
         assert DgpConfig(rho_x2_z=0.2, imbalance_covariate=2).imbalance == 0.2
         assert DgpConfig(imbalance_covariate=2).grid_cell == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param(
+                "seed", -1, "seed must be a non-negative integer, got -1", id="seed-negative"
+            ),
+            pytest.param("seed", 2.5, "seed must be an integer, got 2.5", id="seed-float"),
+            pytest.param("seed", True, "seed must be an integer, got True", id="seed-bool"),
+            pytest.param("n", 40.0, "n must be an integer, got 40.0", id="n-float"),
+            pytest.param("p", 3.0, "p must be an integer, got 3.0", id="p-float"),
+            pytest.param(
+                "imbalance_covariate", 1.0, "imbalance_covariate must be an integer, got 1.0",
+                id="imbalance-covariate-float",
+            ),
+            pytest.param("tau", math.nan, "tau must be a finite number, got nan", id="tau-nan"),
+            pytest.param("tau", "0", "tau must be a finite number, got '0'", id="tau-string"),
+            pytest.param(
+                "rho_x1_z", math.inf, "rho_x1_z must be a finite number, got inf", id="rho-x1-z-inf"
+            ),
+            pytest.param(
+                "rho_x2_z", math.nan, "rho_x2_z must be a finite number, got nan", id="rho-x2-z-nan"
+            ),
+            pytest.param(
+                "rho_x1_y", math.nan, "rho_x1_y must be a finite number, got nan", id="rho-x1-y-nan"
+            ),
+        ],
+    )
+    def test_invalid_fields_refused_as_study_config_refuses_them(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            DgpConfig(**{field: value})
+        if field in StudyConfig.__dataclass_fields__:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                StudyConfig(**{field: value})
 
     def test_loading_on_the_other_covariate_refused(self):
         with pytest.raises(ConfigError, match="rho_x2_z"):
@@ -599,9 +633,8 @@ class TestDiagnostics:
     def test_other_arm_fit_refused(self, rng):
         x = rng.normal(size=(30, 2))
         d = Dataset(x=x, z=np.array([1, 0] * 15), y_obs=rng.normal(size=30))
-        for fit in (treatment_arm_weights(d), fit_ols(d.x, d.y_obs)):
-            with pytest.raises(ValueError, match="control-arm fit"):
-                diagnostics(d, weights=fit)
+        with pytest.raises(ValueError, match="control-arm fit"):
+            diagnostics(d, weights=treatment_arm_weights(d))
 
     def test_one_fit_and_only_by_default(self, rng, monkeypatch):
         # the imbalance R^2 comes from the Hotelling kernel: a given fit
