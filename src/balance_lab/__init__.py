@@ -11,7 +11,7 @@ from . import errors
 from .balance import BalanceReport, compute_balance_report
 from .data import Dataset, GroupSizes, load_dataset
 from .permutation import PermutationResult, permutation_test
-from .regression import RegressionFit, control_arm_weights, treatment_arm_weights
+from .regression import RegressionFit, control_arm_weights, raw_form, treatment_arm_weights
 from .simulation import (
     DgpConfig,
     Diagnostics,
@@ -37,6 +37,7 @@ __all__ = [
     "RegressionFit",
     "control_arm_weights",
     "treatment_arm_weights",
+    "raw_form",
     "BalanceReport",
     "compute_balance_report",
     "VarianceReport",

@@ -8,17 +8,15 @@ regression-weighted sums, are formed one member at a time
 (``_column_products``); the rest of every statistic runs once for the
 whole stack (``_statistic_columns``). ``compute_balance_report`` runs
 them on the observed column alone, so its statistics are the permutation
-test's observed values, bit for bit. Under the ``refit`` weight policy the
-control-arm regressions of a batch are solved together from one QR of the
-data over all units and, per column, the Gram matrix of the control rows
-of its orthonormal factor; the designs that are ill-conditioned, or whose
-Gram matrix is, are fit as one stack by ``regression``'s least-squares
-engine instead, and the number of such columns is reported.
+test's observed values, bit for bit. Under the ``refit`` weight policy
+``_refit_rw_columns`` fits the control arms of a batch together.
 
 Every kernel reads the covariate views cached on the ``Dataset``: the
-balance-scale matrix from ``data.scaled_covariates`` and the whitened one
-of the Hotelling statistic from ``data.whitened_covariates``, so one call
-standardizes and whitens each dataset once. The Hotelling statistic is a
+standardized matrix and the whitened one of the Hotelling statistic
+(``data.whitened_covariates``), so one call standardizes and whitens each
+dataset once. Weights and fits are standardized, so ``rw`` ignores the
+scale; ``_statistic_columns`` puts the mean differences on it (a raw one
+is s_j times the standardized one). The Hotelling statistic is a
 function of kq (``_kq``), the R^2 of the assignment on the covariates, which
 ``simulation.diagnostics`` reports as the imbalance R^2 from these kernels.
 
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, scaled_covariates, varying_columns, whitened_covariates
+from .data import Dataset, _scale_factors, varying_columns, whitened_covariates
 from .errors import InternalNumericalError, RankDeficient
 from .regression import RCOND_GATE, RegressionFit, _lstsq, _weight_vector, control_arm_weights
 
@@ -46,7 +44,8 @@ STATISTIC_NAMES = ("uw", "rw", "hotelling")
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """All balance statistics for one dataset on one covariate scale.
+    """All balance statistics for one dataset; only ``delta`` and
+    ``delta_uw`` depend on ``scale``, as ``weights_used`` is standardized.
 
     ``hotelling_t2`` is +inf when the covariates separate the arms perfectly.
     """
@@ -203,13 +202,13 @@ def _refit_rw_columns(
     return values, failures, fallback.size
 
 
-def _column_products(d, scale, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int]:
+def _column_products(d, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int]:
     """Write what dataset ``d``'s assignment columns ``z_cols`` contribute
     to its rows of a stack's arrays, and return the numbers of failed
     refits and of fallback refits. Each array may be None, when
     no requested statistic reads it.
 
-    ``deltas`` receives the mean differences on ``scale`` and ``whitened``
+    ``deltas`` receives the standardized mean differences and ``whitened``
     the sums ``xw' z`` (see ``data.whitened_covariates``) in its first
     ``xw.shape[1]`` rows; the zeros below add nothing to a sum of squares.
     ``rw`` receives ``w_fixed @ deltas`` under fixed weights, else the sums
@@ -217,7 +216,7 @@ def _column_products(d, scale, z_cols, w_fixed, deltas, whitened, rw) -> tuple[i
     product per dataset and call: the last bits of a BLAS product depend on
     its operands' layout and on a column's place among the columns.
     """
-    xs = scaled_covariates(d, scale)
+    xs = d._standardized_x
     sizes = d.sizes
     if deltas is not None or rw is not None:
         # Mean differences, elementwise: a slice of the columns gets its bits in the whole.
@@ -237,15 +236,17 @@ def _column_products(d, scale, z_cols, w_fixed, deltas, whitened, rw) -> tuple[i
     return failures, fallbacks
 
 
-def _statistic_columns(statistics, deltas, whitened, rw, n1, n0) -> dict[str, np.ndarray]:
+def _statistic_columns(statistics, units, deltas, whitened, rw, n1, n0) -> dict[str, np.ndarray]:
     """Each requested statistic for every assignment column of a stack of R
     datasets, as (R, B) arrays, from the arrays ``_column_products`` filled:
     ``deltas`` and ``whitened``, (R, p, B), and the weighted sums ``rw``,
-    (R, B), returned as they are. Every column's sums run over its p values
-    in order, so a column's statistics do not depend on the other columns
-    or members of the stack, nor on their number."""
+    (R, B), returned as they are; ``deltas`` is first multiplied in place by
+    ``units`` (R, p), each member's ``data._scale_factors``. Every column's
+    sums run over its p values in order, so a column's statistics do not
+    depend on the other columns or members of the stack, nor on their number."""
     out: dict[str, np.ndarray] = {}
     if "uw" in statistics:
+        deltas *= units[:, :, None]
         out["uw"] = _row_sums(deltas)
     if "rw" in statistics:
         out["rw"] = rw
@@ -254,10 +255,10 @@ def _statistic_columns(statistics, deltas, whitened, rw, n1, n0) -> dict[str, np
     return out
 
 
-def _checked_weighted_sum(d: Dataset, weights: RegressionFit, xs, weighted_sum) -> float:
+def _checked_weighted_sum(d: Dataset, weights: RegressionFit, weighted_sum) -> float:
     """The fitted-mean difference, required to agree with ``weighted_sum``,
     the kernel's ``w @ delta``."""
-    w = _weight_vector(weights, d.p)
+    w, xs = _weight_vector(weights, d.p), d._standardized_x
     # Fitted mean in the unobserved arm minus the observed mean in the fit arm.
     if weights.arm == "treatment":
         fitted_control = float(np.mean(xs[d.control_rows()] @ w)) + weights.intercept
@@ -279,26 +280,24 @@ def compute_balance_report(
 ) -> BalanceReport:
     """Assemble every balance statistic for one dataset.
 
-    Weights default to a fresh control-arm fit; pass an existing
-    ``RegressionFit`` from an arm fit on the same scale to reuse one, e.g.
-    ``treatment_arm_weights(d)`` for the Y(1) analogue. Hotelling is
-    affine-invariant and ignores ``scale``; ``hotelling_used_pinv`` flags
-    covariates collinear over all N units.
+    Weights default to a fresh control-arm fit; pass a ``RegressionFit``
+    (e.g. ``treatment_arm_weights(d)``, the Y(1) analogue) or standardized
+    weights, whatever ``scale`` is. Hotelling is affine-invariant and ignores
+    ``scale``; ``hotelling_used_pinv`` flags covariates collinear over all N units.
 
     The statistics are the permutation test's kernels on a stack of one
     dataset with one column, so under the same fixed weights they equal its
     ``observed`` values bit for bit.
     """
+    p, sizes, units = d.p, d.sizes, _scale_factors(d, scale)[None]
     if weights is None:
-        weights = control_arm_weights(d, scale=scale)
-
-    p, sizes = d.p, d.sizes
+        weights = control_arm_weights(d)
     deltas, whitened, rw = np.zeros((1, p, 1)), np.zeros((1, p, 1)), np.zeros((1, 1))
     w = _weight_vector(weights, p)
-    _column_products(d, scale, _observed_column(d), w, deltas[0], whitened[0], rw[0])
-    values = _statistic_columns(STATISTIC_NAMES, deltas, whitened, rw, sizes.n1, sizes.n0)
+    _column_products(d, _observed_column(d), w, deltas[0], whitened[0], rw[0])
+    values = _statistic_columns(STATISTIC_NAMES, units, deltas, whitened, rw, sizes.n1, sizes.n0)
     delta_rw = float(values["rw"][0, 0])
-    fitted_diff = _checked_weighted_sum(d, weights, scaled_covariates(d, scale), delta_rw)
+    fitted_diff = _checked_weighted_sum(d, weights, delta_rw)
 
     return BalanceReport(
         delta=deltas[0, :, 0],

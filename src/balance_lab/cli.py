@@ -27,7 +27,7 @@ from .errors import (
     ZeroVariance,
 )
 from .permutation import STATISTIC_NAMES, permutation_pvalues
-from .regression import control_arm_weights
+from .regression import control_arm_weights, raw_form
 from .reports import (
     PLOT_FIELDS,
     RESULTS_FIELDS,
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_test.add_argument(
         "--scale", choices=["standardized", "raw"], default="standardized",
-        help="covariate scale for the difference statistics",
+        help="units of the mean differences, uw and the reported weights; fits are standardized",
     )
     p_test.add_argument(
         "--threads", type=_NON_NEGATIVE, default=None,
@@ -233,7 +233,7 @@ def cmd_test(args) -> int:
     d, lag, rows_dropped = _load_from_args(args)
 
     statistics = list(STATISTIC_NAMES) if args.statistic == "all" else [args.statistic]
-    weights = control_arm_weights(d, scale=args.scale)
+    weights = control_arm_weights(d)
     balance = compute_balance_report(d, scale=args.scale, weights=weights)
     variances = variance_report(d, weights.coefficients, scale=args.scale)
     perms = permutation_pvalues(
@@ -246,6 +246,9 @@ def cmd_test(args) -> int:
         weights=weights if args.weight_policy == "fixed" else None,
     )
     diag = diagnostics(d, lag, weights)
+    coefficients, intercept = (
+        raw_form(d, weights) if args.scale == "raw" else (weights.coefficients, weights.intercept)
+    )
     per_covariate = []
     for j, name in enumerate(d.column_names):
         delta_j = float(balance.delta[j])
@@ -309,9 +312,9 @@ def cmd_test(args) -> int:
         "hotelling_used_pinv": balance.hotelling_used_pinv,
         "weights": {
             "arm": weights.arm,
-            "coefficients": [float(v) for v in weights.coefficients],
+            "coefficients": [float(v) for v in coefficients],
             "standardized_coefficients": [float(v) for v in weights.standardized_coefficients],
-            "intercept": weights.intercept,
+            "intercept": intercept,
             "r_squared": weights.r_squared,
             "n_used": weights.n_used,
         },

@@ -6,10 +6,11 @@ constants. All second moments use the population (divide-by-N) convention.
 
 A ``Dataset`` owns the covariate views derived from it, each computed on
 first use and cached read-only: the standardized N x p matrix
-(``scaled_covariates``), the whitened matrix of the Hotelling statistic
-(``whitened_covariates``) and the indices of its constant columns
-(``Dataset.constant_columns``). ``varying_columns`` is the one rule that
-decides which columns are constant, here and in the regression fits.
+(``scaled_covariates``) and the SDs it divides by (``_scale_factors``), the
+whitened matrix of the Hotelling statistic (``whitened_covariates``) and
+the indices of its constant columns (``Dataset.constant_columns``).
+``varying_columns`` is the one rule that decides which columns are
+constant, here and in the regression fits.
 
 The view functions take a leading stack axis: ``standardize_columns`` and
 ``varying_columns`` accept an (R, N, p) stack of matrices and treat each
@@ -172,6 +173,10 @@ class Dataset:
         return standardize_columns(self.x)
 
     @cached_property
+    def _column_sd(self) -> np.ndarray:
+        return np.where(varying_columns(self.x), population_sd(self.x), 0.0)
+
+    @cached_property
     def _whitened(self) -> tuple[np.ndarray, bool]:
         return _whiten(self._standardized_x[None])[0]
 
@@ -280,7 +285,7 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     # fancy-indexed copy can differ in the last place.
     a = _by_rows(stack)
     where = varying.reshape(-1)
-    means, sds = a.mean(axis=0), np.std(a, axis=0, ddof=0)
+    means, sds = a.mean(axis=0), population_sd(a)
     out = np.zeros_like(a)
     np.subtract(a, means, out=out, where=where)
     np.divide(out, sds, out=out, where=where)
@@ -300,6 +305,15 @@ def scaled_covariates(d: Dataset, scale: str) -> np.ndarray:
         return d.x
     if scale == "standardized":
         return d._standardized_x
+    raise ValueError(f"unknown scale {scale!r}")
+
+
+def _scale_factors(d: Dataset, scale: str) -> np.ndarray:
+    """Factors that put standardized per-covariate values on ``scale``: ones, or the SDs."""
+    if scale == "raw":
+        return d._column_sd
+    if scale == "standardized":
+        return np.ones(d.p)
     raise ValueError(f"unknown scale {scale!r}")
 
 

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .balance import STATISTIC_NAMES, _column_products, _observed_column, _statistic_columns
-from .data import Dataset, stack_views
+from .data import Dataset, _scale_factors, stack_views
 from .errors import BalanceLabError, InternalNumericalError
 from .regression import RegressionFit, _weight_vector, control_arm_coefficients, control_arm_weights
 from .rng import stream
@@ -57,15 +57,9 @@ class PermutationResult:
     extreme as the observed one (ties inclusive, compared in floating
     point); it can be exactly zero. ``p_conservative`` is the add-one
     variant (count+1)/(B+1), never zero. Failed replicates are recorded as
-    +inf (counted as extreme). ``n_refit_fallback`` counts the replicates
-    whose ``refit`` weights came from the fallback instead of the shared
-    QR (one per call, plus a Gram matrix of the control rows of its
-    orthonormal factor per replicate), failed ones included: their
-    control design has condition number 1e6 or more, or that Gram matrix
-    more than 1e2 (bounded by its Gershgorin discs, or where they cannot
-    certify it, by its eigenvalues). The fallback fits the control arms of
-    a chunk's such replicates as one stack by ``regression``'s
-    least-squares engine, ``_lstsq``, each with the bits it gets alone.
+    +inf (counted as extreme). ``n_refit_fallback`` counts the replicates,
+    failed ones included, whose ``refit`` weights came not from the shared
+    QR of ``balance._refit_rw_columns`` but from its one ``_lstsq`` stack.
     Hotelling is evaluated on covariates whitened over all N units, so it
     is shift- and scale-invariant; perfect separation gives +inf, counted
     as extreme.
@@ -157,10 +151,11 @@ def permutation_pvalues(
     streams depend only on seed and chunk index), which is both cheaper
     and what the simulation protocol prescribes. The observed statistics go
     through the same evaluation as one more assignment, so under ``refit``
-    the observed ``rw`` is refit on the observed control arm; ``weights``
-    (a ``RegressionFit`` or a weight vector) applies to the ``fixed``
-    policy only and is refused under ``refit``. Returns a dict of
-    ``PermutationResult`` by statistic.
+    the observed ``rw`` is refit on the observed control arm; ``weights`` (a
+    ``RegressionFit`` or a weight vector, standardized whatever ``scale`` is,
+    which sets the units of ``uw`` only) applies to the ``fixed`` policy only
+    and is refused under ``refit``. Returns a dict of ``PermutationResult``
+    by statistic.
 
     ``d`` may also be a stack: a sequence of datasets that share one shape
     and one assignment vector (ValueError otherwise), with one seed per
@@ -223,13 +218,13 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
     """``permutation_pvalues`` of a validated, non-empty stack; ``weights``
     are those given to a stack of one, or None."""
     r, p = len(datasets), datasets[0].p
-    sizes = datasets[0].sizes
+    sizes, units = datasets[0].sizes, np.stack([_scale_factors(d, scale) for d in datasets])
     stack_views(datasets)
     fits: list = [None] * r
     if "rw" in statistics and weight_policy == "fixed" and weights is not None:
         fits = [_weight_vector(weights, p)]
     elif "rw" in statistics and weight_policy == "fixed":
-        fits = control_arm_coefficients(datasets, scale=scale)
+        fits = control_arm_coefficients(datasets)
     # One row of columns per member: the observed assignment, then B draws.
     deltas = np.zeros((r, p, 1 + b)) if "uw" in statistics else None
     whitened = np.zeros((r, p, 1 + b)) if "hotelling" in statistics else None
@@ -243,7 +238,7 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
         try:
             for cols, z_cols in _assignment_columns(d, seed, b):
                 f, fb = _column_products(
-                    d, scale, z_cols, w_fixed,
+                    d, z_cols, w_fixed,
                     *(None if a is None else a[i, ..., cols] for a in (deltas, whitened, rw)),
                 )
                 if cols.start:
@@ -251,12 +246,12 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
                     fallbacks[i] += fb
                 elif f:
                     # The observed control arm cannot be fit; raise that fit's typed error.
-                    control_arm_weights(d, scale=scale)
+                    control_arm_weights(d)
                     raise InternalNumericalError("observed control-arm refit failed")
         except BalanceLabError as exc:
             outcomes[i] = exc
 
-    values = _statistic_columns(statistics, deltas, whitened, rw, sizes.n1, sizes.n0)
+    values = _statistic_columns(statistics, units, deltas, whitened, rw, sizes.n1, sizes.n0)
     counts = {
         name: np.count_nonzero(np.abs(v[:, 1:]) >= np.abs(v[:, :1]), axis=1)
         for name, v in values.items()
@@ -295,7 +290,7 @@ def permutation_test(
 
     Deterministic given (seed, b, dataset); the observed assignment is not
     included among the B draws (the conservative p-value effectively adds
-    it back).
+    it back). ``weights`` are standardized, as in ``permutation_pvalues``.
     """
     return permutation_pvalues(
         d,

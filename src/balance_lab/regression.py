@@ -3,9 +3,9 @@
 Every fit has an intercept and uses an orthogonal (QR) decomposition, never
 the normal equations. Constant columns (``data.varying_columns``) are
 dropped, their effect absorbed by the intercept, and receive a zero
-coefficient, so only genuine collinearity raises. The arm fits read the
-covariates on the requested scale from ``data.scaled_covariates``, the view
-cached on the dataset.
+coefficient, so only genuine collinearity raises. Every fit reads the
+standardized covariates (x - m) / s cached on the dataset, whatever the
+scale of the report; ``raw_form`` gives a fit on the raw covariates.
 
 A design is first factored by an unpivoted Householder QR. If the singular
 values of its small triangular factor give a condition number below
@@ -25,14 +25,9 @@ fixed weights.
 Only the arm-weight fits (``_arm_weights``) build a ``RegressionFit``, the
 record that reports r-squared and the standardized coefficients.
 
-The permutation test's ``refit`` policy solves most control-arm fits in
-batches (``balance._refit_rw_columns``): one unpivoted QR of the data over
-all units, then for each arm the Cholesky factor of the Gram matrix of its
-rows of the orthonormal factor. That Gram matrix has condition number near
-1, unlike the design's normal equations, and the batch holds it to at most
-1e2. The control arms that batch cannot certify under the same
-``RCOND_GATE`` come here as one ``_lstsq`` stack, the engine of the arm
-fits, and get the bits each would get alone.
+The control arms that the ``refit`` batch (``balance._refit_rw_columns``)
+cannot certify under the same ``RCOND_GATE`` come here as one ``_lstsq``
+stack, the engine of the arm fits, and get the bits each would get alone.
 """
 
 from dataclasses import dataclass
@@ -40,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, population_sd, scaled_covariates, varying_columns
+from .data import Dataset, population_sd, varying_columns
 from .errors import (
     BalanceLabError,
     ControlArmTooSmall,
@@ -54,6 +49,7 @@ __all__ = [
     "control_arm_weights",
     "control_arm_coefficients",
     "treatment_arm_weights",
+    "raw_form",
 ]
 
 RANK_RTOL = 1e-10
@@ -68,14 +64,13 @@ _PIVOT_TIE = 64 * np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Least-squares fit of observed outcomes on covariates within one arm.
+    """Least-squares fit of observed outcomes on the standardized covariates in one arm.
 
-    ``coefficients`` has one entry per input covariate column (zero for
-    dropped constant columns); the intercept is stored separately.
-    ``standardized_coefficients`` rescales each slope by sd(x_j)/sd(y) so
-    the entries are comparable across covariates: sd(x_j) is the
-    population SD over all N units and sd(y) that over the arm (zeros when
-    it is 0). ``arm`` names the arm fit, "control" or "treatment".
+    ``coefficients``, the standardized weights, has one entry per covariate
+    column (zero for dropped constant columns); the intercept is stored
+    separately, and ``raw_form`` gives both on the raw covariates.
+    ``standardized_coefficients`` divides them by sd(y), the population SD
+    over the arm (zeros when it is 0). ``arm`` is "control" or "treatment".
     """
 
     coefficients: np.ndarray
@@ -210,10 +205,10 @@ def _r_squared(x: np.ndarray, y: np.ndarray, solution: np.ndarray) -> float:
     return min(max(1.0 - ssr / sst, 0.0), 1.0) if sst > 0.0 else 0.0
 
 
-def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str, scale: str) -> list:
-    """``_lstsq`` of the outcomes on the covariates over ``rows`` (the arm)
-    of each dataset, as one stack; a member whose covariate view cannot be
-    made gets the error that raised, and every member gets
+def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str) -> list:
+    """``_lstsq`` of the outcomes on the standardized covariates over
+    ``rows`` (the arm) of each dataset, as one stack; a member whose view
+    cannot be made gets the error that raised, and every member gets
     ``ControlArmTooSmall`` when the arm has too few units."""
     p = datasets[0].p
     if rows.size <= p + 1:
@@ -225,7 +220,7 @@ def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str, scal
     views = []
     for i, d in enumerate(datasets):
         try:
-            views.append(scaled_covariates(d, scale))
+            views.append(d._standardized_x)
         except BalanceLabError as exc:
             out[i] = exc
     members = [i for i, entry in enumerate(out) if entry is None]
@@ -237,54 +232,54 @@ def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str, scal
     return out
 
 
-def _arm_weights(d: Dataset, rows: np.ndarray, arm: str, scale: str) -> RegressionFit:
-    solution = _arm_solutions([d], rows, arm, scale)[0]
+def _arm_weights(d: Dataset, rows: np.ndarray, arm: str) -> RegressionFit:
+    solution = _arm_solutions([d], rows, arm)[0]
     if isinstance(solution, BalanceLabError):
         raise solution
     y = d.y_obs[rows]
     coefficients = solution[1:]
-    # Prognosis weights on the fully standardized scale: x scaled by its
-    # population SD over all N units, y by the arm's own SD.
-    sd_x = 1.0 if scale == "standardized" else population_sd(d.x)
     sd_y = population_sd(y)
     return RegressionFit(
         coefficients=coefficients,
         intercept=float(solution[0]),
-        standardized_coefficients=(
-            coefficients * sd_x / sd_y if sd_y > 0.0 else np.zeros(coefficients.size)
-        ),
-        r_squared=_r_squared(scaled_covariates(d, scale)[rows], y, solution),
+        standardized_coefficients=coefficients / sd_y if sd_y > 0.0 else np.zeros(d.p),
+        r_squared=_r_squared(d._standardized_x[rows], y, solution),
         n_used=y.size,
         arm=arm,
     )
 
 
-def control_arm_weights(d: Dataset, scale: str = "standardized") -> RegressionFit:
-    """Fit observed outcomes on covariates inside the control arm.
+def raw_form(d: Dataset, fit: RegressionFit) -> tuple[np.ndarray, float]:
+    """The slopes and intercept of ``fit``, an arm fit of ``d``, on the raw
+    covariates: b_j / s_j (0 for a constant column) and a - sum_j m_j b_j / s_j,
+    with m and s the means and SDs that the standardized view takes out."""
+    s = d._column_sd
+    slopes = np.divide(fit.coefficients, s, out=np.zeros(d.p), where=s > 0.0)
+    return slopes, fit.intercept - float(slopes @ d.x.mean(axis=0))
 
-    The coefficients are the prognosis weights for the regression-weighted
-    balance statistic. With ``scale="standardized"`` the fit runs on
-    covariates standardized by their population (all-N) moments.
-    """
-    return _arm_weights(d, d.control_rows(), "control", scale)
+
+def control_arm_weights(d: Dataset) -> RegressionFit:
+    """Fit observed outcomes on the standardized covariates inside the
+    control arm. The coefficients are the prognosis weights for the
+    regression-weighted balance statistic."""
+    return _arm_weights(d, d.control_rows(), "control")
 
 
-def control_arm_coefficients(datasets: Sequence[Dataset], scale: str = "standardized") -> list:
-    """``control_arm_weights(d, scale).coefficients`` for each of
-    ``datasets``, from one stacked fit, or in its place the
-    ``BalanceLabError`` that call would raise.
+def control_arm_coefficients(datasets: Sequence[Dataset]) -> list:
+    """``control_arm_weights(d).coefficients`` of each of ``datasets`` from one
+    stacked fit, or in its place the ``BalanceLabError`` that call would raise.
 
     The datasets share one shape and one assignment vector (ValueError
-    otherwise). Their covariate views are read from their caches, so
+    otherwise). Their standardized views are read from their caches, so
     ``data.stack_views`` makes them for the whole stack at once.
     """
     z = datasets[0].z
     if not all(np.array_equal(d.z, z) for d in datasets):
         raise ValueError("the datasets must share one assignment vector")
-    solutions = _arm_solutions(datasets, datasets[0].control_rows(), "control", scale)
+    solutions = _arm_solutions(datasets, datasets[0].control_rows(), "control")
     return [s if isinstance(s, BalanceLabError) else s[1:] for s in solutions]
 
 
-def treatment_arm_weights(d: Dataset, scale: str = "standardized") -> RegressionFit:
+def treatment_arm_weights(d: Dataset) -> RegressionFit:
     """Symmetric fit on the treatment arm, for testing the Y(1) analogue."""
-    return _arm_weights(d, d.treated_rows(), "treatment", scale)
+    return _arm_weights(d, d.treated_rows(), "treatment")

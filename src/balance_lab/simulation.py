@@ -576,8 +576,8 @@ def diagnostics(
     Prognosis is the R^2 of observed outcomes on all covariates within the
     control arm, read from ``weights``, a control-arm fit of ``d`` such as
     the one the balance report uses (ValueError for another arm's fit). It
-    defaults to ``control_arm_weights(d)``, the standardized fit that
-    ``test`` makes by default. Imbalance is the R^2 of the assignment
+    defaults to ``control_arm_weights(d)``, the fit that ``test`` makes on
+    either scale. Imbalance is the R^2 of the assignment
     indicator on all covariates over every unit (linear probability fit),
     read as kq from the Hotelling kernel on the whitened covariates
     (``data.whitened_covariates``), so T^2 = (N - 2) R^2 / (1 - R^2): it is
@@ -598,7 +598,7 @@ def diagnostics(
         prognosis = weights.r_squared
         # The observed column of compute_balance_report's Hotelling statistic.
         whitened = np.zeros((d.p, 1))
-        _column_products(d, "standardized", _observed_column(d), None, None, whitened, None)
+        _column_products(d, _observed_column(d), None, None, whitened, None)
         sizes = d.sizes
         imbalance = min(float(_kq(whitened, sizes.n1, sizes.n0)[0]), 1.0)
 

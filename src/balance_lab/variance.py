@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, scaled_covariates
+from .data import Dataset, _scale_factors
 from .errors import DegenerateAssignment, TooManyAssignments, ZeroVariance
 from .regression import _weight_vector
 
@@ -61,37 +61,30 @@ def _check_sizes(n: int, n1: int, n0: int) -> None:
         raise ValueError(f"n1 + n0 = {n1 + n0} does not match {n} rows")
 
 
-def _population_covariance(x: np.ndarray) -> np.ndarray:
-    """Finite-population covariance matrix (1/N convention)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    centered = x - x.mean(axis=0)
-    return centered.T @ centered / x.shape[0]
-
-
-def _factor(n: int, n1: int, n0: int) -> float:
-    return n * n / ((n - 1) * n1 * n0)
-
-
 def variance_report(
     d: Dataset, weights: Sequence[float], scale: str = "standardized"
 ) -> VarianceReport:
     """Assemble every exact variance quantity for one dataset.
 
-    ``weights`` is the fixed vector conditioning the regression-weighted
-    variance: Var(sum_j w_j delta_j | w) = w' Cov(delta) w.
+    ``weights``, standardized whatever ``scale`` is, conditions the weighted
+    variance: Var(sum_j w_j delta_j | w) = w' Cov(delta) w over standardized
+    differences. On the raw scale the covariances are (s s') * Cov(delta).
     """
     w = _weight_vector(weights, d.p)
-    sizes = d.sizes
-    xs = scaled_covariates(d, scale)
-    pop_cov = _population_covariance(xs)
-    cov_delta = _factor(d.n, sizes.n1, sizes.n0) * pop_cov
+    n, n1, n0, s = d.n, d.sizes.n1, d.sizes.n0, _scale_factors(d, scale)
+    # With no varying covariate there is no standardized view; every covariance is 0.
+    xs = d._standardized_x if len(d.constant_columns) < d.p else np.zeros(d.x.shape)
+    centered = xs - xs.mean(axis=0)
+    pop_cov = centered.T @ centered / n  # finite-population covariance (1/N)
+    cov_std = n * n / ((n - 1) * n1 * n0) * pop_cov
+    cov_delta = np.outer(s, s) * cov_std
     ones = np.ones(d.p)
     return VarianceReport(
         var_delta_j=np.diag(cov_delta).copy(),
         cov_delta=cov_delta,
         var_delta_uw=float(ones @ cov_delta @ ones),
-        var_delta_rw_conditional=float(w @ cov_delta @ w),
-        population_cov=pop_cov,
+        var_delta_rw_conditional=float(w @ cov_std @ w),
+        population_cov=np.outer(s, s) * pop_cov,
         scale=scale,
     )
 

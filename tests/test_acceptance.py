@@ -20,6 +20,7 @@ from balance_lab import (
     compute_balance_report,
     control_arm_weights,
     enumeration_oracle,
+    raw_form,
     run_power_study,
     variance_report,
 )
@@ -72,7 +73,8 @@ def test_criterion_1_exact_variance_against_enumeration():
         z = np.zeros(n, dtype=int)
         z[:n1] = 1
         d = Dataset(x=x, z=z, y_obs=np.arange(float(n)))
-        report = variance_report(d, w, scale="raw")
+        # the weights w of the raw covariates, as standardized weights w * s
+        report = variance_report(d, w * np.std(x, axis=0), scale="raw")
 
         uw = enumeration_oracle(x, n1, "uw")
         rw = enumeration_oracle(x, n1, "rw", weights=w)
@@ -107,15 +109,16 @@ def test_criterion_2_weighted_sum_equals_fitted_mean_difference():
 
 
 def test_criterion_3_fwl_partial_regression_identity():
-    # the raw control-arm fit that gives the prognosis weights, against the
-    # partial-regression ratio on the control rows, residualized by numpy
+    # the raw form of the control-arm fit that gives the prognosis weights,
+    # against the partial-regression ratio on the control rows, residualized
+    # by numpy
     g = np.random.default_rng(33)
     worst = 0.0
     for _ in range(200):
         d = random_dataset(g, n=int(g.integers(13, 75)) * 2, p=int(g.integers(2, 7)))
         control = d.control_rows()
         x, y = d.x[control], d.y_obs[control]
-        coefficients = control_arm_weights(d, "raw").coefficients
+        coefficients = raw_form(d, control_arm_weights(d))[0]
         for j in range(d.p):
             resid = residualize(x, j)
             ratio = (y @ resid) / (resid @ resid)

@@ -26,12 +26,13 @@ def naive_differences(d, scale):
     return out
 
 
-def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None, scale="raw"):
-    """Weight container for tests; with ``d`` the intercept is chosen so the
-    fitted control mean matches the observed one (the arm-fit precondition)."""
+def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None):
+    """Standardized weight container for tests; with ``d`` the intercept is
+    chosen so the fitted control mean matches the observed one (the arm-fit
+    precondition)."""
     w = np.asarray(vector, dtype=float)
     if d is not None:
-        xs = scaled_covariates(d, scale)
+        xs = scaled_covariates(d, "standardized")
         intercept = float(d.y_obs[d.z == 0].mean() - np.mean(xs[d.z == 0] @ w))
     return RegressionFit(
         coefficients=w,
@@ -57,7 +58,7 @@ def pinv_hotelling(x, z):
 def zero_weight_report(d, scale="standardized"):
     """The balance report under zero weights, so that no arm fit is needed
     (collinear covariates cannot be fit)."""
-    zero = fixed_weight_fit(np.zeros(d.p), d=d, scale=scale)
+    zero = fixed_weight_fit(np.zeros(d.p), d=d)
     return compute_balance_report(d, scale, weights=zero)
 
 
@@ -134,7 +135,7 @@ class TestDeltaRegressionWeighted:
         x = rng.normal(size=(n, 3))
         z = np.array([1, 0] * (n // 2))
         d = Dataset(x=x, z=z, y_obs=x[:, 0])
-        weights = control_arm_weights(d, scale="raw")
+        weights = control_arm_weights(d)
         value = compute_balance_report(d, "raw", weights=weights).delta_rw
         assert np.isclose(value, zero_weight_report(d, "raw").delta[0], atol=1e-10)
 
@@ -142,17 +143,17 @@ class TestDeltaRegressionWeighted:
         for _ in range(50):
             d = random_dataset(rng)
             for scale in ("standardized", "raw"):
-                weights = control_arm_weights(d, scale=scale)
+                weights = control_arm_weights(d)
                 report = compute_balance_report(d, scale=scale, weights=weights)
                 assert abs(report.delta_rw - report.fitted_mean_difference) <= 1e-10 * max(
                     1.0, abs(report.delta_rw)
                 )
 
     def test_scale_invariance_of_value(self, rng):
-        # refitting weights on either scale yields the same statistic
+        # the standardized weights give the same statistic on either scale
         for _ in range(10):
             d = random_dataset(rng)
-            w_std, w_raw = control_arm_weights(d, "standardized"), control_arm_weights(d, "raw")
+            w_std = w_raw = control_arm_weights(d)
             v_std = compute_balance_report(d, "standardized", weights=w_std).delta_rw
             v_raw = compute_balance_report(d, "raw", weights=w_raw).delta_rw
             assert np.isclose(v_std, v_raw, rtol=1e-8, atol=1e-12)
@@ -229,7 +230,7 @@ class TestHotelling:
         x1 = rng.normal(size=n)
         x = np.column_stack([x1, x1 + z])  # collinear within each arm
         d = Dataset(x=x, z=z, y_obs=rng.normal(size=n))
-        weights = fixed_weight_fit([1.0, 1.0], d=d, scale="standardized")
+        weights = fixed_weight_fit([1.0, 1.0], d=d)
         report = compute_balance_report(d, weights=weights)
         assert report.hotelling_t2 == np.inf
         assert not report.hotelling_used_pinv
@@ -300,7 +301,7 @@ class TestReportIsPermutationObserved:
         g = np.random.default_rng(seed)
         n = 2 * (p + 4 + int(g.integers(0, 20)))
         d = stack_member(kind, g, g.permutation(np.repeat([1, 0], n // 2)), p)
-        w = fixed_weight_fit(g.normal(size=p), d=d, scale=scale)
+        w = fixed_weight_fit(g.normal(size=p), d=d)
         report = compute_balance_report(d, scale, weights=w)
         observed = {
             name: result.observed
@@ -311,3 +312,36 @@ class TestReportIsPermutationObserved:
         assert bits(report.delta_uw) == bits(observed["uw"])
         assert bits(report.delta_rw) == bits(observed["rw"])
         assert bits(report.hotelling_t2) == bits(observed["hotelling"])
+
+
+class TestScaleSetsUnits:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        weight_policy=st.sampled_from(["fixed", "refit"]),
+    )
+    def test_raw_observed_equal_report_and_rw_ignores_the_scale(self, seed, p, weight_policy):
+        # columns with random offsets and spreads: the raw scale multiplies
+        # the standardized mean differences by the SDs, and no fit sees it
+        g = np.random.default_rng(seed)
+        n = 2 * (p + 4 + int(g.integers(0, 20)))
+        spreads = 10.0 ** g.uniform(-3, 3, size=p)
+        offsets = g.normal(size=p) * 10.0 ** g.uniform(-2, 6, size=p)
+        u = g.normal(size=(n, p))
+        d = Dataset(
+            x=offsets + spreads * u,
+            z=g.permutation(np.repeat([1, 0], n // 2)),
+            y_obs=u @ g.normal(size=p) + g.normal(size=n),
+        )
+        results = {
+            scale: permutation_pvalues(d, ("uw", "rw"), 20, seed, weight_policy, scale=scale)
+            for scale in ("standardized", "raw")
+        }
+        raw, std = results["raw"], results["standardized"]
+        report = compute_balance_report(d, "raw")
+        assert bits(raw["uw"].observed) == bits(report.delta_uw)
+        if weight_policy == "fixed":
+            assert bits(raw["rw"].observed) == bits(report.delta_rw)
+        assert bits(raw["rw"].observed) == bits(std["rw"].observed)
+        assert raw["rw"].permuted_values.tobytes() == std["rw"].permuted_values.tobytes()

@@ -139,6 +139,31 @@ class TestCmdTest:
             value = reports["covariate"]["diagnostics"][key]
             assert value is not None and value == reports["apart"]["diagnostics"][key]
 
+    @pytest.mark.parametrize("policy", ["fixed", "refit"])
+    def test_rw_does_not_depend_on_the_scale(self, policy, tmp_path):
+        # every fit reads the standardized covariates; the scale sets the
+        # units of the mean differences and uw only
+        reports = {}
+        for scale in ("standardized", "raw"):
+            args = ["--permutations", "1000", "--seed", "7", "--weight-policy", policy,
+                    "--scale", scale, "--dump-permutations", "--out-dir", str(tmp_path / scale)]
+            assert run_cli(BASE_ARGS + args) == 0
+            reports[scale] = json.load(open(tmp_path / scale / "balance_report.json"))
+        rows = {
+            scale: {row["name"]: row for row in report["statistics"]}
+            for scale, report in reports.items()
+        }
+        std, raw = rows["standardized"], rows["raw"]
+        for key in ("observed", "exact_variance", "permutation_p"):
+            assert std["rw"][key] == raw["rw"][key]
+        assert std["hotelling"] == raw["hotelling"]
+        assert std["uw"]["observed"] != raw["uw"]["observed"]
+        for block, key in (("weights", "r_squared"), ("weights", "standardized_coefficients"),
+                           ("diagnostics", "prognosis_r2")):
+            assert reports["standardized"][block][key] == reports["raw"][block][key]
+        dumped = [(tmp_path / scale / "permuted_rw.npy").read_bytes() for scale in rows]
+        assert dumped[0] == dumped[1]
+
     @pytest.mark.parametrize("scale", ["standardized", "raw"])
     def test_constant_covariate_dropped(self, tmp_path, scale):
         # 0.1 repeated leaves a rounding residue in np.std; it is still constant.
@@ -328,13 +353,16 @@ def test_covariates_the_statistics_handle_exit_0(table, kept, tmp_path, monkeypa
     test = ["test", *data, "--seed", "1"]
     assert run_cli(["diagnose", *data, "--out-dir", str(tmp_path / "diagnose")]) == 0
     assert run_cli(test + ["--out-dir", str(tmp_path / "test")]) == 0
+    # the raw scale fits the same standardized design
+    assert run_cli(test + ["--scale", "raw", "--out-dir", str(tmp_path / "raw")]) == 0
     monkeypatch.setattr(cli, "diagnostics", lambda d, lag, weights: Diagnostics(0.0, 0.0))
     assert run_cli(test + ["--out-dir", str(tmp_path / "stubbed")]) == 0
     reports = {
         name: json.load(open(next((tmp_path / name).glob("*.json"))))
-        for name in ("diagnose", "test", "stubbed")
+        for name in ("diagnose", "test", "raw", "stubbed")
     }
     assert reports["test"]["statistics"] == reports["stubbed"]["statistics"]
+    assert reports["test"]["statistics"][1] == reports["raw"]["statistics"][1]  # rw
     d = load_dataset(str(path), "z", "y", ["x1", "x2", "x3"])
     x, z = scaled_covariates(d, "standardized")[:, kept], d.z.astype(float)
     expected = regression._r_squared(x, z, lstsq(x, z))

@@ -6,7 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, control_arm_weights, regression, treatment_arm_weights
+from balance_lab import (
+    Dataset,
+    compute_balance_report,
+    control_arm_weights,
+    raw_form,
+    regression,
+    treatment_arm_weights,
+)
 from balance_lab.data import population_sd, scaled_covariates, stack_views, whitened_covariates
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall, InsufficientRows, RankDeficient
 from balance_lab.regression import RANK_RTOL, RCOND_GATE
@@ -72,15 +79,17 @@ def half_control(x, y):
 
 class TestFitOls:
     """The least-squares engine of every arm fit, ``regression._lstsq``, one
-    design at a time (``conftest.lstsq``); the fit record through the raw
-    control-arm fit."""
+    design at a time (``conftest.lstsq``); the fit record through the
+    control-arm fit and its raw form."""
 
     def test_exact_fit(self, rng):
         x = rng.normal(size=(60, 1))
-        fit = control_arm_weights(half_control(x, x[:, 0]), "raw")
-        assert np.isclose(fit.coefficients[0], 1.0)
+        d = half_control(x, x[:, 0])
+        fit = control_arm_weights(d)
+        coefficients, intercept = raw_form(d, fit)
+        assert np.isclose(coefficients[0], 1.0)
         assert np.isclose(fit.r_squared, 1.0)
-        residuals = x[1::2, 0] - (fit.intercept + x[1::2] @ fit.coefficients)
+        residuals = x[1::2, 0] - (intercept + x[1::2] @ coefficients)
         assert np.abs(residuals).max() < 1e-12
 
     def test_recovers_known_coefficients(self, rng):
@@ -94,7 +103,7 @@ class TestFitOls:
         g = np.random.default_rng(4)
         x = g.normal(size=(10000, 3))
         y = g.normal(size=10000)
-        fit = control_arm_weights(half_control(x, y), "raw")
+        fit = control_arm_weights(half_control(x, y))
         assert fit.r_squared < 0.01
 
     def test_residual_orthogonality(self, rng):
@@ -165,8 +174,9 @@ class TestFitOls:
         # sd(x_j) over all N units, sd(y) over the control arm
         x = rng.normal(size=(80, 3)) * np.array([1.0, 5.0, 0.2])
         y = x @ np.array([1.0, -0.5, 2.0]) + rng.normal(size=80)
-        fit = control_arm_weights(half_control(x, y), "raw")
-        expected = fit.coefficients * np.std(x, axis=0) / population_sd(y[1::2])
+        d = half_control(x, y)
+        fit = control_arm_weights(d)
+        expected = raw_form(d, fit)[0] * np.std(x, axis=0) / population_sd(y[1::2])
         np.testing.assert_allclose(fit.standardized_coefficients, expected, rtol=1e-12)
 
     def test_row_permutation_invariance(self, rng):
@@ -297,8 +307,8 @@ class TestArmWeights:
 
     def test_prognostic_covariate_collapses_weights(self, rng):
         d = self.make_dataset(rng, y=lambda x: x[:, 0])
-        fit = control_arm_weights(d, scale="raw")
-        np.testing.assert_allclose(fit.coefficients, [1.0, 0.0, 0.0], atol=1e-10)
+        fit = control_arm_weights(d)
+        np.testing.assert_allclose(raw_form(d, fit)[0], [1.0, 0.0, 0.0], atol=1e-10)
         assert fit.arm == "control"
         assert fit.n_used == d.sizes.n0
 
@@ -329,14 +339,12 @@ class TestArmWeights:
 
     def test_standardized_scale_equals_rescaled_raw(self, rng):
         d = self.make_dataset(rng, y=lambda x: x @ np.array([0.5, -1.0, 2.0]))
-        raw = control_arm_weights(d, scale="raw")
-        std = control_arm_weights(d, scale="standardized")
-        np.testing.assert_allclose(
-            std.coefficients, raw.coefficients * np.std(d.x, axis=0), rtol=1e-8
-        )
-        np.testing.assert_allclose(
-            std.standardized_coefficients, raw.standardized_coefficients, rtol=1e-8
-        )
+        std = control_arm_weights(d)
+        raw = raw_form(d, std)[0]
+        np.testing.assert_allclose(std.coefficients, raw * np.std(d.x, axis=0), rtol=1e-8)
+        # the raw slopes scaled by sd(x_j) / sd(y), sd(y) over the control arm
+        raw_standardized = raw * np.std(d.x, axis=0) / population_sd(d.y_obs[d.control_rows()])
+        np.testing.assert_allclose(std.standardized_coefficients, raw_standardized, rtol=1e-8)
 
     def test_rank_deficient_names_covariates_on_both_scales(self, rng):
         # column 0 is constant, so on the standardized scale the retained
@@ -349,7 +357,7 @@ class TestArmWeights:
         named = {}
         for scale in ("standardized", "raw"):
             with pytest.raises(RankDeficient) as info:
-                control_arm_weights(d, scale=scale)
+                compute_balance_report(d, scale)
             named[scale] = info.value.columns
             assert str(info.value.columns) in str(info.value)
         assert named["standardized"] == named["raw"] == (3,)

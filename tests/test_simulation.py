@@ -627,7 +627,7 @@ class TestDiagnostics:
     def test_arm_fit_is_read(self, rng):
         x = rng.normal(size=(30, 2))
         d = Dataset(x=x, z=np.array([1, 0] * 15), y_obs=x[:, 0] + rng.normal(size=30))
-        weights = control_arm_weights(d, scale="standardized")
+        weights = control_arm_weights(d)
         assert diagnostics(d, weights=weights).prognosis_r2 == weights.r_squared
 
     def test_other_arm_fit_refused(self, rng):

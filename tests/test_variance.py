@@ -30,6 +30,12 @@ def raw_report(columns, n1):
     return variance_report(d, np.ones(x.shape[1]), scale="raw")
 
 
+def standardized_weights(w, x):
+    """The weights ``w`` of the raw columns of ``x``, as the standardized
+    weights ``w * s`` that ``variance_report`` takes."""
+    return w * np.std(x, axis=0)
+
+
 class TestExactVarianceDeltaJ:
     def test_standardized_small_case(self):
         # N=4, n1=n0=2, unit population variance: 16 / (3*4) = 4/3
@@ -126,7 +132,7 @@ class TestVarianceReport:
     def test_matrix_invariants(self, rng):
         d = self.make(rng.normal(size=(14, 4)), 6)
         w = rng.normal(size=4)
-        report = variance_report(d, w, scale="raw")
+        report = variance_report(d, standardized_weights(w, d.x), scale="raw")
         np.testing.assert_allclose(report.cov_delta, report.cov_delta.T, atol=1e-14)
         np.testing.assert_allclose(np.diag(report.cov_delta), report.var_delta_j, atol=1e-14)
         ones = np.ones(4)
@@ -176,7 +182,7 @@ class TestEnumerationOracle:
         z = np.zeros(8, dtype=int)
         z[:4] = 1
         d = Dataset(x=x, z=z, y_obs=np.arange(8.0))
-        report = variance_report(d, w, scale="raw")
+        report = variance_report(d, standardized_weights(w, x), scale="raw")
         res = enumeration_oracle(x, 4, "rw", weights=w)
         assert np.isclose(res.variance, report.var_delta_rw_conditional, rtol=1e-12)
 
@@ -204,7 +210,7 @@ class TestEnumerationOracle:
         z[:n1] = 1
         d = Dataset(x=x, z=z, y_obs=np.arange(float(n)))
         w = g.normal(size=p)
-        report = variance_report(d, w, scale="raw")
+        report = variance_report(d, standardized_weights(w, x), scale="raw")
         uw = enumeration_oracle(x, n1, "uw")
         rw = enumeration_oracle(x, n1, "rw", weights=w)
         assert np.isclose(uw.variance, report.var_delta_uw, rtol=1e-10)
