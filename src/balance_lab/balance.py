@@ -280,10 +280,12 @@ def compute_balance_report(
 ) -> BalanceReport:
     """Assemble every balance statistic for one dataset.
 
-    Weights default to a fresh control-arm fit; pass a ``RegressionFit``
-    (e.g. ``treatment_arm_weights(d)``, the Y(1) analogue) or standardized
-    weights, whatever ``scale`` is. Hotelling is affine-invariant and ignores
-    ``scale``; ``hotelling_used_pinv`` flags covariates collinear over all N units.
+    Weights default to a fresh control-arm fit; pass another arm fit, a
+    ``RegressionFit`` (e.g. ``treatment_arm_weights(d)``, the Y(1)
+    analogue), whatever ``scale`` is: the fitted-mean check needs its arm
+    and intercept, so anything else raises ``TypeError``. Hotelling is
+    affine-invariant and ignores ``scale``; ``hotelling_used_pinv`` flags
+    covariates collinear over all N units.
 
     The statistics are the permutation test's kernels on a stack of one
     dataset with one column, so under the same fixed weights they equal its
@@ -292,6 +294,9 @@ def compute_balance_report(
     p, sizes, units = d.p, d.sizes, _scale_factors(d, scale)[None]
     if weights is None:
         weights = control_arm_weights(d)
+    if not isinstance(weights, RegressionFit):
+        kind = type(weights).__name__
+        raise TypeError(f"weights must be an arm fit such as control_arm_weights(d), got {kind}")
     deltas, whitened, rw = np.zeros((1, p, 1)), np.zeros((1, p, 1)), np.zeros((1, 1))
     w = _weight_vector(weights, p)
     _column_products(d, _observed_column(d), w, deltas[0], whitened[0], rw[0])

@@ -44,7 +44,7 @@ from .reports import (
     write_csv,
     write_json,
 )
-from .simulation import StudyConfig, build_grid, diagnostics, run_power_study
+from .simulation import StudyConfig, _code_version, build_grid, diagnostics, run_power_study
 from .variance import normal_approx_test, variance_report
 
 _DELIMITERS = {"comma": ",", "tab": "\t"}
@@ -406,6 +406,7 @@ def cmd_simulate(args) -> int:
     payload = make_manifest(
         "simulate", configuration, study.seed, file_digest(args.config), started
     )
+    payload["code_version"] = _code_version()
     payload["outputs"] = {
         os.path.basename(path): file_digest(path)
         for path in [results_path, plot_path, *svg_paths]

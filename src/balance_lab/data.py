@@ -170,7 +170,14 @@ class Dataset:
 
     @cached_property
     def _standardized_x(self) -> np.ndarray:
-        return standardize_columns(self.x)
+        xs = standardize_columns(self.x)
+        overflow = ~np.isfinite(xs).all(axis=0)
+        if overflow.any():
+            name = self.column_names[int(np.argmax(overflow))]
+            raise NonNumericValue(
+                f"covariate {name!r} cannot be standardized: its mean or SD overflows"
+            )
+        return xs
 
     @cached_property
     def _column_sd(self) -> np.ndarray:
@@ -235,8 +242,9 @@ def stack_views(datasets: Sequence[Dataset]) -> None:
     and one eigendecomposition serve each ``permutation_pvalues`` stack.
     Every uncached member joins the standardization, unless some member has
     no varying column (then none does), and those whose standardized values
-    are finite join the whitening. Any other member computes its views
-    alone on first use and raises its own errors there.
+    are finite join the whitening and get their views cached. Any other
+    member computes its views alone on first use and raises its own errors
+    there.
     """
     fresh = [d for d in datasets if "_standardized_x" not in vars(d)]
     if not fresh:
@@ -248,9 +256,9 @@ def stack_views(datasets: Sequence[Dataset]) -> None:
     finite = np.isfinite(xs).all(axis=(1, 2))
     # A cached_property reads the instance dict first, so a value stored
     # there is the cached view.
-    for d, view in zip(fresh, xs):
+    views = zip(compress(fresh, finite), compress(xs, finite), _whiten(xs[finite]))
+    for d, view, whitened in views:
         vars(d)["_standardized_x"] = view
-    for d, whitened in zip(compress(fresh, finite), _whiten(xs[finite])):
         vars(d)["_whitened"] = whitened
 
 
@@ -285,10 +293,12 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     # fancy-indexed copy can differ in the last place.
     a = _by_rows(stack)
     where = varying.reshape(-1)
-    means, sds = a.mean(axis=0), population_sd(a)
     out = np.zeros_like(a)
-    np.subtract(a, means, out=out, where=where)
-    np.divide(out, sds, out=out, where=where)
+    # a column whose mean or SD overflows comes out non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, sds = a.mean(axis=0), population_sd(a)
+        np.subtract(a, means, out=out, where=where)
+        np.divide(out, sds, out=out, where=where)
     out = _from_rows(out, stack.shape).reshape(x.shape)
     out.setflags(write=False)
     return out

@@ -20,7 +20,8 @@ class NonBinaryTreatment(BalanceLabError):
 
 
 class NonNumericValue(BalanceLabError):
-    """A covariate or outcome cell is not a finite number."""
+    """A covariate or outcome cell is not a finite number, or a covariate's
+    mean or SD overflows, so that its standardized values are not."""
 
 
 class TooFewRows(BalanceLabError):

@@ -4,14 +4,16 @@ prognosis, rejection-rate grids, and the prognosis/imbalance diagnostics.
 The generator fixes a balanced assignment vector and builds covariates as
 linear loadings on its standardized version plus Gaussian noise:
 
-    X_j  = rho_xj_z * z_tilde + sqrt(1 - rho_xj_z^2) * eps_j
+    X_j  = a_j * z_tilde      + sqrt(1 - a_j^2) * eps_j
     Y(0) = rho_x1_y * X_1     + sqrt(1 - rho_x1_y^2) * eps_y
     Y    = Y(0) + tau * z
 
-which delivers the target expected correlations corr(X_j, Z) and
-corr(X_1, Y(0)) while keeping unit marginal variances. A jointly normal
-draw cannot produce an exactly balanced binary Z, so this linear-loading
-construction is the one structural interpretation made.
+where a_j is the cell's ``imbalance`` for j = ``imbalance_covariate`` and
+0 for every other covariate. This delivers the target expected
+correlations corr(X_j, Z) and corr(X_1, Y(0)) while keeping unit marginal
+variances. A jointly normal draw cannot produce an exactly balanced
+binary Z, so this linear-loading construction is the one structural
+interpretation made.
 
 A study runs its replicates in groups of consecutive replicates whose
 cells share n and p, and so the balanced assignment vector; a group may
@@ -20,7 +22,8 @@ its datasets one by one, then tests them with one
 ``permutation.permutation_pvalues`` call, which makes the stack's
 covariate views and control-arm weights itself, and computes their
 standardized biases as one stack. Every member gets the bits it would get
-alone, so results do not depend on how the replicates are grouped.
+alone, so results do not depend on how the replicates are grouped. A
+replicate's outcome is its p-values and bias, or the error its test returned.
 
 ``diagnostics`` fits no regression of its own. It reads the prognosis R^2
 from a control-arm fit (``regression.control_arm_weights``), the one that
@@ -29,6 +32,7 @@ kernel of ``balance``: kq, the R^2 of the assignment on the covariates
 over every unit, with T^2 = (N - 2) kq / (1 - kq).
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -61,44 +65,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """One cell of the data-generating grid. ``imbalance_covariate`` names
-    the covariate whose loading on the assignment is the cell's imbalance;
-    the other covariate's loading is zero."""
+    """One cell of the data-generating grid. ``imbalance`` is the loading on
+    the assignment of covariate ``imbalance_covariate``; every other
+    covariate's loading is 0."""
 
     n: int = 500
     p: int = 3
-    rho_x1_z: float = 0.0
-    rho_x2_z: float = 0.0
+    imbalance: float = 0.0
     rho_x1_y: float = 0.0
     tau: float = 0.0
     seed: int = 0
     imbalance_covariate: int = 1
 
     def __post_init__(self):
-        _check_shared_fields(self, ("rho_x1_z", "rho_x2_z", "rho_x1_y", "tau"))
+        _check_shared_fields(self, ("imbalance", "rho_x1_y", "tau"))
         if self.n < 4 or self.n % 2:
             raise ConfigError(f"n must be even and at least 4, got {self.n}")
         if self.p < 1:
             raise ConfigError(f"p must be positive, got {self.p}")
-        if self.imbalance_covariate not in (1, 2):
-            raise ConfigError("imbalance_covariate must be 1 or 2")
-        if self.imbalance_covariate == 2 and self.p < 2:
+        if self.imbalance_covariate > self.p:
             raise ConfigError("imbalance on x2 requires p >= 2")
-        other = "rho_x2_z" if self.imbalance_covariate == 1 else "rho_x1_z"
-        if getattr(self, other) != 0.0:
-            raise ConfigError(
-                f"{other} must be 0 when imbalance_covariate is {self.imbalance_covariate}"
-            )
-        for name in ("rho_x1_z", "rho_x2_z", "rho_x1_y"):
+        for name in ("imbalance", "rho_x1_y"):
             rho = getattr(self, name)
             if abs(rho) > 1.0:
                 raise InfeasibleCorrelation(
                     f"{name} = {rho} implies negative noise variance (|rho| > 1)"
                 )
-
-    @property
-    def imbalance(self) -> float:
-        return self.rho_x2_z if self.imbalance_covariate == 2 else self.rho_x1_z
 
     @property
     def grid_cell(self) -> tuple[float, float]:
@@ -108,22 +100,17 @@ class DgpConfig:
 def generate_dataset(cfg: DgpConfig, replicate_index: int) -> Dataset:
     """Draw one synthetic dataset for the given replicate stream."""
     g = stream(cfg.seed, replicate_index, 0)
-    half = cfg.n // 2
-    z = np.zeros(cfg.n, dtype=np.int64)
-    z[:half] = 1
+    z = np.repeat(np.array([1, 0], dtype=np.int64), cfg.n // 2)
     z_tilde = 2.0 * z - 1.0  # standardized balanced assignment
 
     eps = g.standard_normal((cfg.n, cfg.p))
     eps_y = g.standard_normal(cfg.n)
 
     loadings = np.zeros(cfg.p)
-    loadings[0] = cfg.rho_x1_z
-    if cfg.p >= 2:
-        loadings[1] = cfg.rho_x2_z
+    loadings[cfg.imbalance_covariate - 1] = cfg.imbalance
     x = loadings * z_tilde[:, None] + np.sqrt(1.0 - loadings**2) * eps
 
-    rho_y = cfg.rho_x1_y
-    y0 = rho_y * x[:, 0] + math.sqrt(1.0 - rho_y**2) * eps_y
+    y0 = cfg.rho_x1_y * x[:, 0] + math.sqrt(1.0 - cfg.rho_x1_y**2) * eps_y
     y_obs = y0 + cfg.tau * z
 
     return Dataset(x=x, z=z, y_obs=y_obs, column_names=tuple(f"x{j+1}" for j in range(cfg.p)))
@@ -153,8 +140,6 @@ class StudyConfig:
             if not all(_is_number(level) for level in levels):
                 raise ConfigError(f"{name} must hold finite numbers, got {list(levels)!r}")
             _check_distinct(name, levels)
-        if self.imbalance_covariate not in (1, 2):
-            raise ConfigError("imbalance_covariate must be 1 or 2")
         _check_run_settings(
             self.statistics, self.replicates, self.permutations, self.alpha, self.weight_policy
         )
@@ -186,9 +171,10 @@ def _is_number(value, kind=(int, float)) -> bool:
 
 def _check_shared_fields(cfg, numbers) -> None:
     """Raise ``ConfigError`` unless ``cfg``'s ``imbalance_covariate``, ``n``,
-    ``p`` and ``seed`` are integers, ``seed`` is not negative and each field
-    named in ``numbers`` is a finite number: the rule ``StudyConfig`` and
-    ``DgpConfig`` share for the fields they share."""
+    ``p`` and ``seed`` are integers, ``seed`` is not negative,
+    ``imbalance_covariate`` is 1 or 2 and each field named in ``numbers`` is
+    a finite number: the rule ``StudyConfig`` and ``DgpConfig`` share for
+    the fields they share."""
     for name in ("imbalance_covariate", "n", "p", "seed"):
         value = getattr(cfg, name)
         if not _is_number(value, int):
@@ -199,6 +185,8 @@ def _check_shared_fields(cfg, numbers) -> None:
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed!r}")
+    if cfg.imbalance_covariate not in (1, 2):
+        raise ConfigError("imbalance_covariate must be 1 or 2")
 
 
 def _check_distinct(name: str, values) -> None:
@@ -232,22 +220,19 @@ def _check_run_settings(statistics, replicates, permutations, alpha, weight_poli
 
 def build_grid(study: StudyConfig) -> list[DgpConfig]:
     """Expand a study config into per-cell DGP configs with derived seeds."""
-    cells = []
     pairs = itertools.product(study.imbalance_levels, study.prognosis_levels)
-    for cell_index, (imbalance, prognosis) in enumerate(pairs):
-        cells.append(
-            DgpConfig(
-                n=study.n,
-                p=study.p,
-                rho_x1_z=imbalance if study.imbalance_covariate == 1 else 0.0,
-                rho_x2_z=imbalance if study.imbalance_covariate == 2 else 0.0,
-                rho_x1_y=prognosis,
-                tau=study.tau,
-                seed=derive_seed(study.seed, cell_index),
-                imbalance_covariate=study.imbalance_covariate,
-            )
+    return [
+        DgpConfig(
+            n=study.n,
+            p=study.p,
+            imbalance=imbalance,
+            rho_x1_y=prognosis,
+            tau=study.tau,
+            seed=derive_seed(study.seed, cell_index),
+            imbalance_covariate=study.imbalance_covariate,
         )
-    return cells
+        for cell_index, (imbalance, prognosis) in enumerate(pairs)
+    ]
 
 
 @dataclass(frozen=True)
@@ -289,38 +274,43 @@ def _standardized_biases(datasets: Sequence[Dataset], taus: Sequence[float]) -> 
 
 def _run_group(args) -> list:
     """The outcomes of a group of (cfg, replicate index) pairs whose
-    configurations share n and p, in order: for each replicate, its index,
-    its p-values by statistic and its standardized bias. The p-values are
-    None and the bias NaN where the replicate failed: its dataset could not
-    be drawn, its control-arm fit raised or its permutation test raised.
+    configurations share n and p, in order: for each replicate, its p-values
+    by statistic and its standardized bias, or the ``BalanceLabError`` that
+    its permutation test (its control-arm fit included) returned.
 
     The datasets are drawn one by one, then tested by one
-    ``permutation_pvalues`` call and given their biases as one stack. A
-    replicate that raises a ``BalanceLabError`` fails alone.
+    ``permutation_pvalues`` call and given their biases as one stack.
     """
     members, statistics, b, weight_policy = args
-    datasets = []
-    for cfg, replicate_index in members:
-        try:
-            datasets.append(generate_dataset(cfg, replicate_index))
-        except BalanceLabError:
-            datasets.append(None)
-    ready = [i for i, d in enumerate(datasets) if d is not None]
-    outcomes = [(replicate_index, None, float("nan")) for _, replicate_index in members]
-    if not ready:
-        return outcomes
-    stack = [datasets[i] for i in ready]
-    seeds = [derive_seed(members[i][0].seed, members[i][1], 1) for i in ready]
-    tests = permutation_pvalues(stack, statistics, b, seeds, weight_policy=weight_policy)
-    biases = _standardized_biases(stack, [members[i][0].tau for i in ready])
-    for i, test, bias in zip(ready, tests, biases):
-        if not isinstance(test, BalanceLabError):
-            pvals = {name: test[name].p_value for name in statistics}
-            outcomes[i] = (members[i][1], pvals, float(bias))
-    return outcomes
+    datasets = [generate_dataset(cfg, r) for cfg, r in members]
+    seeds = [derive_seed(cfg.seed, r, 1) for cfg, r in members]
+    tests = permutation_pvalues(datasets, statistics, b, seeds, weight_policy=weight_policy)
+    biases = _standardized_biases(datasets, [cfg.tau for cfg, _ in members])
+    return [
+        test
+        if isinstance(test, BalanceLabError)
+        else ({name: test[name].p_value for name in statistics}, float(bias))
+        for test, bias in zip(tests, biases)
+    ]
 
 
-def _cell_fingerprint(cfg: DgpConfig, statistics, replicates, b, alpha, weight_policy) -> str:
+@functools.cache
+def _code_version() -> dict:
+    """What a cell's results depend on besides its settings: a blake2b digest
+    over the sorted names and bytes of the package's modules, and numpy's
+    version (the last bits of a BLAS product depend on the library)."""
+    digest = hashlib.blake2b(digest_size=8)
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            source = fh.read()
+        digest.update(b"%s\0%d\0%s" % (name.encode(), len(source), source))
+    return {"source_digest": digest.hexdigest(), "numpy_version": np.__version__}
+
+
+def _cell_fingerprint(
+    cfg: DgpConfig, statistics, replicates, b, alpha, weight_policy, code: dict
+) -> str:
     payload = json.dumps(
         {
             "config": asdict(cfg),
@@ -330,6 +320,7 @@ def _cell_fingerprint(cfg: DgpConfig, statistics, replicates, b, alpha, weight_p
             "alpha": alpha,
             "weight_policy": weight_policy,
             "stream_version": STREAM_VERSION,
+            "code_version": code,
         },
         sort_keys=True,
     )
@@ -337,9 +328,10 @@ def _cell_fingerprint(cfg: DgpConfig, statistics, replicates, b, alpha, weight_p
 
 
 def _result_from_payload(payload: dict) -> PowerStudyResult:
-    """The result a checkpoint holds; raises unless its keys are exactly
-    the fingerprint and the result's fields, each of the field's type."""
-    values = {k: v for k, v in payload.items() if k != "fingerprint"}
+    """The result a checkpoint holds; raises unless its keys beside the
+    fingerprint and the code version are exactly the result's fields, each
+    of the field's type."""
+    values = {k: v for k, v in payload.items() if k not in ("fingerprint", "code_version")}
     values["config"] = DgpConfig(**values["config"])
     values["pvalues"] = {k: np.asarray(v, dtype=np.float64) for k, v in values["pvalues"].items()}
     result = PowerStudyResult(**values)
@@ -372,11 +364,12 @@ def _load_checkpoint(path: str, fingerprint: str, cfg: DgpConfig) -> Optional[Po
     return result if result.config == cfg else None
 
 
-def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str) -> None:
+def _write_checkpoint(path: str, result: PowerStudyResult, fingerprint: str, code: dict) -> None:
     """Write ``result`` to ``path``, whose directory exists, through a
-    temporary file. The payload is ``asdict(result)`` built field by field:
-    ``asdict`` would deep-copy every p-value array first."""
-    payload = {"fingerprint": fingerprint}
+    temporary file, beside its fingerprint and the code version ``code``.
+    The payload is ``asdict(result)`` built field by field: ``asdict``
+    would deep-copy every p-value array first."""
+    payload = {"fingerprint": fingerprint, "code_version": code}
     payload.update((f.name, getattr(result, f.name)) for f in fields(result))
     payload["config"] = {f.name: getattr(result.config, f.name) for f in fields(result.config)}
     tmp = path + ".tmp"
@@ -424,13 +417,13 @@ def _summarize_cell(
     pvals = {name: np.full(replicates, np.nan) for name in statistics}
     bias = np.full(replicates, np.nan)
     n_failed = 0
-    for idx, replicate_pvals, replicate_bias in outcomes:
-        if replicate_pvals is None:
+    for idx, outcome in enumerate(outcomes):
+        if isinstance(outcome, BalanceLabError):
             n_failed += 1
             continue
+        replicate_pvals, bias[idx] = outcome
         for name in statistics:
             pvals[name][idx] = replicate_pvals[name]
-        bias[idx] = replicate_bias
 
     if n_failed / replicates >= 0.01:
         raise CellFailure(
@@ -439,19 +432,13 @@ def _summarize_cell(
         )
 
     ok = replicates - n_failed
-    rates = {}
-    ses = {}
-    for name in statistics:
-        good = pvals[name][~np.isnan(pvals[name])]
-        rate = float(np.count_nonzero(good < alpha)) / ok
-        rates[name] = rate
-        ses[name] = math.sqrt(rate * (1.0 - rate) / ok)
-
+    # a failed replicate's NaN p-value is not below alpha
+    rates = {name: float(np.count_nonzero(pvals[name] < alpha)) / ok for name in statistics}
     return PowerStudyResult(
         config=cfg,
         rejection_rate=rates,
-        mc_standard_error=ses,
-        standardized_bias=float(np.nanmean(bias)) if ok else float("nan"),
+        mc_standard_error={name: math.sqrt(r * (1.0 - r) / ok) for name, r in rates.items()},
+        standardized_bias=float(np.nanmean(bias)),
         replicates=replicates,
         permutations_per_replicate=b,
         n_failed=n_failed,
@@ -477,8 +464,10 @@ def run_power_study(
     (cell seed, replicate index), aggregation is position-indexed, so the
     output is identical for any worker count. With ``checkpoint_dir`` each
     finished cell is persisted and (under ``resume=True``) reloaded instead
-    of recomputed, as long as its fingerprint (configuration and random
-    stream version) still matches.
+    of recomputed, as long as its fingerprint still matches: the
+    configuration, the random stream version and the code version
+    (``_code_version``), so any edit to the package or another numpy makes
+    every cell stale.
 
     The replicates of every cell still to compute form one ordered stream,
     cut into groups of consecutive replicates (``_chunksize``) that may span
@@ -491,7 +480,9 @@ def run_power_study(
     exception, interrupt included, cancels the queued work.
 
     Invalid run settings raise ``ConfigError`` before any work starts, by
-    the rule that ``StudyConfig`` applies, as does ``threads`` below 1.
+    the rule that ``StudyConfig`` applies, as do ``threads`` below 1 and,
+    when ``"rw"`` is among the statistics, a cell whose n/2 control units
+    are at most p + 1: no replicate of it could fit its control arm.
     """
     if not grid:
         raise ConfigError("grid must contain at least one cell")
@@ -499,8 +490,15 @@ def run_power_study(
     _check_run_settings(statistics, replicates, b_permutations, alpha, weight_policy)
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads!r}")
+    small = [cfg for cfg in grid if cfg.n // 2 <= cfg.p + 1]
+    if "rw" in statistics and small:
+        raise ConfigError(
+            f"rw needs more than p + 1 control units: n = {small[0].n} gives "
+            f"n/2 = {small[0].n // 2} for p = {small[0].p}"
+        )
+    code = _code_version()
     fingerprints = [
-        _cell_fingerprint(cfg, statistics, replicates, b_permutations, alpha, weight_policy)
+        _cell_fingerprint(cfg, statistics, replicates, b_permutations, alpha, weight_policy, code)
         for cfg in grid
     ]
     paths = [None] * len(grid)
@@ -535,7 +533,7 @@ def run_power_study(
                     cfg, cell_outcomes, statistics, replicates, b_permutations, alpha
                 )
                 if paths[cell_index]:
-                    _write_checkpoint(paths[cell_index], result, fingerprints[cell_index])
+                    _write_checkpoint(paths[cell_index], result, fingerprints[cell_index], code)
                 status = "computed"
             results.append(result)
             if progress:

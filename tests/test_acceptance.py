@@ -53,8 +53,8 @@ def null_study():
 
 @pytest.fixture(scope="module")
 def imbalance_cells():
-    base = DgpConfig(n=500, p=3, rho_x1_z=0.2, rho_x1_y=0.0, seed=777)
-    prognostic = DgpConfig(n=500, p=3, rho_x1_z=0.2, rho_x1_y=0.3, seed=778)
+    base = DgpConfig(n=500, p=3, imbalance=0.2, rho_x1_y=0.0, seed=777)
+    prognostic = DgpConfig(n=500, p=3, imbalance=0.2, rho_x1_y=0.3, seed=778)
     results = run_power_study(
         [base, prognostic], replicates=300, b_permutations=200, alpha=ALPHA
     )

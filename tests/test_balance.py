@@ -158,6 +158,12 @@ class TestDeltaRegressionWeighted:
             v_raw = compute_balance_report(d, "raw", weights=w_raw).delta_rw
             assert np.isclose(v_std, v_raw, rtol=1e-8, atol=1e-12)
 
+    def test_weights_must_be_an_arm_fit(self, rng):
+        # the fitted-mean check reads the fit's arm and intercept
+        d = random_dataset(rng, p=3)
+        with pytest.raises(TypeError, match="arm fit"):
+            compute_balance_report(d, weights=np.ones(3))
+
     def test_dimension_mismatch(self, rng):
         d = random_dataset(rng, p=3)
         with pytest.raises(WeightDimensionMismatch):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from balance_lab import Diagnostics, balance, cli, load_dataset, regression
+from balance_lab import Diagnostics, balance, cli, load_dataset, regression, simulation
 from balance_lab.data import scaled_covariates
 from conftest import lstsq
 
@@ -370,6 +370,21 @@ def test_covariates_the_statistics_handle_exit_0(table, kept, tmp_path, monkeypa
         assert reports[name]["diagnostics"]["imbalance_r2"] == pytest.approx(expected, abs=1e-12)
 
 
+def test_covariate_whose_standardization_overflows_exits_2(tmp_path, capsys):
+    # every cell of x1 is finite, but its mean and SD overflow
+    g = np.random.default_rng(41)
+    x1 = 1e308 * g.uniform(0.5, 0.9, size=40)
+    x2, y = g.normal(size=(2, 40))
+    path = tmp_path / "table.csv"
+    _write_table(path, {"z": np.repeat([1, 0], 20), "y": y, "x1": x1, "x2": x2})
+    data = ["--input", str(path), "--treatment", "z", "--outcome", "y", "--covariates", "x1,x2"]
+    out = ["--out-dir", str(tmp_path / "out")]
+    test = ["test", *data, "--seed", "1", "--permutations", "20", *out]
+    for args in (["diagnose", *data, *out], test, test + ["--weight-policy", "refit"]):
+        assert run_cli(args) == 2
+        assert "covariate 'x1' cannot be standardized" in capsys.readouterr().err
+
+
 class TestCmdDiagnose:
     def test_prognostic_fixture(self, tmp_path, rng):
         path = tmp_path / "prog.csv"
@@ -562,6 +577,15 @@ class TestCmdSimulate:
         assert open(out / "results.csv", "rb").read() == reference
         assert json.loads(cell.read_text()) == current
 
+    def test_manifest_records_the_code_version(self, tmp_path):
+        config = write_config(tmp_path / "study.json", imbalance_levels=[0.0], replicates=2)
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", config, "--out-dir", str(out)]) == 0
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["code_version"] == simulation._code_version()
+        assert run_cli(BASE_ARGS + ["--out-dir", str(tmp_path / "test")]) == 0
+        assert "code_version" not in json.load(open(tmp_path / "test" / "balance_report.json"))["manifest"]
+
     def test_malformed_config_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -597,6 +621,8 @@ INVALID_CONFIGS = {
     "config-permutations-fractional": {**SMALL_CONFIG, "permutations": 1.5},
     "config-n-float": {**SMALL_CONFIG, "n": 40.0},
     "config-p-string": {**SMALL_CONFIG, "p": "3"},
+    # n/2 = 4 control units cannot fit rw's p = 3 covariates and an intercept
+    "config-rw-control-arm-too-small": {**SMALL_CONFIG, "n": 8, "p": 3},
 }
 
 

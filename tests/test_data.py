@@ -567,7 +567,7 @@ class TestStandardize:
         cfg = simulation.DgpConfig(n=40, p=3, rho_x1_y=0.3, seed=5)
         members = [(cfg, r) for r in range(5)]
         outcomes = simulation._run_group((members, ("uw", "rw", "hotelling"), 20, "fixed"))
-        assert [pvals is not None for _, pvals, _ in outcomes] == [True] * 5
+        assert [pvals is not None for pvals, _ in outcomes] == [True] * 5
         assert len(standardize_calls) == 1
 
     @pytest.fixture
@@ -599,7 +599,7 @@ class TestStandardize:
         cfg = simulation.DgpConfig(n=40, p=3, rho_x1_y=0.3, seed=5)
         members = [(cfg, r) for r in range(5)]
         outcomes = simulation._run_group((members, ("uw", "rw", "hotelling"), 20, "fixed"))
-        assert [pvals is not None for _, pvals, _ in outcomes] == [True] * 5
+        assert [pvals is not None for pvals, _ in outcomes] == [True] * 5
         assert len(eigh_calls) == 1
 
     def test_stack_views_is_idempotent(self, standardize_calls, eigh_calls, rng):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from balance_lab import Dataset, balance, control_arm_weights, permutation, permutation_test
-from balance_lab.balance import _GRAM_KAPPA, _hotelling, _refit_rw_columns
+from balance_lab.balance import _GRAM_KAPPA, _hotelling, _observed_column, _refit_rw_columns
 from balance_lab.data import varying_columns, whitened_covariates
-from balance_lab.errors import BalanceLabError, ControlArmTooSmall
+from balance_lab.errors import BalanceLabError, ControlArmTooSmall, NonNumericValue
 from balance_lab.permutation import (
     _CHUNK,
     STATISTIC_NAMES,
@@ -747,6 +747,16 @@ class TestStackedPermutationTests:
         weight_policy="fixed",
         statistics=["uw", "rw"],
     )
+    # T^2 near 0 on the third member, where a check against one product of
+    # all 1 + B columns differed in the last bits
+    @example(
+        seed=0,
+        kinds=["gaussian"] * 3,
+        p=1,
+        b=494,
+        weight_policy="fixed",
+        statistics=["uw", "hotelling"],
+    )
     def test_stack_equals_members_alone(self, seed, kinds, p, b, weight_policy, statistics):
         # B crosses the blocks of 128 rows and the chunk of 1024; a member
         # that raises alone (its control-arm fit among the causes) holds its
@@ -777,14 +787,18 @@ class TestStackedPermutationTests:
                 assert (got.n_failed, got.n_refit_fallback) == (expected.n_failed, expected.n_refit_fallback)
             if "hotelling" in statistics:
                 # the stack's whitened sums are p rows deep; a member whose
-                # whitened view is narrower gets its own width's statistics
+                # whitened view is narrower gets its own width's statistics,
+                # bit for bit, from the program's batches: the observed
+                # column alone, then each chunk as _permuted_z returns it
                 xw = whitened_covariates(d)[0]
-                z_cols = np.column_stack([d.z, chunk_draws(d.z, member_seed, b)])
+                batches = [_observed_column(d)] + [
+                    _permuted_z(d.z, member_seed, start, min(_CHUNK, b - start))
+                    for start in range(0, b, _CHUNK)
+                ]
+                expected = [_hotelling(xw.T @ z_cols, n // 2, n // 2) for z_cols in batches]
                 res = outcome["hotelling"]
-                np.testing.assert_allclose(
-                    np.append(res.observed, res.permuted_values),
-                    _hotelling(xw.T @ z_cols, n // 2, n // 2),
-                    rtol=1e-12,
+                assert np.array_equal(
+                    np.append(res.observed, res.permuted_values), np.concatenate(expected)
                 )
 
     def test_stack_is_validated(self, rng):
@@ -797,6 +811,26 @@ class TestStackedPermutationTests:
         with pytest.raises(ValueError):
             permutation_pvalues([d], ("rw",), 10, [1], weight_policy="refit", weights=[np.ones(2)])
         assert permutation_pvalues([], ("uw",), 10, []) == []
+
+    @pytest.mark.parametrize("weight_policy", ["fixed", "refit"])
+    def test_member_whose_standardization_overflows_fails_alone(self, rng, weight_policy):
+        # every cell of x1 is finite, but its mean and SD overflow
+        z = rng.permutation(np.repeat([1, 0], 20))
+        x, y = rng.normal(size=(40, 2)), rng.normal(size=40)
+        big = x.copy()
+        big[:, 0] = 1e308 * rng.uniform(0.5, 0.9, size=40)
+        run = lambda members, seeds: permutation_pvalues(
+            members, STATISTIC_NAMES, 50, seeds, weight_policy=weight_policy
+        )
+        alone = run(Dataset(x=x, z=z, y_obs=y), 1)
+        good, overflowing = run([Dataset(x=x, z=z, y_obs=y), Dataset(x=big, z=z, y_obs=y)], [1, 2])
+        assert isinstance(overflowing, NonNumericValue) and "'x1'" in str(overflowing)
+        for name in STATISTIC_NAMES:
+            assert good[name].observed == alone[name].observed
+            assert np.array_equal(good[name].permuted_values, alone[name].permuted_values)
+            assert good[name].p_value == alone[name].p_value
+        with pytest.raises(NonNumericValue, match="'x1'"):
+            permutation_test(Dataset(x=big, z=z, y_obs=y), "uw", 20, 2, weight_policy=weight_policy)
 
     def test_empty_statistics_refused_before_drawing(self, rng, monkeypatch):
         d = random_dataset(rng, n=20, p=2)

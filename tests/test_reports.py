@@ -20,7 +20,7 @@ from balance_lab.simulation import PowerStudyResult
 
 def make_result(imbalance, prognosis, rates):
     return PowerStudyResult(
-        config=DgpConfig(n=60, rho_x1_z=imbalance, rho_x1_y=prognosis, seed=1),
+        config=DgpConfig(n=60, imbalance=imbalance, rho_x1_y=prognosis, seed=1),
         rejection_rate=rates,
         mc_standard_error={k: 0.01 for k in rates},
         standardized_bias=0.1,

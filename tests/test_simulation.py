@@ -27,6 +27,12 @@ from balance_lab.permutation import STATISTIC_NAMES, permutation_pvalues
 from balance_lab.simulation import build_grid
 
 
+def case(field, value, message, id, **others):
+    """One invalid-field case: ``field=value`` plus the further ``DgpConfig``
+    fields ``others``."""
+    return pytest.param(field, value, message, others, id=id)
+
+
 class TestDgpConfig:
     def test_odd_n_rejected(self):
         with pytest.raises(ConfigError):
@@ -34,59 +40,65 @@ class TestDgpConfig:
 
     def test_infeasible_correlation(self):
         with pytest.raises(InfeasibleCorrelation):
-            DgpConfig(rho_x1_z=1.2)
+            DgpConfig(imbalance=1.2)
         with pytest.raises(InfeasibleCorrelation):
             DgpConfig(rho_x1_y=-1.01)
 
     def test_x2_imbalance_needs_two_covariates(self):
         with pytest.raises(ConfigError):
-            DgpConfig(p=1, rho_x2_z=0.3)
+            DgpConfig(p=1, imbalance=0.3, imbalance_covariate=2)
 
     def test_imbalance_label(self):
-        assert DgpConfig(rho_x1_z=0.2).imbalance_covariate == 1
-        assert DgpConfig(rho_x2_z=0.2, imbalance_covariate=2).imbalance_covariate == 2
-        assert DgpConfig(rho_x2_z=0.2, imbalance_covariate=2).imbalance == 0.2
+        assert DgpConfig(imbalance=0.2).imbalance_covariate == 1
+        assert DgpConfig(imbalance=0.2, imbalance_covariate=2).imbalance_covariate == 2
+        assert DgpConfig(imbalance=0.2, imbalance_covariate=2).imbalance == 0.2
         assert DgpConfig(imbalance_covariate=2).grid_cell == (0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "field, value, message, others",
         [
-            pytest.param(
+            case(
                 "seed", -1, "seed must be a non-negative integer, got -1", id="seed-negative"
             ),
-            pytest.param("seed", 2.5, "seed must be an integer, got 2.5", id="seed-float"),
-            pytest.param("seed", True, "seed must be an integer, got True", id="seed-bool"),
-            pytest.param("n", 40.0, "n must be an integer, got 40.0", id="n-float"),
-            pytest.param("p", 3.0, "p must be an integer, got 3.0", id="p-float"),
-            pytest.param(
+            case("seed", 2.5, "seed must be an integer, got 2.5", id="seed-float"),
+            case("seed", True, "seed must be an integer, got True", id="seed-bool"),
+            case("n", 40.0, "n must be an integer, got 40.0", id="n-float"),
+            case("p", 3.0, "p must be an integer, got 3.0", id="p-float"),
+            case(
                 "imbalance_covariate", 1.0, "imbalance_covariate must be an integer, got 1.0",
                 id="imbalance-covariate-float",
             ),
-            pytest.param("tau", math.nan, "tau must be a finite number, got nan", id="tau-nan"),
-            pytest.param("tau", "0", "tau must be a finite number, got '0'", id="tau-string"),
-            pytest.param(
-                "rho_x1_z", math.inf, "rho_x1_z must be a finite number, got inf", id="rho-x1-z-inf"
+            case("tau", math.nan, "tau must be a finite number, got nan", id="tau-nan"),
+            case("tau", "0", "tau must be a finite number, got '0'", id="tau-string"),
+            case(
+                "imbalance", math.inf, "imbalance must be a finite number, got inf",
+                id="imbalance-inf",
             ),
-            pytest.param(
-                "rho_x2_z", math.nan, "rho_x2_z must be a finite number, got nan", id="rho-x2-z-nan"
+            case(
+                "imbalance", math.nan, "imbalance must be a finite number, got nan",
+                id="imbalance-nan",
             ),
-            pytest.param(
+            # the loading of x2 (once its own field, rho_x2_z) is `imbalance`
+            # with imbalance_covariate=2
+            case(
+                "imbalance", math.nan, "imbalance must be a finite number, got nan",
+                id="rho-x2-z-nan", imbalance_covariate=2,
+            ),
+            case(
                 "rho_x1_y", math.nan, "rho_x1_y must be a finite number, got nan", id="rho-x1-y-nan"
             ),
         ],
     )
-    def test_invalid_fields_refused_as_study_config_refuses_them(self, field, value, message):
+    def test_invalid_fields_refused_as_study_config_refuses_them(
+        self, field, value, message, others
+    ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            DgpConfig(**{field: value})
+            DgpConfig(**{field: value}, **others)
         if field in StudyConfig.__dataclass_fields__:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 StudyConfig(**{field: value})
 
     def test_loading_on_the_other_covariate_refused(self):
-        with pytest.raises(ConfigError, match="rho_x2_z"):
-            DgpConfig(rho_x2_z=0.2)
-        with pytest.raises(ConfigError, match="rho_x1_z"):
-            DgpConfig(rho_x1_z=0.2, imbalance_covariate=2)
         with pytest.raises(ConfigError):
             DgpConfig(imbalance_covariate=3)
 
@@ -116,13 +128,13 @@ class TestGenerateDataset:
         assert small / draws > 0.90
 
     def test_full_loading_degenerate(self):
-        d = generate_dataset(DgpConfig(rho_x1_z=1.0, seed=2), 0)
+        d = generate_dataset(DgpConfig(imbalance=1.0, seed=2), 0)
         z_tilde = 2.0 * d.z - 1.0
         np.testing.assert_allclose(d.x[:, 0], z_tilde, atol=1e-12)
 
     def test_target_moments(self):
         # average empirical correlations land on the configured targets
-        cfg = DgpConfig(n=500, p=3, rho_x1_z=0.2, rho_x1_y=0.3, seed=5)
+        cfg = DgpConfig(n=500, p=3, imbalance=0.2, rho_x1_y=0.3, seed=5)
         corr_xz = np.empty(10000)
         corr_xy = np.empty(10000)
         for r in range(10000):
@@ -150,15 +162,15 @@ def mean_bias(cfg, replicates):
 
 class TestStandardizedBias:
     def test_zero_prognosis_unbiased(self):
-        values = mean_bias(DgpConfig(n=200, rho_x1_z=0.3, rho_x1_y=0.0, seed=31), 300)
+        values = mean_bias(DgpConfig(n=200, imbalance=0.3, rho_x1_y=0.0, seed=31), 300)
         se = values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean()) < 3 * se
 
     def test_bias_grows_with_prognosis_times_imbalance(self):
         cells = [
-            DgpConfig(n=200, rho_x1_z=0.1, rho_x1_y=0.1, seed=32),
-            DgpConfig(n=200, rho_x1_z=0.2, rho_x1_y=0.3, seed=33),
-            DgpConfig(n=200, rho_x1_z=0.3, rho_x1_y=0.5, seed=34),
+            DgpConfig(n=200, imbalance=0.1, rho_x1_y=0.1, seed=32),
+            DgpConfig(n=200, imbalance=0.2, rho_x1_y=0.3, seed=33),
+            DgpConfig(n=200, imbalance=0.3, rho_x1_y=0.5, seed=34),
         ]
         means = [mean_bias(cfg, 300).mean() for cfg in cells]
         assert means[0] < means[1] < means[2]
@@ -167,7 +179,7 @@ class TestStandardizedBias:
         # arms of n1 >= 8 units are summed pairwise, so a mean over a
         # strided view would differ from the single-dataset mean
         cfgs = [
-            DgpConfig(n=500, rho_x1_z=0.2, rho_x1_y=0.4, tau=tau, seed=35) for tau in (0.0, 0.3)
+            DgpConfig(n=500, imbalance=0.2, rho_x1_y=0.4, tau=tau, seed=35) for tau in (0.0, 0.3)
         ]
         prefix = [(generate_dataset(cfg, r), cfg.tau) for cfg in cfgs for r in range(4)]
         z = np.random.default_rng(5).permutation(prefix[0][0].z)
@@ -222,8 +234,8 @@ class TestStudyConfig:
         )
         grid = build_grid(study)
         assert len(grid) == 6
-        assert grid[0].rho_x2_z == 0.0 and grid[3].rho_x2_z == 0.2
-        assert all(cfg.rho_x1_z == 0.0 for cfg in grid)
+        assert grid[0].imbalance == 0.0 and grid[3].imbalance == 0.2
+        assert all(cfg.imbalance_covariate == 2 for cfg in grid)
         assert len({cfg.seed for cfg in grid}) == 6
         assert [cfg.rho_x1_y for cfg in grid[:3]] == [0.0, 0.1, 0.3]
 
@@ -290,6 +302,25 @@ class TestRunPowerStudy:
             }
             with pytest.raises(ConfigError, match=f"^{re.escape(str(refused.value))}$"):
                 tiny_study(**study_setting)
+
+    def test_control_arm_too_small_for_rw_refused_before_any_work(self, tmp_path, monkeypatch):
+        # n/2 = 4 control units cannot fit p = 3 covariates and an intercept
+        grid = build_grid(tiny_study(imbalance_levels=(0.0,), n=8))
+        assert grid[0].p == 3
+
+        def no_work(args):
+            raise AssertionError("a group ran")
+
+        monkeypatch.setattr(simulation, "_run_group", no_work)
+        kwargs = dict(replicates=4, b_permutations=20)
+        with pytest.raises(ConfigError, match=r"n = 8 .* p = 3$"):
+            run_power_study(grid, checkpoint_dir=str(tmp_path / "ckpt"), **kwargs)
+        assert not (tmp_path / "ckpt").exists()
+        monkeypatch.undo()
+        # without rw, or with one more control unit, the study runs
+        assert run_power_study(grid, statistics=("uw", "hotelling"), **kwargs)[0].n_failed == 0
+        wider = build_grid(tiny_study(imbalance_levels=(0.0,), n=10))
+        assert run_power_study(wider, **kwargs)[0].n_failed == 0
 
     def test_worker_count_does_not_change_results(self):
         study = tiny_study()
@@ -411,6 +442,39 @@ class TestRunPowerStudy:
         run_power_study(grid, resume=True, progress=record, **kwargs)
         assert how == ["computed", "resumed"]
 
+    def test_checkpoint_from_other_code_recomputed(self, tmp_path, monkeypatch):
+        grid = build_grid(tiny_study())
+        ckpt = tmp_path / "checkpoints"
+        kwargs = dict(replicates=5, b_permutations=20, checkpoint_dir=str(ckpt))
+        run_power_study(grid, **kwargs)
+        code = simulation._code_version()
+        assert json.loads((ckpt / "cell_0000.json").read_text())["code_version"] == code
+
+        how = []
+        record = lambda i, total, status: how.append(status)
+        run_power_study(grid, resume=True, progress=record, **kwargs)
+        assert how == ["resumed"] * len(grid)
+        monkeypatch.setattr(
+            simulation, "_code_version", lambda: {**code, "source_digest": "0" * 16}
+        )
+        how.clear()
+        run_power_study(grid, resume=True, progress=record, **kwargs)
+        assert how == ["computed"] * len(grid)
+
+    def test_code_version_digests_the_package_source(self, tmp_path, monkeypatch):
+        package = os.path.dirname(simulation.__file__)
+        copy = tmp_path / "balance_lab"
+        copy.mkdir()
+        for name in os.listdir(package):
+            if name.endswith(".py"):
+                (copy / name).write_bytes(open(os.path.join(package, name), "rb").read())
+        monkeypatch.setattr(simulation, "__file__", str(copy / "simulation.py"))
+        digest = lambda: simulation._code_version.__wrapped__()["source_digest"]
+        assert digest() == simulation._code_version()["source_digest"]
+        with open(copy / "rng.py", "a") as fh:
+            fh.write("# a comment\n")
+        assert digest() != simulation._code_version()["source_digest"]
+
     def test_resume_with_pending_cells_on_both_sides(self, tmp_path):
         study = tiny_study(prognosis_levels=(0.0, 0.3))
         grid = build_grid(study)
@@ -468,9 +532,9 @@ class TestRunPowerStudy:
             for cell, result in enumerate(results):
                 outcomes = alone[cell * replicates : (cell + 1) * replicates]
                 assert result.n_failed == 0
-                assert result.standardized_bias == np.mean([bias for _, _, bias in outcomes])
+                assert result.standardized_bias == np.mean([bias for _, bias in outcomes])
                 for name in STATISTIC_NAMES:
-                    expected = [pvals[name] for _, pvals, _ in outcomes]
+                    expected = [pvals[name] for pvals, _ in outcomes]
                     assert result.pvalues[name].tolist() == expected
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -574,11 +638,15 @@ class TestCellFailure:
         # show which replicates actually started
         def flaky(cfg, replicate_index):
             (started / f"{cfg.seed}_{replicate_index}").touch()
+            d = real_generate(cfg, replicate_index)
             if cfg.seed == failing:
-                raise BalanceLabError("forced failure")
+                # collinear over all units: every replicate's test fails
+                x = d.x.copy()
+                x[:, 1] = 3.0 * x[:, 0]
+                return Dataset(x=x, z=d.z, y_obs=d.y_obs)
             if cfg.seed in later:
                 time.sleep(0.05)
-            return real_generate(cfg, replicate_index)
+            return d
 
         monkeypatch.setattr(simulation, "generate_dataset", flaky)
         ckpt = tmp_path / "checkpoints"
