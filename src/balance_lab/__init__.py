@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .balance import BalanceReport, compute_balance_report
-from .data import Dataset, GroupSizes, load_dataset
+from .data import Dataset, load_dataset
 from .permutation import PermutationResult, permutation_test
 from .regression import RegressionFit, control_arm_weights, raw_form, treatment_arm_weights
 from .simulation import (
@@ -32,7 +32,6 @@ __all__ = [
     "__version__",
     "errors",
     "Dataset",
-    "GroupSizes",
     "load_dataset",
     "RegressionFit",
     "control_arm_weights",

@@ -12,9 +12,9 @@ test's observed values, bit for bit. Under the ``refit`` weight policy
 ``_refit_rw_columns`` fits the control arms of a batch together.
 
 Every kernel reads the covariate views cached on the ``Dataset``: the
-standardized matrix and the whitened one of the Hotelling statistic
-(``data.whitened_covariates``), so one call standardizes and whitens each
-dataset once. Weights and fits are standardized, so ``rw`` ignores the
+standardized matrix ``standardized_x`` and the whitened one of the
+Hotelling statistic (``whitened``), so one call standardizes and whitens
+each dataset once. Weights and fits are standardized, so ``rw`` ignores the
 scale; ``_statistic_columns`` puts the mean differences on it (a raw one
 is s_j times the standardized one). The Hotelling statistic is a
 function of kq (``_kq``), the R^2 of the assignment on the covariates, which
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _scale_factors, varying_columns, whitened_covariates
+from .data import Dataset, _scale_factors, varying_columns
 from .errors import InternalNumericalError, RankDeficient
 from .regression import RCOND_GATE, RegressionFit, _lstsq, _weight_vector, control_arm_weights
 
@@ -209,23 +209,22 @@ def _column_products(d, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int
     no requested statistic reads it.
 
     ``deltas`` receives the standardized mean differences and ``whitened``
-    the sums ``xw' z`` (see ``data.whitened_covariates``) in its first
+    the sums ``xw' z`` (see ``Dataset.whitened``) in its first
     ``xw.shape[1]`` rows; the zeros below add nothing to a sum of squares.
     ``rw`` receives ``w_fixed @ deltas`` under fixed weights, else the sums
     with weights refit on each column's own control arm. They stay one
     product per dataset and call: the last bits of a BLAS product depend on
     its operands' layout and on a column's place among the columns.
     """
-    xs = d._standardized_x
-    sizes = d.sizes
+    xs = d.standardized_x
     if deltas is not None or rw is not None:
         # Mean differences, elementwise: a slice of the columns gets its bits in the whole.
         totals = xs.sum(axis=0)[:, None]
-        columns = (xs.T @ z_cols) * (1.0 / sizes.n1 + 1.0 / sizes.n0) - totals / sizes.n0
+        columns = (xs.T @ z_cols) * (1.0 / d.n1 + 1.0 / d.n0) - totals / d.n0
         if deltas is not None:
             deltas[...] = columns
     if whitened is not None:
-        xw = whitened_covariates(d)[0]
+        xw = d.whitened[0]
         whitened[: xw.shape[1]] = xw.T @ z_cols
     if rw is None:
         return 0, 0
@@ -258,7 +257,7 @@ def _statistic_columns(statistics, units, deltas, whitened, rw, n1, n0) -> dict[
 def _checked_weighted_sum(d: Dataset, weights: RegressionFit, weighted_sum) -> float:
     """The fitted-mean difference, required to agree with ``weighted_sum``,
     the kernel's ``w @ delta``."""
-    w, xs = _weight_vector(weights, d.p), d._standardized_x
+    w, xs = _weight_vector(weights, d.p), d.standardized_x
     # Fitted mean in the unobserved arm minus the observed mean in the fit arm.
     if weights.arm == "treatment":
         fitted_control = float(np.mean(xs[d.control_rows()] @ w)) + weights.intercept
@@ -291,7 +290,7 @@ def compute_balance_report(
     dataset with one column, so under the same fixed weights they equal its
     ``observed`` values bit for bit.
     """
-    p, sizes, units = d.p, d.sizes, _scale_factors(d, scale)[None]
+    p, units = d.p, _scale_factors(d, scale)[None]
     if weights is None:
         weights = control_arm_weights(d)
     if not isinstance(weights, RegressionFit):
@@ -300,7 +299,7 @@ def compute_balance_report(
     deltas, whitened, rw = np.zeros((1, p, 1)), np.zeros((1, p, 1)), np.zeros((1, 1))
     w = _weight_vector(weights, p)
     _column_products(d, _observed_column(d), w, deltas[0], whitened[0], rw[0])
-    values = _statistic_columns(STATISTIC_NAMES, units, deltas, whitened, rw, sizes.n1, sizes.n0)
+    values = _statistic_columns(STATISTIC_NAMES, units, deltas, whitened, rw, d.n1, d.n0)
     delta_rw = float(values["rw"][0, 0])
     fitted_diff = _checked_weighted_sum(d, weights, delta_rw)
 
@@ -311,6 +310,6 @@ def compute_balance_report(
         hotelling_t2=float(values["hotelling"][0, 0]),
         weights_used=weights,
         scale=scale,
-        hotelling_used_pinv=whitened_covariates(d)[1],
+        hotelling_used_pinv=d.whitened[1],
         fitted_mean_difference=fitted_diff,
     )

@@ -194,11 +194,10 @@ def _load_from_args(args):
 
 
 def _dataset_summary(d, rows_dropped) -> dict:
-    sizes = d.sizes
     return {
         "n": d.n,
-        "n1": sizes.n1,
-        "n0": sizes.n0,
+        "n1": d.n1,
+        "n0": d.n0,
         "p": d.p,
         "columns": list(d.column_names),
         "dropped_constant_columns": [d.column_names[j] for j in d.constant_columns],

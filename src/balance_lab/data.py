@@ -4,13 +4,14 @@ The population is completely enumerated: every unit's covariate vector is
 observed regardless of its arm, and the arm sizes n1/n0 are treated as fixed
 constants. All second moments use the population (divide-by-N) convention.
 
-A ``Dataset`` owns the covariate views derived from it, each computed on
-first use and cached read-only: the standardized N x p matrix
-(``scaled_covariates``) and the SDs it divides by (``_scale_factors``), the
-whitened matrix of the Hotelling statistic (``whitened_covariates``) and
-the indices of its constant columns (``Dataset.constant_columns``).
-``varying_columns`` is the one rule that decides which columns are
-constant, here and in the regression fits.
+A ``Dataset`` holds the facts derived from it as read-only attributes: its
+arm sizes ``n1`` and ``n0``, set once on construction, and its covariate
+views, each computed on first use and cached: the standardized N x p matrix
+``standardized_x``, the SDs it divides by (``column_sd``), the whitened
+matrix of the Hotelling statistic (``whitened``) and the indices of its
+constant columns (``constant_columns``). ``varying_columns`` is the one
+rule that decides which columns are constant, here and in the regression
+fits.
 
 The view functions take a leading stack axis: ``standardize_columns`` and
 ``varying_columns`` accept an (R, N, p) stack of matrices and treat each
@@ -43,13 +44,10 @@ from .errors import (
 
 __all__ = [
     "Dataset",
-    "GroupSizes",
     "MissingRowsDropped",
     "load_dataset",
     "standardize_columns",
     "stack_views",
-    "scaled_covariates",
-    "whitened_covariates",
     "varying_columns",
     "population_sd",
 ]
@@ -66,32 +64,15 @@ class MissingRowsDropped(UserWarning):
 
 
 @dataclass(frozen=True)
-class GroupSizes:
-    """Fixed arm sizes of a completely enumerated study group."""
-
-    n1: int
-    n0: int
-
-    def __post_init__(self):
-        if self.n1 < 1 or self.n0 < 1:
-            raise DegenerateAssignment(
-                f"both arms must be non-empty, got n1={self.n1}, n0={self.n0}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n0
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable covariate matrix, assignment vector, and observed outcomes.
 
     Arrays are copied to float64 / int64, validated, and frozen (write
     flag cleared), so instances are safe to share across workers and the
-    caller's arrays stay writeable.
+    caller's arrays stay writeable. A 1-d ``x`` is one covariate.
     ``x`` is stored C-contiguous: the reductions and matrix products give
-    the same bits whatever the layout of the input. The derived covariate
+    the same bits whatever the layout of the input. The arm sizes ``n1``
+    and ``n0`` are fixed constants of the population. The derived covariate
     views are computed on first use and cached on the instance, equally
     read-only.
     """
@@ -100,9 +81,11 @@ class Dataset:
     z: np.ndarray
     y_obs: np.ndarray
     column_names: tuple[str, ...] = field(default=())
+    n1: int = field(init=False)
+    n0: int = field(init=False)
 
     def __post_init__(self):
-        x = np.array(np.atleast_2d(self.x), dtype=np.float64, order="C")
+        x = np.array(_covariate_matrix(self.x), order="C")
         z = np.asarray(self.z)
         y = np.array(self.y_obs, dtype=np.float64)
         names = tuple(self.column_names) or tuple(f"x{j + 1}" for j in range(x.shape[1]))
@@ -137,6 +120,8 @@ class Dataset:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y_obs", y)
         object.__setattr__(self, "column_names", names)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n0", n - n1)
 
     def __reduce__(self):
         # Rebuild through the constructor: numpy unpickles arrays writeable,
@@ -152,11 +137,6 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def sizes(self) -> GroupSizes:
-        n1 = int(self.z.sum())
-        return GroupSizes(n1=n1, n0=self.n - n1)
-
     def treated_rows(self) -> np.ndarray:
         return np.flatnonzero(self.z == 1)
 
@@ -169,7 +149,10 @@ class Dataset:
         return tuple(int(j) for j in np.flatnonzero(~varying_columns(self.x)))
 
     @cached_property
-    def _standardized_x(self) -> np.ndarray:
+    def standardized_x(self) -> np.ndarray:
+        """The covariates standardized over all N units (``standardize_columns``):
+        a constant column is a zero column. Raises ``NonNumericValue`` for a
+        column whose standardized values are not finite."""
         xs = standardize_columns(self.x)
         overflow = ~np.isfinite(xs).all(axis=0)
         if overflow.any():
@@ -180,12 +163,28 @@ class Dataset:
         return xs
 
     @cached_property
-    def _column_sd(self) -> np.ndarray:
+    def column_sd(self) -> np.ndarray:
+        """The SD that ``standardized_x`` divides each column by, 0 for a
+        constant one. When some column varies, ``standardized_x`` is formed
+        first: a column that cannot be standardized raises its
+        ``NonNumericValue`` there, not a numpy warning here."""
+        if len(self.constant_columns) < self.p:
+            self.standardized_x
         return np.where(varying_columns(self.x), population_sd(self.x), 0.0)
 
     @cached_property
-    def _whitened(self) -> tuple[np.ndarray, bool]:
-        return _whiten(self._standardized_x[None])[0]
+    def whitened(self) -> tuple[np.ndarray, bool]:
+        """The standardized covariates re-centered and whitened over all N
+        units, and whether their Gram matrix is singular: directions with an
+        eigenvalue at most 1e-12 of the largest are dropped, so the matrix
+        has one column per direction kept."""
+        return _whiten(self.standardized_x[None])[0]
+
+
+def _covariate_matrix(x) -> np.ndarray:
+    """``x`` as a float64 array with one row per unit: a 1-d vector is one covariate."""
+    x = np.asarray(x, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def _by_rows(x: np.ndarray) -> np.ndarray:
@@ -211,7 +210,7 @@ def _from_rows(a: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
 
 
 def _whiten(xs: np.ndarray) -> list[tuple[np.ndarray, bool]]:
-    """``whitened_covariates`` of each member of an (R, N, p) stack of
+    """``Dataset.whitened`` of each member of an (R, N, p) stack of
     standardized matrices, from one stacked eigendecomposition. The members
     must be finite: LAPACK may fail a whole stack on one NaN."""
     # The columns are re-centered first: the Hotelling closed form needs
@@ -246,7 +245,7 @@ def stack_views(datasets: Sequence[Dataset]) -> None:
     member computes its views alone on first use and raises its own errors
     there.
     """
-    fresh = [d for d in datasets if "_standardized_x" not in vars(d)]
+    fresh = [d for d in datasets if "standardized_x" not in vars(d)]
     if not fresh:
         return
     try:
@@ -258,8 +257,8 @@ def stack_views(datasets: Sequence[Dataset]) -> None:
     # there is the cached view.
     views = zip(compress(fresh, finite), compress(xs, finite), _whiten(xs[finite]))
     for d, view, whitened in views:
-        vars(d)["_standardized_x"] = view
-        vars(d)["_whitened"] = whitened
+        vars(d)["standardized_x"] = view
+        vars(d)["whitened"] = whitened
 
 
 def varying_columns(x: np.ndarray) -> np.ndarray:
@@ -304,36 +303,13 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def scaled_covariates(d: Dataset, scale: str) -> np.ndarray:
-    """Read-only covariate matrix on the requested scale, always N x p.
-
-    On the standardized scale (``standardize_columns`` over all N units,
-    cached on ``d``), constant columns are all-zero columns rather than
-    dividing by zero; they carry no balance information either way.
-    """
-    if scale == "raw":
-        return d.x
-    if scale == "standardized":
-        return d._standardized_x
-    raise ValueError(f"unknown scale {scale!r}")
-
-
 def _scale_factors(d: Dataset, scale: str) -> np.ndarray:
     """Factors that put standardized per-covariate values on ``scale``: ones, or the SDs."""
     if scale == "raw":
-        return d._column_sd
+        return d.column_sd
     if scale == "standardized":
         return np.ones(d.p)
     raise ValueError(f"unknown scale {scale!r}")
-
-
-def whitened_covariates(d: Dataset) -> tuple[np.ndarray, bool]:
-    """The standardized covariates re-centered and whitened over all N
-    units (cached on ``d``, read-only), and whether their Gram matrix is
-    singular: directions with an eigenvalue at most 1e-12 of the largest
-    are dropped, so the matrix has one column per direction kept.
-    """
-    return d._whitened
 
 
 def _float_or_nan(cell: str) -> float:

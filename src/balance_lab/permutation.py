@@ -218,7 +218,6 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
     """``permutation_pvalues`` of a validated, non-empty stack; ``weights``
     are those given to a stack of one, or None."""
     r, p = len(datasets), datasets[0].p
-    sizes, units = datasets[0].sizes, np.stack([_scale_factors(d, scale) for d in datasets])
     stack_views(datasets)
     fits: list = [None] * r
     if "rw" in statistics and weight_policy == "fixed" and weights is not None:
@@ -229,6 +228,8 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
     deltas = np.zeros((r, p, 1 + b)) if "uw" in statistics else None
     whitened = np.zeros((r, p, 1 + b)) if "hotelling" in statistics else None
     rw = np.zeros((r, 1 + b)) if "rw" in statistics else None
+    # Each member's scale factors; a failed member's row stays 0, as its other rows do.
+    units = np.zeros((r, p))
     failed, fallbacks = [0] * r, [0] * r
     outcomes: list = [None] * r
     for i, (d, seed, w_fixed) in enumerate(zip(datasets, seeds, fits)):
@@ -236,6 +237,7 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
             outcomes[i] = w_fixed
             continue
         try:
+            units[i] = _scale_factors(d, scale)
             for cols, z_cols in _assignment_columns(d, seed, b):
                 f, fb = _column_products(
                     d, z_cols, w_fixed,
@@ -251,7 +253,8 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
         except BalanceLabError as exc:
             outcomes[i] = exc
 
-    values = _statistic_columns(statistics, units, deltas, whitened, rw, sizes.n1, sizes.n0)
+    n1, n0 = datasets[0].n1, datasets[0].n0
+    values = _statistic_columns(statistics, units, deltas, whitened, rw, n1, n0)
     counts = {
         name: np.count_nonzero(np.abs(v[:, 1:]) >= np.abs(v[:, :1]), axis=1)
         for name, v in values.items()

@@ -220,7 +220,7 @@ def _arm_solutions(datasets: Sequence[Dataset], rows: np.ndarray, arm: str) -> l
     views = []
     for i, d in enumerate(datasets):
         try:
-            views.append(d._standardized_x)
+            views.append(d.standardized_x)
         except BalanceLabError as exc:
             out[i] = exc
     members = [i for i, entry in enumerate(out) if entry is None]
@@ -243,7 +243,7 @@ def _arm_weights(d: Dataset, rows: np.ndarray, arm: str) -> RegressionFit:
         coefficients=coefficients,
         intercept=float(solution[0]),
         standardized_coefficients=coefficients / sd_y if sd_y > 0.0 else np.zeros(d.p),
-        r_squared=_r_squared(d._standardized_x[rows], y, solution),
+        r_squared=_r_squared(d.standardized_x[rows], y, solution),
         n_used=y.size,
         arm=arm,
     )
@@ -253,7 +253,7 @@ def raw_form(d: Dataset, fit: RegressionFit) -> tuple[np.ndarray, float]:
     """The slopes and intercept of ``fit``, an arm fit of ``d``, on the raw
     covariates: b_j / s_j (0 for a constant column) and a - sum_j m_j b_j / s_j,
     with m and s the means and SDs that the standardized view takes out."""
-    s = d._column_sd
+    s = d.column_sd
     slopes = np.divide(fit.coefficients, s, out=np.zeros(d.p), where=s > 0.0)
     return slopes, fit.intercept - float(slopes @ d.x.mean(axis=0))
 

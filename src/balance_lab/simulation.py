@@ -578,7 +578,7 @@ def diagnostics(
     either scale. Imbalance is the R^2 of the assignment
     indicator on all covariates over every unit (linear probability fit),
     read as kq from the Hotelling kernel on the whitened covariates
-    (``data.whitened_covariates``), so T^2 = (N - 2) R^2 / (1 - R^2): it is
+    (``Dataset.whitened``), so T^2 = (N - 2) R^2 / (1 - R^2): it is
     shift- and scale-invariant, and covariates collinear over all units
     give the R^2 of the directions the whitening keeps. It is capped at
     1.0 where rounding takes kq above 1 (perfect separation). With no
@@ -597,8 +597,7 @@ def diagnostics(
         # The observed column of compute_balance_report's Hotelling statistic.
         whitened = np.zeros((d.p, 1))
         _column_products(d, _observed_column(d), None, None, whitened, None)
-        sizes = d.sizes
-        imbalance = min(float(_kq(whitened, sizes.n1, sizes.n0)[0]), 1.0)
+        imbalance = min(float(_kq(whitened, d.n1, d.n0)[0]), 1.0)
 
     lag_control = lag_full = None
     if lag is not None:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _scale_factors
+from .data import Dataset, _covariate_matrix, _scale_factors
 from .errors import DegenerateAssignment, TooManyAssignments, ZeroVariance
 from .regression import _weight_vector
 
@@ -71,9 +71,9 @@ def variance_report(
     differences. On the raw scale the covariances are (s s') * Cov(delta).
     """
     w = _weight_vector(weights, d.p)
-    n, n1, n0, s = d.n, d.sizes.n1, d.sizes.n0, _scale_factors(d, scale)
+    n, n1, n0, s = d.n, d.n1, d.n0, _scale_factors(d, scale)
     # With no varying covariate there is no standardized view; every covariance is 0.
-    xs = d._standardized_x if len(d.constant_columns) < d.p else np.zeros(d.x.shape)
+    xs = d.standardized_x if len(d.constant_columns) < d.p else np.zeros(d.x.shape)
     centered = xs - xs.mean(axis=0)
     pop_cov = centered.T @ centered / n  # finite-population covariance (1/N)
     cov_std = n * n / ((n - 1) * n1 * n0) * pop_cov
@@ -126,7 +126,7 @@ def enumeration_oracle(
 
     Parameters
     ----------
-    x : (N, p) array
+    x : (N, p) array, or a length-N vector of one covariate
         Covariates on whatever scale the statistic should use.
     n1 : int
         Treated-arm size; all C(N, n1) assignments are visited.
@@ -134,7 +134,7 @@ def enumeration_oracle(
     weights : length-p vector, required for "rw"
     j : column index, required for "delta_j"
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = _covariate_matrix(x)
     n, p = x.shape
     n0 = n - n1
     _check_sizes(n, n1, n0)

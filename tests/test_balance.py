@@ -4,7 +4,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from balance_lab import Dataset, compute_balance_report, control_arm_weights
-from balance_lab.data import scaled_covariates
 from balance_lab.errors import WeightDimensionMismatch
 from balance_lab.permutation import permutation_pvalues
 from balance_lab.regression import RegressionFit
@@ -32,7 +31,7 @@ def fixed_weight_fit(vector, intercept=0.0, arm="control", d=None):
     precondition)."""
     w = np.asarray(vector, dtype=float)
     if d is not None:
-        xs = scaled_covariates(d, "standardized")
+        xs = d.standardized_x
         intercept = float(d.y_obs[d.z == 0].mean() - np.mean(xs[d.z == 0] @ w))
     return RegressionFit(
         coefficients=w,

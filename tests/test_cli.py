@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from balance_lab import Diagnostics, balance, cli, load_dataset, regression, simulation
-from balance_lab.data import scaled_covariates
 from conftest import lstsq
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "null_small.csv")
@@ -364,7 +363,7 @@ def test_covariates_the_statistics_handle_exit_0(table, kept, tmp_path, monkeypa
     assert reports["test"]["statistics"] == reports["stubbed"]["statistics"]
     assert reports["test"]["statistics"][1] == reports["raw"]["statistics"][1]  # rw
     d = load_dataset(str(path), "z", "y", ["x1", "x2", "x3"])
-    x, z = scaled_covariates(d, "standardized")[:, kept], d.z.astype(float)
+    x, z = d.standardized_x[:, kept], d.z.astype(float)
     expected = regression._r_squared(x, z, lstsq(x, z))
     for name in ("diagnose", "test"):
         assert reports[name]["diagnostics"]["imbalance_r2"] == pytest.approx(expected, abs=1e-12)

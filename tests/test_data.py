@@ -10,13 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, cli, data, load_dataset, simulation
-from balance_lab.data import (
-    MissingRowsDropped,
-    scaled_covariates,
-    standardize_columns,
-    whitened_covariates,
+from balance_lab import (
+    Dataset,
+    cli,
+    compute_balance_report,
+    data,
+    load_dataset,
+    permutation_test,
+    simulation,
+    variance_report,
 )
+from balance_lab.data import MissingRowsDropped, standardize_columns
 from balance_lab.errors import (
     AllColumnsConstant,
     BalanceLabError,
@@ -47,7 +51,7 @@ class TestLoadDataset:
     def test_minimal_table(self):
         d = load_dataset(csv_stream(MINIMAL), "z", "y", ["x1"])
         assert d.n == 4 and d.p == 1
-        assert d.sizes.n1 == 2 and d.sizes.n0 == 2
+        assert d.n1 == 2 and d.n0 == 2
         assert d.column_names == ("x1",)
         np.testing.assert_allclose(d.x[:, 0], [1.0, 2.0, 3.0, 4.0])
 
@@ -130,17 +134,17 @@ class TestLoadDataset:
         text = MINIMAL.replace("1,0.5", "TRUE,0.5").replace("1,1.5", "true,1.5")
         text = text.replace("0,0.25", "False,0.25").replace("0,0.75", "false,0.75")
         d = load_dataset(csv_stream(text), "z", "y", ["x1"])
-        assert d.sizes.n1 == 2
+        assert d.n1 == 2
 
     def test_float_binary_treatment(self):
         text = MINIMAL.replace("1,0.5", "1.0,0.5").replace("0,0.25", "0.0,0.25")
         d = load_dataset(csv_stream(text), "z", "y", ["x1"])
-        assert d.sizes.n1 == 2
+        assert d.n1 == 2
 
     def test_treated_level(self):
         text = MINIMAL.replace("1,", "drug,").replace("0,", "placebo,")
         d = load_dataset(csv_stream(text), "z", "y", ["x1"], treated_level="drug")
-        assert d.sizes.n1 == 2
+        assert d.n1 == 2
         with pytest.raises(NonBinaryTreatment):
             load_dataset(csv_stream(text), "z", "y", ["x1"], treated_level="pill")
         with pytest.raises(NonBinaryTreatment):
@@ -400,18 +404,25 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.x[0, 0] = 99.0
 
+    def test_vector_x_is_one_covariate(self):
+        x, z, y = np.arange(10.0), np.repeat([1, 0], 5), np.arange(10.0)
+        vector, column = Dataset(x=x, z=z, y_obs=y), Dataset(x=x[:, None], z=z, y_obs=y)
+        assert vector.x.shape == (10, 1) and vector.column_names == ("x1",)
+        np.testing.assert_array_equal(vector.x, column.x)
+        np.testing.assert_array_equal(vector.standardized_x, column.standardized_x)
+
     def test_unpickled_copy_is_frozen(self, rng):
         d = Dataset(x=rng.normal(size=(10, 2)), z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
-        scaled_covariates(d, "standardized")
-        whitened_covariates(d)
+        d.standardized_x
+        d.whitened
         copy = pickle.loads(pickle.dumps(d))
-        assert not {"_standardized_x", "_whitened", "constant_columns"} & set(vars(copy))
+        assert not {"standardized_x", "whitened", "constant_columns"} & set(vars(copy))
         np.testing.assert_array_equal(copy.x, d.x)
         np.testing.assert_array_equal(copy.z, d.z)
         np.testing.assert_array_equal(copy.y_obs, d.y_obs)
         assert copy.column_names == d.column_names
-        copies = (copy.x, copy.z, copy.y_obs, scaled_covariates(copy, "standardized"))
-        for arr in (*copies, whitened_covariates(copy)[0]):
+        copies = (copy.x, copy.z, copy.y_obs, copy.standardized_x)
+        for arr in (*copies, copy.whitened[0]):
             with pytest.raises(ValueError):
                 arr[0, ...] = 1
 
@@ -533,7 +544,7 @@ class TestStandardize:
             z=np.array([1, 0] * 5),
             y_obs=rng.normal(size=10),
         )
-        xs = scaled_covariates(d, "standardized")
+        xs = d.standardized_x
         assert xs.shape == (10, 2)
         assert np.abs(xs.mean(axis=0)).max() < 1e-12
         assert d.constant_columns == ()
@@ -609,13 +620,13 @@ class TestStandardize:
             Dataset(x=rng.normal(size=(20, 3)), z=z, y_obs=rng.normal(size=20)) for _ in range(3)
         ]
         data.stack_views(datasets)
-        views = [(scaled_covariates(d, "standardized"), whitened_covariates(d)) for d in datasets]
+        views = [(d.standardized_x, d.whitened) for d in datasets]
         assert (len(standardize_calls), len(eigh_calls)) == (1, 1)
         data.stack_views(datasets)
         assert (len(standardize_calls), len(eigh_calls)) == (1, 1)
         for d, (xs, whitened) in zip(datasets, views):
-            assert scaled_covariates(d, "standardized") is xs
-            assert whitened_covariates(d) is whitened
+            assert d.standardized_x is xs
+            assert d.whitened is whitened
 
     def test_stack_views_tests_constant_columns_once(self, monkeypatch, rng):
         # one varying_columns call tests the whole stack; a member with a
@@ -634,25 +645,42 @@ class TestStandardize:
         datasets = [Dataset(x=x, z=z, y_obs=rng.normal(size=20)) for x in xs]
         data.stack_views(datasets)
         assert calls == [(4, 20, 3)]
-        assert all("_standardized_x" in vars(d) and "_whitened" in vars(d) for d in datasets)
+        assert all("standardized_x" in vars(d) and "whitened" in vars(d) for d in datasets)
         data.stack_views(datasets)
         assert calls == [(4, 20, 3)]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: compute_balance_report(d, scale="raw"),
+            lambda d: variance_report(d, np.ones(2), scale="raw"),
+            lambda d: permutation_test(d, "uw", 20, 1, scale="raw"),
+        ],
+        ids=["balance", "variance", "permutation"],
+    )
+    def test_raw_scale_refuses_a_covariate_whose_standardization_overflows(self, call, rng):
+        # every cell of x1 is finite, but its mean and SD overflow: the
+        # standardized view refuses it before its SD is read
+        x = rng.normal(size=(40, 2))
+        x[:, 0] = 1e308 * rng.uniform(0.5, 0.9, size=40)
+        d = Dataset(x=x, z=rng.permutation(np.repeat([1, 0], 20)), y_obs=rng.normal(size=40))
+        with pytest.raises(NonNumericValue, match="'x1'"):
+            call(d)
 
     def test_scaled_view_is_cached_and_read_only(self, rng):
         x = np.column_stack([np.full(10, 4.0), rng.normal(size=(10, 2))])
         d = Dataset(x=x, z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
-        xs = scaled_covariates(d, "standardized")
-        assert xs is scaled_covariates(d, "standardized")
-        assert whitened_covariates(d) is whitened_covariates(d)
+        xs = d.standardized_x
+        assert xs is d.standardized_x
+        assert d.whitened is d.whitened
         assert d.constant_columns is d.constant_columns
         assert xs.shape == (10, 3) and not xs[:, 0].any()
         np.testing.assert_array_equal(xs[:, 1:], standardize_columns(x[:, 1:]))
-        xw, singular = whitened_covariates(d)
+        xw, singular = d.whitened
         assert singular and xw.shape == (10, 2)
         np.testing.assert_allclose(xw.T @ xw, np.eye(2), atol=1e-12)
         for arr in (xs, xw):
             with pytest.raises(ValueError):
                 arr[0, ...] = 1.0
-        assert scaled_covariates(d, "raw") is d.x
         with pytest.raises(ValueError):
-            scaled_covariates(d, "log")
+            compute_balance_report(d, scale="log")

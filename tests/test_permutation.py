@@ -9,7 +9,7 @@ from scipy import stats
 
 from balance_lab import Dataset, balance, control_arm_weights, permutation, permutation_test
 from balance_lab.balance import _GRAM_KAPPA, _hotelling, _observed_column, _refit_rw_columns
-from balance_lab.data import varying_columns, whitened_covariates
+from balance_lab.data import varying_columns
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall, NonNumericValue
 from balance_lab.permutation import (
     _CHUNK,
@@ -790,7 +790,7 @@ class TestStackedPermutationTests:
                 # whitened view is narrower gets its own width's statistics,
                 # bit for bit, from the program's batches: the observed
                 # column alone, then each chunk as _permuted_z returns it
-                xw = whitened_covariates(d)[0]
+                xw = d.whitened[0]
                 batches = [_observed_column(d)] + [
                     _permuted_z(d.z, member_seed, start, min(_CHUNK, b - start))
                     for start in range(0, b, _CHUNK)
@@ -812,15 +812,17 @@ class TestStackedPermutationTests:
             permutation_pvalues([d], ("rw",), 10, [1], weight_policy="refit", weights=[np.ones(2)])
         assert permutation_pvalues([], ("uw",), 10, []) == []
 
+    @pytest.mark.parametrize("scale", ["standardized", "raw"])
     @pytest.mark.parametrize("weight_policy", ["fixed", "refit"])
-    def test_member_whose_standardization_overflows_fails_alone(self, rng, weight_policy):
-        # every cell of x1 is finite, but its mean and SD overflow
+    def test_member_whose_standardization_overflows_fails_alone(self, rng, weight_policy, scale):
+        # every cell of x1 is finite, but its mean and SD overflow; on the
+        # raw scale the failed member contributes no scale factors
         z = rng.permutation(np.repeat([1, 0], 20))
         x, y = rng.normal(size=(40, 2)), rng.normal(size=40)
         big = x.copy()
         big[:, 0] = 1e308 * rng.uniform(0.5, 0.9, size=40)
         run = lambda members, seeds: permutation_pvalues(
-            members, STATISTIC_NAMES, 50, seeds, weight_policy=weight_policy
+            members, STATISTIC_NAMES, 50, seeds, weight_policy=weight_policy, scale=scale
         )
         alone = run(Dataset(x=x, z=z, y_obs=y), 1)
         good, overflowing = run([Dataset(x=x, z=z, y_obs=y), Dataset(x=big, z=z, y_obs=y)], [1, 2])
@@ -830,7 +832,9 @@ class TestStackedPermutationTests:
             assert np.array_equal(good[name].permuted_values, alone[name].permuted_values)
             assert good[name].p_value == alone[name].p_value
         with pytest.raises(NonNumericValue, match="'x1'"):
-            permutation_test(Dataset(x=big, z=z, y_obs=y), "uw", 20, 2, weight_policy=weight_policy)
+            permutation_test(
+                Dataset(x=big, z=z, y_obs=y), "uw", 20, 2, weight_policy=weight_policy, scale=scale
+            )
 
     def test_empty_statistics_refused_before_drawing(self, rng, monkeypatch):
         d = random_dataset(rng, n=20, p=2)

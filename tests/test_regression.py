@@ -14,7 +14,7 @@ from balance_lab import (
     regression,
     treatment_arm_weights,
 )
-from balance_lab.data import population_sd, scaled_covariates, stack_views, whitened_covariates
+from balance_lab.data import population_sd, stack_views
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall, InsufficientRows, RankDeficient
 from balance_lab.regression import RANK_RTOL, RCOND_GATE
 from conftest import lstsq, residualize
@@ -310,7 +310,7 @@ class TestArmWeights:
         fit = control_arm_weights(d)
         np.testing.assert_allclose(raw_form(d, fit)[0], [1.0, 0.0, 0.0], atol=1e-10)
         assert fit.arm == "control"
-        assert fit.n_used == d.sizes.n0
+        assert fit.n_used == d.n0
 
     def test_noise_weights_shrink(self):
         g = np.random.default_rng(9)
@@ -445,10 +445,10 @@ class TestStackedFits:
         assert stacked_gate == alone_gate
         for member, d in zip(datasets, alone):
             assert_same_outcome(
-                outcome(lambda: scaled_covariates(member, "standardized")),
-                outcome(lambda: scaled_covariates(d, "standardized")),
+                outcome(lambda: member.standardized_x),
+                outcome(lambda: d.standardized_x),
             )
             assert_same_outcome(
-                outcome(lambda: whitened_covariates(member)),
-                outcome(lambda: whitened_covariates(d)),
+                outcome(lambda: member.whitened),
+                outcome(lambda: d.whitened),
             )

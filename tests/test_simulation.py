@@ -107,7 +107,7 @@ class TestGenerateDataset:
     def test_shapes_and_balance(self):
         d = generate_dataset(DgpConfig(n=500, p=3, seed=1), 0)
         assert d.n == 500 and d.p == 3
-        assert d.sizes.n1 == 250
+        assert d.n1 == 250
 
     def test_deterministic_per_replicate(self):
         cfg = DgpConfig(seed=42)
@@ -719,7 +719,7 @@ class TestDiagnostics:
 
         monkeypatch.setattr(regression, "_lstsq", counting)
         assert diagnostics(d, weights=weights) == diagnostics(d)
-        assert rows == [d.sizes.n0]
+        assert rows == [d.n0]
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -240,6 +240,13 @@ class TestEnumerationOracle:
         with pytest.raises(DegenerateAssignment):
             enumeration_oracle(np.ones((5, 1)), 5, "uw")
 
+    def test_vector_is_one_covariate(self):
+        x = np.arange(10.0)
+        vector, column = enumeration_oracle(x, n1=5), enumeration_oracle(x[:, None], n1=5)
+        # N/(N-1) * 8.25 * (1/5 + 1/5)
+        assert vector.variance == column.variance == pytest.approx(11 / 3)
+        np.testing.assert_array_equal(vector.values, column.values)
+
 
 def quadrature_two_sided_p(z: float) -> float:
     """Independent oracle: tail mass of the standard normal via Simpson."""
