@@ -212,20 +212,23 @@ def _column_products(d, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int
     the sums ``xw' z`` (see ``Dataset.whitened``) in its first
     ``xw.shape[1]`` rows; the zeros below add nothing to a sum of squares.
     ``rw`` receives ``w_fixed @ deltas`` under fixed weights, else the sums
-    with weights refit on each column's own control arm. They stay one
-    product per dataset and call: the last bits of a BLAS product depend on
-    its operands' layout and on a column's place among the columns.
+    with weights refit on each column's own control arm. The treated sums of
+    ``xs`` and ``xw`` come from one product, ``[xs | xw]' z_cols``, whichever
+    statistics are requested: the last bits of a BLAS product depend on its
+    operands' layout and on a column's place among the columns, so each
+    statistic keeps one set of bits whatever the others.
     """
-    xs = d.standardized_x
+    xs, xw = d.standardized_x, d.whitened[0]
+    sums = np.concatenate((xs, xw), axis=1).T @ z_cols
+    p = xs.shape[1]
     if deltas is not None or rw is not None:
         # Mean differences, elementwise: a slice of the columns gets its bits in the whole.
         totals = xs.sum(axis=0)[:, None]
-        columns = (xs.T @ z_cols) * (1.0 / d.n1 + 1.0 / d.n0) - totals / d.n0
+        columns = sums[:p] * (1.0 / d.n1 + 1.0 / d.n0) - totals / d.n0
         if deltas is not None:
             deltas[...] = columns
     if whitened is not None:
-        xw = d.whitened[0]
-        whitened[: xw.shape[1]] = xw.T @ z_cols
+        whitened[: xw.shape[1]] = sums[p:]
     if rw is None:
         return 0, 0
     if w_fixed is not None:

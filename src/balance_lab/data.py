@@ -293,9 +293,11 @@ def standardize_columns(x: np.ndarray) -> np.ndarray:
     a = _by_rows(stack)
     where = varying.reshape(-1)
     out = np.zeros_like(a)
-    # a column whose mean or SD overflows comes out non-finite
+    # a column whose mean or SD overflows comes out non-finite: an infinite
+    # SD divides by NaN, as x / inf would make the column zero
     with np.errstate(over="ignore", invalid="ignore"):
         means, sds = a.mean(axis=0), population_sd(a)
+        sds[np.isinf(sds)] = np.nan
         np.subtract(a, means, out=out, where=where)
         np.divide(out, sds, out=out, where=where)
     out = _from_rows(out, stack.shape).reshape(x.shape)

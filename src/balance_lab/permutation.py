@@ -3,11 +3,13 @@
 The B permutations are drawn in fixed chunks of ``_CHUNK`` = 1024. Each
 chunk draws from one stream keyed by (seed, chunk index) through
 ``SeedSequence`` spawning, on which the streams' independence rests.
-Permutation i of a chunk gives each of the n units a 32-bit key, taken in
-order from the stream's raw words, and treats the units that hold the n1
-smallest keys. The keys are iid, so every n1-subset is equally likely to be
-the smallest (Knuth, TAOCP vol. 2, section 3.4.2); a row whose n1-th and
-(n1+1)-th smallest keys tie is redrawn by a shuffle on its own stream.
+Permutation i of a chunk gives each of the n units a key, taken in order
+from the stream's raw words, and treats the units that hold the n1 smallest
+keys. Under random-stream version 5 the keys are 16 bits wide for
+n <= ``_NARROW_KEYS_MAX_N``, else 32 bits. The keys are iid, so every
+n1-subset is equally likely to be the smallest (Knuth, TAOCP vol. 2,
+section 3.4.2); a row whose n1-th and (n1+1)-th smallest keys tie is
+redrawn by a shuffle on its own stream.
 Row i takes the same words whatever the chunk's size, so the first k of B
 draws are the same for every B >= k. The chunks are evaluated one after
 another in the calling process.
@@ -47,6 +49,12 @@ _CHUNK = 1024
 # Rows of keys drawn and selected at a time, so that a chunk's keys are never
 # all held at once.
 _BLOCK = 128
+# Largest n whose keys are 16 bits wide, four to a raw word; a larger n takes
+# 32-bit keys, two to a word. Narrow keys halve the words drawn and speed up
+# the partition, but tie at the n1 boundary in about n / 2**17 of the rows,
+# and each tie is redrawn, so above this bound they stop paying. Part of
+# random-stream version 5.
+_NARROW_KEYS_MAX_N = 4096
 
 
 @dataclass(frozen=True)
@@ -67,10 +75,11 @@ class PermutationResult:
     stream per (seed, chunk index), in fixed chunks of 1024, so the first
     k of B values are the same for every B >= k. The streams come from
     ``SeedSequence`` spawning, which makes them independent. Under
-    random-stream version 4 each draw treats the n1 units holding the
-    smallest of n iid 32-bit keys, which makes every assignment with the
-    observed arm sizes equally likely; a draw whose keys tie at the
-    boundary is redrawn by a shuffle on a stream of its own (see ``rng``).
+    random-stream version 5 each draw treats the n1 units holding the
+    smallest of n iid keys, 16 bits wide for n <= 4096, else 32 bits, which
+    makes every assignment with the observed arm sizes equally likely; a
+    draw whose keys tie at the boundary is redrawn by a shuffle on a stream
+    of its own (see ``rng``).
     A dataset tested in a stack (see ``permutation_pvalues``) gets the
     result it gets alone, bit for bit, whatever the other members.
     """
@@ -92,9 +101,11 @@ def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
 
     ``start`` opens a chunk, so it is a multiple of ``_CHUNK``. Column i
     treats the units holding the n1 smallest of n keys read from the
-    chunk's stream: ceil(n/2) raw 64-bit words per column, each split into
-    two 32-bit keys through a little-endian view so that every host reads
-    the same keys. Column i does not depend on ``count``.
+    chunk's stream through a little-endian view, so that every host reads
+    the same keys: for n <= ``_NARROW_KEYS_MAX_N``, ceil(n/4) raw 64-bit
+    words per column, each split into four 16-bit keys; above it, ceil(n/2)
+    words, each split into two 32-bit keys. Column i does not depend on
+    ``count``.
     """
     z = z.astype(np.float64)
     n = z.shape[0]
@@ -102,11 +113,12 @@ def _permuted_z(z: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
         return np.tile(z[:, None], (1, count))
     chunk = start // _CHUNK
     bits = stream(seed, chunk).bit_generator
+    key, per_word = ("<u2", 4) if n <= _NARROW_KEYS_MAX_N else ("<u4", 2)
     out = np.empty((count, n))
     for first in range(0, count, _BLOCK):
         rows = out[first : first + _BLOCK]
-        words = bits.random_raw((rows.shape[0], (n + 1) // 2))
-        keys = words.astype("<u8", copy=False).view("<u4")[:, :n]
+        words = bits.random_raw((rows.shape[0], (n + per_word - 1) // per_word))
+        keys = words.astype("<u8", copy=False).view(key)[:, :n]
         _select_smallest(keys, z, seed, chunk, first, rows)
     return out.T
 
@@ -165,8 +177,8 @@ def permutation_pvalues(
     member's dict or, in its place, the ``BalanceLabError`` that member's
     test (or fit) raised; a single dataset is a stack of one whose error is
     raised. Each member
-    draws its own assignments and forms its own products ``xs' Z`` and
-    ``xw' Z`` (and, under ``refit``, its own refits); the statistics and
+    draws its own assignments and forms its own product ``[xs | xw]' Z``
+    (and, under ``refit``, its own refits); the statistics and
     the counts are then computed once for the whole stack. A member's
     results equal, bit for bit, those it gets as a stack of one.
     The chunks are evaluated in order in the calling process; parallel work

@@ -13,14 +13,16 @@ keyed by (seed, replicate_index, 0); permutation draws are keyed by
 permutations, so the first k of B draws do not depend on B.
 
 Since version 3 a chunk's stream is read as raw 64-bit words, and
-permutation i of the chunk takes the next ceil(n/2) of them. Each word is
-split into two 32-bit keys through its little-endian bytes (low half
-first), so every host reads the same keys; the n1 units with the smallest
-keys are treated. The keys are iid and uniform, so a permutation whose
-n1-th and (n1+1)-th smallest keys differ treats a uniformly random
-n1-subset. One whose keys tie there (about n / 2**32 of them) is redrawn
-as ``Generator.permuted`` on the stream (permutation seed, chunk index,
-i + 1).
+permutation i of the chunk takes its next words and reads one key per unit
+from them, through their little-endian bytes (low part first), so that
+every host reads the same keys; the n1 units with the smallest keys are
+treated. Since version 5 the keys are 16 bits wide, four to a word, when n
+is at most ``permutation._NARROW_KEYS_MAX_N`` (4096), and 32 bits wide, two
+to a word, above it. The keys are iid and uniform, so a permutation whose n1-th and
+(n1+1)-th smallest keys differ treats a uniformly random n1-subset. One
+whose keys tie there (about n / 2**17 of them for 16-bit keys, n / 2**33
+for 32-bit ones) is redrawn as ``Generator.permuted`` on the stream
+(permutation seed, chunk index, i + 1).
 """
 
 import numpy as np
@@ -33,8 +35,10 @@ __all__ = ["STREAM_VERSION", "stream", "derive_seed"]
 # recomputed instead of resumed. Version 2 keys permutation draws by chunk
 # instead of by permutation. Version 3 draws each permutation of a chunk as
 # the smallest of iid 32-bit keys instead of by ``Generator.permuted``.
-# Version 4 reads every stream from PCG64DXSM instead of Philox.
-STREAM_VERSION = 4
+# Version 4 reads every stream from PCG64DXSM instead of Philox. Version 5
+# draws 16-bit keys, four to a raw word, for n <= 4096, else 32-bit keys as
+# before (the datasets do not change).
+STREAM_VERSION = 5
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -667,6 +667,26 @@ class TestStandardize:
         with pytest.raises(NonNumericValue, match="'x1'"):
             call(d)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", ["standardized", "raw"])
+    def test_covariate_whose_sd_alone_overflows_is_refused(self, rng, scale):
+        # x1 alternates in sign, so its mean is finite but its SD is not;
+        # divided by an infinite SD it would be a zero column, as if constant
+        n = 40
+        x = rng.normal(size=(n, 2))
+        x[:, 0] = 1e200 * rng.uniform(0.5, 0.9, size=n) * np.resize([1.0, -1.0], n)
+        z = rng.permutation(np.repeat([1, 0], n // 2))
+        d = Dataset(x=x, z=z, y_obs=rng.normal(size=n))
+        assert np.isfinite(x[:, 0].mean()) and not d.constant_columns
+        assert np.isnan(standardize_columns(x)[:, 0]).all()
+        with pytest.raises(NonNumericValue, match="'x1'"):
+            compute_balance_report(d, scale=scale)
+        good = Dataset(x=rng.normal(size=(n, 2)), z=z, y_obs=d.y_obs)
+        outcome = permutation_pvalues([good, d], ("uw", "hotelling"), 20, [1, 2], scale=scale)
+        assert isinstance(outcome[1], NonNumericValue) and "'x1'" in str(outcome[1])
+        alone = permutation_pvalues(good, ("uw", "hotelling"), 20, 1, scale=scale)
+        assert np.array_equal(outcome[0]["uw"].permuted_values, alone["uw"].permuted_values)
+
     def test_scaled_view_is_cached_and_read_only(self, rng):
         x = np.column_stack([np.full(10, 4.0), rng.normal(size=(10, 2))])
         d = Dataset(x=x, z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))

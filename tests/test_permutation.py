@@ -13,6 +13,7 @@ from balance_lab.data import varying_columns
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall, NonNumericValue
 from balance_lab.permutation import (
     _CHUNK,
+    _NARROW_KEYS_MAX_N,
     STATISTIC_NAMES,
     _permuted_z,
     _select_smallest,
@@ -84,17 +85,32 @@ class TestChunkDraws:
         chi2, p = arrangement_pvalue(chunk_draws(z, 77, 2000))
         assert p > 1e-4, chi2
 
-    def test_keys_are_little_endian_halves_of_raw_words(self):
-        # the reference reads the words as integers, so it pins the key
-        # layout whatever the byte order of the host
+    def test_keys_are_little_endian_quarters_of_raw_words(self):
+        # n at or below the bound: four 16-bit keys per word, low quarter
+        # first; the reference reads the words as integers, so it pins the
+        # key layout whatever the byte order of the host
         z = np.array([1, 0, 0, 1, 0, 1, 1, 0, 0])
         n, b, seed = len(z), 300, 8
-        words = stream(seed, 0).bit_generator.random_raw(b * 5).reshape(b, 5)
+        words = stream(seed, 0).bit_generator.random_raw(b * 3).reshape(b, 3)
         expected = np.zeros((n, b))
         for i, row in enumerate(words):
-            keys = [int(key) for w in row for key in (w & 0xFFFFFFFF, w >> 32)][:n]
-            assert len(set(keys)) == n  # no tie, so no redraw
+            keys = [(int(w) >> shift) & 0xFFFF for w in row for shift in (0, 16, 32, 48)][:n]
+            assert sorted(keys)[3] < sorted(keys)[4]  # no boundary tie, so no redraw
             expected[np.argsort(keys)[:4], i] = 1.0
+        np.testing.assert_array_equal(chunk_draws(z, seed, b), expected)
+
+    def test_keys_are_little_endian_halves_above_the_bound(self):
+        # one unit more than the bound: two 32-bit keys per word, low half first
+        n, b, seed = _NARROW_KEYS_MAX_N + 1, 3, 8
+        z = np.zeros(n)
+        z[::3] = 1.0
+        n1 = int(z.sum())
+        words = stream(seed, 0).bit_generator.random_raw((b, (n + 1) // 2))
+        expected = np.zeros((n, b))
+        for i, row in enumerate(words):
+            keys = [(int(w) >> shift) & 0xFFFFFFFF for w in row for shift in (0, 32)][:n]
+            assert sorted(keys)[n1 - 1] < sorted(keys)[n1]
+            expected[np.argsort(keys)[:n1], i] = 1.0
         np.testing.assert_array_equal(chunk_draws(z, seed, b), expected)
 
     def test_tied_keys_are_redrawn_uniformly(self):
@@ -139,6 +155,29 @@ class TestChunkDraws:
         _select_smallest(keys, z, 31, 2, 40, rows)
         assert redrawn == [(31, 2, 40 + i + 1) for i in np.flatnonzero(tied)]
         np.testing.assert_array_equal(rows[~tied], keys[~tied] <= ordered[~tied, n1 - 1 : n1])
+
+    def test_natural_ties_of_narrow_keys_are_redrawn(self, monkeypatch):
+        # below the bound the 16-bit keys of a full chunk tie at the
+        # boundary by themselves, in about n / 2**17 of its rows
+        n, n1, b, seed = 3000, 1000, 1024, 5
+        assert n <= _NARROW_KEYS_MAX_N
+        z = np.zeros(n)
+        z[:n1] = 1.0
+        redrawn = []
+
+        def recording(seed, *key):
+            if len(key) == 2:
+                redrawn.append((seed, *key))
+            return stream(seed, *key)
+
+        monkeypatch.setattr(permutation, "stream", recording)
+        drawn = _permuted_z(z, seed, 0, b)
+        words = stream(seed, 0).bit_generator.random_raw((b, n // 4))
+        keys = np.stack([(words >> np.uint64(s)) & np.uint64(0xFFFF) for s in (0, 16, 32, 48)], axis=2)
+        ordered = np.sort(keys.reshape(b, n), axis=1)
+        tied = np.flatnonzero(ordered[:, n1 - 1] == ordered[:, n1])
+        assert redrawn and redrawn == [(seed, 0, i + 1) for i in tied]
+        assert (drawn.sum(axis=0) == n1).all()
 
     @pytest.mark.parametrize("k", FIRST_K)
     def test_first_k_draws_do_not_depend_on_b(self, k):
@@ -789,13 +828,16 @@ class TestStackedPermutationTests:
                 # the stack's whitened sums are p rows deep; a member whose
                 # whitened view is narrower gets its own width's statistics,
                 # bit for bit, from the program's batches: the observed
-                # column alone, then each chunk as _permuted_z returns it
-                xw = d.whitened[0]
+                # column alone, then each chunk as _permuted_z returns it,
+                # each in one product with [xs | xw]
+                operand = np.hstack([d.standardized_x, d.whitened[0]])
                 batches = [_observed_column(d)] + [
                     _permuted_z(d.z, member_seed, start, min(_CHUNK, b - start))
                     for start in range(0, b, _CHUNK)
                 ]
-                expected = [_hotelling(xw.T @ z_cols, n // 2, n // 2) for z_cols in batches]
+                expected = [
+                    _hotelling((operand.T @ z_cols)[p:], n // 2, n // 2) for z_cols in batches
+                ]
                 res = outcome["hotelling"]
                 assert np.array_equal(
                     np.append(res.observed, res.permuted_values), np.concatenate(expected)

@@ -1,4 +1,4 @@
-"""Golden values of random-stream version 4.
+"""Golden values of random-stream version 5.
 
 A change to the generator, the stream keys or the mapping from raw words
 to assignments and datasets changes these values. Such a change is a new
@@ -13,10 +13,10 @@ from balance_lab.permutation import _permuted_z
 from balance_lab.rng import STREAM_VERSION, stream
 
 
-class TestStreamVersion4:
+class TestStreamVersion5:
     def test_version(self):
         # re-pin every value below together with a version bump
-        assert STREAM_VERSION == 4
+        assert STREAM_VERSION == 5
 
     def test_first_raw_words(self):
         words = stream(0, 0).bit_generator.random_raw(4)
@@ -29,13 +29,14 @@ class TestStreamVersion4:
 
     def test_first_permuted_assignments(self):
         z = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        # 16-bit keys: n = 8 takes two raw words per assignment
         drawn = _permuted_z(z, 0, 0, 3)
         np.testing.assert_array_equal(
             drawn.T,
             [
-                [1, 1, 0, 0, 1, 0, 0, 1],
                 [0, 1, 1, 1, 0, 0, 1, 0],
-                [0, 1, 0, 0, 1, 0, 1, 1],
+                [0, 0, 1, 0, 1, 0, 1, 1],
+                [1, 0, 0, 1, 1, 1, 0, 0],
             ],
         )
 
