@@ -213,13 +213,14 @@ def _column_products(d, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int
     ``xw.shape[1]`` rows; the zeros below add nothing to a sum of squares.
     ``rw`` receives ``w_fixed @ deltas`` under fixed weights, else the sums
     with weights refit on each column's own control arm. The treated sums of
-    ``xs`` and ``xw`` come from one product, ``[xs | xw]' z_cols``, whichever
+    ``xs`` and ``xw`` come from one product, ``[xs | xw]' z_cols`` with the
+    operand cached on the dataset (``Dataset.treated_sum_operand``), whichever
     statistics are requested: the last bits of a BLAS product depend on its
     operands' layout and on a column's place among the columns, so each
     statistic keeps one set of bits whatever the others.
     """
-    xs, xw = d.standardized_x, d.whitened[0]
-    sums = np.concatenate((xs, xw), axis=1).T @ z_cols
+    xs = d.standardized_x
+    sums = d.treated_sum_operand.T @ z_cols
     p = xs.shape[1]
     if deltas is not None or rw is not None:
         # Mean differences, elementwise: a slice of the columns gets its bits in the whole.
@@ -228,7 +229,7 @@ def _column_products(d, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int
         if deltas is not None:
             deltas[...] = columns
     if whitened is not None:
-        whitened[: xw.shape[1]] = sums[p:]
+        whitened[: sums.shape[0] - p] = sums[p:]
     if rw is None:
         return 0, 0
     if w_fixed is not None:

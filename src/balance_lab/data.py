@@ -8,8 +8,9 @@ A ``Dataset`` holds the facts derived from it as read-only attributes: its
 arm sizes ``n1`` and ``n0``, set once on construction, and its covariate
 views, each computed on first use and cached: the standardized N x p matrix
 ``standardized_x``, the SDs it divides by (``column_sd``), the whitened
-matrix of the Hotelling statistic (``whitened``) and the indices of its
-constant columns (``constant_columns``). ``varying_columns`` is the one
+matrix of the Hotelling statistic (``whitened``), the two side by side
+(``treated_sum_operand``) and the indices of its constant columns
+(``constant_columns``). ``varying_columns`` is the one
 rule that decides which columns are constant, here and in the regression
 fits.
 
@@ -179,6 +180,15 @@ class Dataset:
         eigenvalue at most 1e-12 of the largest are dropped, so the matrix
         has one column per direction kept."""
         return _whiten(self.standardized_x[None])[0]
+
+    @cached_property
+    def treated_sum_operand(self) -> np.ndarray:
+        """``standardized_x`` and the whitened matrix side by side, N x
+        (p + k): the one operand of the treated-sum product ``[xs | xw]' z``
+        of the balance statistics, formed once per dataset."""
+        operand = np.concatenate((self.standardized_x, self.whitened[0]), axis=1)
+        operand.setflags(write=False)
+        return operand
 
 
 def _covariate_matrix(x) -> np.ndarray:

@@ -45,11 +45,13 @@ def diff_se(r1, n1, r2, n2):
 
 @pytest.fixture(scope="module")
 def null_study():
-    # The datasets, not the draws, set the rates that B=200 estimates. Under
-    # the near-exact test (B=4000) the 500 datasets of seed 90210 reject at
-    # 0.064 (uw), 0.070 (rw) and 0.074 (hotelling), so criterion 4's band
-    # excluded the expected hotelling rate whatever the draws; those of seed
-    # 90211 reject at 0.054, 0.046 and 0.052.
+    # The datasets, more than the draws, set the rates that B=200 estimates.
+    # Under a near-exact test (B=20000) the 500 datasets of seed 90211 reject
+    # at 0.054-0.056 (uw), 0.048 (rw) and 0.048-0.050 (hotelling) with 16- or
+    # 32-bit keys, and pass criteria 4 and 7 in each of 200 independent B=200
+    # draw streams with either key width. Those of seed 90210 reject at
+    # 0.064, 0.070-0.072 and 0.074-0.076 with either width and pass both
+    # criteria in only 8 (32-bit) and 10 (16-bit) of the 200 streams.
     cell = DgpConfig(n=500, p=3, seed=90211)
     return run_power_study(
         [cell], replicates=500, b_permutations=200, alpha=ALPHA

@@ -699,7 +699,10 @@ class TestStandardize:
         xw, singular = d.whitened
         assert singular and xw.shape == (10, 2)
         np.testing.assert_allclose(xw.T @ xw, np.eye(2), atol=1e-12)
-        for arr in (xs, xw):
+        operand = d.treated_sum_operand
+        assert operand is d.treated_sum_operand
+        np.testing.assert_array_equal(operand, np.concatenate((xs, xw), axis=1))
+        for arr in (xs, xw, operand):
             with pytest.raises(ValueError):
                 arr[0, ...] = 1.0
         with pytest.raises(ValueError):
