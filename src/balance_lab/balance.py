@@ -9,14 +9,18 @@ regression-weighted sums, are formed one member at a time
 whole stack (``_statistic_columns``). ``compute_balance_report`` runs
 them on the observed column alone, so its statistics are the permutation
 test's observed values, bit for bit. Under the ``refit`` weight policy
-``_refit_rw_columns`` fits the control arms of a batch together.
+``_refit_rw_columns`` fits the control arms of a batch together from one
+QR of the dataset's data: it keeps the arms' Gram matrices packed, one
+row per matrix entry and one column per arm, and runs its Cholesky
+factors and triangular solves over those rows, with no per-arm LAPACK call.
 
 Every kernel reads the covariate views cached on the ``Dataset``: the
-standardized matrix ``standardized_x`` and the whitened one of the
-Hotelling statistic (``whitened``), so one call standardizes and whitens
-each dataset once. Weights and fits are standardized, so ``rw`` ignores the
-scale; ``_statistic_columns`` puts the mean differences on it (a raw one
-is s_j times the standardized one). The Hotelling statistic is a
+standardized matrix ``standardized_x``, the whitened one of the
+Hotelling statistic (``whitened``) and the refit basis (``refit_basis``),
+so one call standardizes, whitens and factors each dataset once. Weights
+and fits are standardized, so ``rw`` ignores the scale;
+``_statistic_columns`` puts the mean differences on it (a raw one is s_j
+times the standardized one). The Hotelling statistic is a
 function of kq (``_kq``), the R^2 of the assignment on the covariates, which
 ``simulation.diagnostics`` reports as the imbalance R^2 from these kernels.
 
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _scale_factors, varying_columns
+from .data import Dataset, RefitBasis, _scale_factors
 from .errors import InternalNumericalError, RankDeficient
 from .regression import RCOND_GATE, RegressionFit, _lstsq, _weight_vector, control_arm_weights
 
@@ -109,87 +113,108 @@ def _hotelling(whitened_sums: np.ndarray, n1: int, n0: int) -> np.ndarray:
 _GRAM_KAPPA = 1e2
 
 
-def _gershgorin_bounds(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on the eigenvalues of each symmetric matrix of the stack
-    ``gram``: every eigenvalue lies in a Gershgorin disc, centred on a
-    diagonal entry with the sum of the off-diagonal ``|G_ij|`` of its row as
-    radius, so the lowest and highest disc ends bound the spectrum."""
-    centres = np.diagonal(gram, axis1=1, axis2=2)
-    off_diagonal = np.abs(gram)
-    diagonal = np.arange(gram.shape[1])
-    off_diagonal[:, diagonal, diagonal] = 0.0
-    radii = off_diagonal.sum(axis=2)
-    return (centres - radii).min(axis=1), (centres + radii).max(axis=1)
+def _packed_cholesky(gram: np.ndarray, m: int) -> np.ndarray:
+    """Lower Cholesky factors of positive definite m x m matrices, one per
+    column of ``gram``, whose rows hold entries (i, j), i <= j, in
+    ``np.triu_indices`` order; as (m, m, columns), zero above the diagonal.
+    Each entry is computed for every column at once, a column of L at a
+    time; G's column j from its diagonal down is the slice of packed row j."""
+    lower = np.zeros((m, m, gram.shape[1]))
+    start = 0
+    for j in range(m):
+        column = gram[start : start + m - j] - (lower[j:, :j] * lower[j, :j]).sum(axis=1)
+        lower[j, j] = np.sqrt(column[0])
+        lower[j + 1 :, j] = column[1:] / lower[j, j]
+        start += m - j
+    return lower
+
+
+def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L x = rhs`` for every column of the (k, columns) ``rhs`` at
+    once, with one lower triangular L per column, (k, k, columns), or one
+    for all, (k, k, 1)."""
+    x = np.empty_like(rhs)
+    for i in range(rhs.shape[0]):
+        x[i] = (rhs[i] - (lower[i, :i] * x[:i]).sum(axis=0)) / lower[i, i]
+    return x
 
 
 def _refit_rw_columns(
-    xs: np.ndarray, y: np.ndarray, z_cols: np.ndarray, deltas: np.ndarray
+    basis: RefitBasis, z_cols: np.ndarray, deltas: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
     """Regression-weighted sums with weights refit on each column's control arm.
 
     The columns permute one assignment, so every control arm has the first
     column's size. Returns the sums, the number of failed refits (their
     sums are +inf, so they count as extreme) and the number of fallback
-    columns. The data ``[1 | xs | y]`` go through one Householder QR,
-    ``Q R``, per call. One product of the row-wise products of Q with
+    columns. ``A = [1 | xs_live | y]``, k + 1 columns, has one Householder
+    QR, ``Q R``, per basis (``RefitBasis.factors``). One product with
     ``z_cols`` gives every column's control Gram matrix
-    ``G = Q'Q - Q' diag(z) Q``; with ``G = L L'``, ``L' R`` is upper
-    triangular and is the R factor of the control arm's ``[1 | xs | y]``, so
-    its top rows hold the design's R and Q'y and the coefficients come from
-    a triangular solve. G is the Gram matrix of an orthonormal basis, not of
-    the design: its condition number is about 1 where the design's normal
-    equations would square the design's. A column stays on this path if
-    kappa(G) <= ``_GRAM_KAPPA`` and its design has condition number below
-    ``1 / regression.RCOND_GATE``, the gate of the arm fits themselves, so
-    both paths fit the same model. kappa(G) is bounded first by the Gershgorin
-    discs of G (Golub and Van Loan, Matrix Computations, Thm 7.2.1), one
-    pass of array arithmetic over the chunk; only the G the discs cannot
-    keep within ``_GRAM_KAPPA`` take their eigenvalues, which decide them.
-    The design's condition number is bounded by
-    ``sqrt(kappa(G)) * kappa(R11)``, R11 the design block of R and kappa(G)
-    taken from the disc bound or the eigenvalues, and only the columns that
-    bound cannot certify take the singular values of their design's R.
+    ``G = Q'Q - Q' diag(z) Q`` packed, one row per upper-triangle entry and
+    one column per assignment, and every later step runs over those rows
+    with no LAPACK call per column. G is the Gram matrix of an orthonormal
+    basis, not of the design: its condition number is about 1 where the
+    design's normal equations would square the design's. With ``G = L L'``
+    (``_packed_cholesky``), ``L' R`` is the arm's R factor (Cholesky QR):
+    its design block is ``L11' R11`` and its last column
+    ``L11' R[:k, k] + L[k, :k]' R[k, k]``, so with d = [0; delta_live] the
+    sum is ``u . R[:k, k] + R[k, k] (L[k, :k] . v)``, where ``u = R11^-T d``
+    (R11' shared by every column) and ``v = L11^-1 u``.
+
+    A column stays on this path if kappa(G) <= ``_GRAM_KAPPA`` and its
+    design has condition number below ``1 / regression.RCOND_GATE``, the
+    gate of the arm fits themselves, so both paths fit the same model.
+    kappa(G) is bounded first by the Gershgorin discs of G (Golub and Van
+    Loan, Matrix Computations, Thm 7.2.1): centres from the diagonal rows,
+    radii from one product of an incidence matrix with the absolute rows.
+    Only the G the discs cannot keep within ``_GRAM_KAPPA`` are unpacked
+    for their eigenvalues, which decide them. The design's condition number
+    is bounded by ``sqrt(kappa(G)) * kappa(R11)``, and only the columns that
+    bound cannot certify take the singular values of ``L11' R11``.
     The rest fall back: ill-conditioned designs (a covariate constant
     within the arm lands here) go through one ``regression._lstsq`` stack of
     their control arms, whose pivoted QR decides the rank of each design
     that fails the gate, and arms of at most p + 1 units all fail.
     """
+    xs, y, live = basis.xs, basis.y, basis.live
     n, p = xs.shape
     b = z_cols.shape[1]
     n0 = n - np.count_nonzero(z_cols[:, 0]) if b else 0
     if n0 <= p + 1:
         return np.full(b, np.inf), b, b
     values = np.empty(b)
-    pending = np.ones(b, dtype=bool)
-    # _lstsq gives a constant column a zero weight; the design here leaves
-    # out the columns constant over all units.
-    live = np.flatnonzero(varying_columns(xs))
     k = live.size + 1
-    q, r = np.linalg.qr(np.column_stack([np.ones(n), xs[:, live], y]))
+    r, products, totals = basis.factors
     rows, cols = np.triu_indices(k + 1)
-    products = q[:, rows] * q[:, cols]
-    gram = np.empty((b, k + 1, k + 1))
-    gram[:, rows, cols] = (products.sum(axis=0)[:, None] - products.T @ z_cols).T
-    gram[:, cols, rows] = gram[:, rows, cols]
-    lowest, highest = _gershgorin_bounds(gram)
+    gram = totals[:, None] - products.T @ z_cols
+    centres = gram[rows == cols]
+    # Entry (i, j), i != j, adds |G_ij| to the radii of discs i and j.
+    discs = np.arange(k + 1)[:, None]
+    radii = ((discs == rows) != (discs == cols)).astype(np.float64) @ np.abs(gram)
+    lowest, highest = (centres - radii).min(axis=0), (centres + radii).max(axis=0)
     uncertain = np.flatnonzero(highest > _GRAM_KAPPA * lowest)
     if uncertain.size:
-        eigenvalues = np.linalg.eigvalsh(gram[uncertain])
+        # eigvalsh reads the lower triangle
+        unpacked = np.zeros((uncertain.size, k + 1, k + 1))
+        unpacked[:, cols, rows] = gram[:, uncertain].T
+        eigenvalues = np.linalg.eigvalsh(unpacked)
         lowest[uncertain], highest[uncertain] = eigenvalues[:, 0], eigenvalues[:, -1]
     stacked = np.flatnonzero(highest <= _GRAM_KAPPA * lowest)
-    t = np.swapaxes(np.linalg.cholesky(gram[stacked]), 1, 2) @ r
-    design_r, qty = t[:, :k, :k], t[:, :k, k]
+    lower = _packed_cholesky(gram[:, stacked], k + 1)
     r_singular_values = np.linalg.svd(r[:k, :k], compute_uv=False)
     kappa_gram = highest[stacked] / lowest[stacked]
     ok = np.sqrt(kappa_gram) * r_singular_values[0] * RCOND_GATE < r_singular_values[-1]
     if not ok.all():
-        singular_values = np.linalg.svd(design_r[~ok], compute_uv=False)
+        # lower[:k, :k, i].T is L11' of column i
+        singular_values = np.linalg.svd(lower[:k, :k, ~ok].T @ r[:k, :k], compute_uv=False)
         ok[~ok] = singular_values[:, -1] > RCOND_GATE * singular_values[:, 0]
-    coefficients = np.linalg.solve(design_r[ok], qty[ok, :, None])[:, 1:, 0]
-    solved = stacked[ok]
-    values[solved] = (coefficients * deltas[np.ix_(live, solved)].T).sum(axis=1)
-    pending[solved] = False
+    padded = np.vstack((np.zeros(b), deltas[live]))  # d of every column
+    u = _forward_substitution(r[:k, :k].T[:, :, None], padded[:, stacked])
+    v = _forward_substitution(lower, u)
+    values[stacked] = r[:k, k] @ u + r[k, k] * (lower[k, :k] * v).sum(axis=0)
 
+    pending = np.ones(b, dtype=bool)
+    pending[stacked[ok]] = False
     fallback = np.flatnonzero(pending)
     values[fallback] = np.inf
     failures = fallback.size
@@ -235,7 +260,7 @@ def _column_products(d, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int
     if w_fixed is not None:
         rw[...] = w_fixed @ columns
         return 0, 0
-    rw[...], failures, fallbacks = _refit_rw_columns(xs, d.y_obs, z_cols, columns)
+    rw[...], failures, fallbacks = _refit_rw_columns(d.refit_basis, z_cols, columns)
     return failures, fallbacks
 
 

@@ -9,8 +9,9 @@ arm sizes ``n1`` and ``n0``, set once on construction, and its covariate
 views, each computed on first use and cached: the standardized N x p matrix
 ``standardized_x``, the SDs it divides by (``column_sd``), the whitened
 matrix of the Hotelling statistic (``whitened``), the two side by side
-(``treated_sum_operand``) and the indices of its constant columns
-(``constant_columns``). ``varying_columns`` is the one
+(``treated_sum_operand``), the indices of its constant columns
+(``constant_columns``) and the data of the ``refit`` fits with their one
+QR (``refit_basis``, a ``RefitBasis``). ``varying_columns`` is the one
 rule that decides which columns are constant, here and in the regression
 fits.
 
@@ -189,6 +190,36 @@ class Dataset:
         operand = np.concatenate((self.standardized_x, self.whitened[0]), axis=1)
         operand.setflags(write=False)
         return operand
+
+    @cached_property
+    def refit_basis(self) -> "RefitBasis":
+        """``standardized_x`` and ``y_obs`` as the ``refit`` weight policy
+        fits them, without the constant columns."""
+        live = np.delete(np.arange(self.p), self.constant_columns)
+        return RefitBasis(self.standardized_x, self.y_obs, live)
+
+
+@dataclass(frozen=True, eq=False)
+class RefitBasis:
+    """The data of the ``refit`` control-arm fits (``balance._refit_rw_columns``):
+    covariates ``xs``, outcome ``y`` and the indices ``live`` of the
+    covariates that vary over all units, which the fits keep. ``factors``
+    are formed on first use and cached."""
+
+    xs: np.ndarray
+    y: np.ndarray
+    live: np.ndarray
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """R of the QR ``Q R`` of ``[1 | xs[:, live] | y]``, the N x E products
+        of Q's columns by pairs (i, j), i <= j, in ``np.triu_indices`` order,
+        and their sums over the units: Q'Q packed."""
+        n = self.xs.shape[0]
+        q, r = np.linalg.qr(np.column_stack([np.ones(n), self.xs[:, self.live], self.y]))
+        rows, cols = np.triu_indices(r.shape[1])
+        products = q[:, rows] * q[:, cols]
+        return r, products, products.sum(axis=0)
 
 
 def _covariate_matrix(x) -> np.ndarray:

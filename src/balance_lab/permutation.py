@@ -68,8 +68,9 @@ class PermutationResult:
     point); it can be exactly zero. ``p_conservative`` is the add-one
     variant (count+1)/(B+1), never zero. Failed replicates are recorded as
     +inf (counted as extreme). ``n_refit_fallback`` counts the replicates,
-    failed ones included, whose ``refit`` weights came not from the shared
-    QR of ``balance._refit_rw_columns`` but from its one ``_lstsq`` stack.
+    failed ones included, whose ``refit`` weights came not from the
+    dataset's one QR (``Dataset.refit_basis``), through the packed Cholesky
+    QR of ``balance._refit_rw_columns``, but from its one ``_lstsq`` stack.
     Hotelling is evaluated on covariates whitened over all N units, so it
     is shift- and scale-invariant; perfect separation gives +inf, counted
     as extreme.

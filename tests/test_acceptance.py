@@ -184,12 +184,15 @@ def test_criterion_6_sensitivity_monotone_in_prognosis(imbalance_cells):
 
 
 def test_criterion_7_pvalue_uniformity_under_null(null_study):
-    n = null_study.replicates
+    # p = count / B is at most q when count <= floor(qB), and under the null
+    # the count is uniform on 0..B, so P(p <= q) = (floor(qB) + 1) / (B + 1).
+    n, b = null_study.replicates, null_study.permutations_per_replicate
     for name, pvals in null_study.pvalues.items():
         good = pvals[~np.isnan(pvals)]
-        for q in (0.05, 0.10, 0.25, 0.5):
+        for percent in (5, 10, 25, 50):
+            q, c = percent / 100, (percent * b // 100 + 1) / (b + 1)
             ecdf = float(np.mean(good <= q))
-            assert abs(ecdf - q) < 3 * rate_se(q, n), (name, q, ecdf)
+            assert abs(ecdf - c) < 3 * rate_se(c, n), (name, q, ecdf, c)
     announce("permutation p-value uniformity at q in {.05,.1,.25,.5}", replicates=n)
 
 

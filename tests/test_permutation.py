@@ -9,7 +9,7 @@ from scipy import stats
 
 from balance_lab import Dataset, balance, control_arm_weights, permutation, permutation_test
 from balance_lab.balance import _GRAM_KAPPA, _hotelling, _observed_column, _refit_rw_columns
-from balance_lab.data import varying_columns
+from balance_lab.data import RefitBasis, varying_columns
 from balance_lab.errors import BalanceLabError, ControlArmTooSmall, NonNumericValue
 from balance_lab.permutation import (
     _CHUNK,
@@ -273,7 +273,7 @@ class TestPermutationTest:
         z_cols[:5, 0] = 1.0
         z_cols[:5, 1] = 1.0
         deltas = np.zeros((3, 2))
-        values, failures, _ = _refit_rw_columns(xs, y, z_cols, deltas)
+        values, failures, _ = _refit_rw_columns(refit_basis(xs, y), z_cols, deltas)
         assert failures == 2
         assert np.isinf(values).all()
 
@@ -356,6 +356,12 @@ class TestEngineAgainstScratch:
             w_i = control_arm_weights(d_i).coefficients
             expected = float(w_i @ naive_differences(d_i))
             assert np.isclose(res.permuted_values[i], expected, atol=1e-10)
+
+
+def refit_basis(xs, y):
+    """The refit kernel's basis of covariates ``xs`` as given, which keeps
+    those that vary, and outcome ``y``."""
+    return RefitBasis(xs, y, np.flatnonzero(varying_columns(xs)))
 
 
 def looped_refit(xs, y, z_cols, deltas):
@@ -456,7 +462,7 @@ class TestStackedRefit:
             z_cols[g.permutation(n)[:n1], i] = 1.0
         deltas = g.normal(size=(p, b))
 
-        values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+        values, failures, fallbacks = _refit_rw_columns(refit_basis(xs, y), z_cols, deltas)
         expected, scales = looped_refit(xs, y, z_cols, deltas)
         failed = np.isinf(expected)
         np.testing.assert_array_equal(np.isinf(values), failed)
@@ -500,7 +506,7 @@ class TestStackedRefit:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(balance, "_lstsq", spy)
-            values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+            values, failures, fallbacks = _refit_rw_columns(refit_basis(xs, y), z_cols, deltas)
 
         controls = [z == 0.0 for z in z_cols.T]
         if n - n1 <= p + 1:
@@ -531,7 +537,7 @@ class TestStackedRefit:
         z_cols[:30, 0] = 1.0  # control arm rows 30..59: column 1 constant
         z_cols[30:, 1] = 1.0
         z_cols[::2, 2] = 1.0
-        values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, np.ones((2, 3)))
+        values, failures, fallbacks = _refit_rw_columns(refit_basis(xs, y), z_cols, np.ones((2, 3)))
         assert (failures, fallbacks) == (0, 1)
         expected, _ = looped_refit(xs, y, z_cols, np.ones((2, 3)))
         np.testing.assert_allclose(values, expected, rtol=1e-10)
@@ -548,7 +554,7 @@ class TestStackedRefit:
         y = 0.02 * xs[:, 0] + 1e-3 * xs[:, 1] + g.normal(size=n)
         z_cols = chunk_draws([1, 0] * (n // 2), 11, b)
         deltas = g.normal(size=(2, b))
-        values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+        values, failures, fallbacks = _refit_rw_columns(refit_basis(xs, y), z_cols, deltas)
         kappa = np.array(
             [np.linalg.cond(np.column_stack([np.ones(n // 2), xs[z == 0.0]])) for z in z_cols.T]
         )
@@ -576,8 +582,9 @@ class TestStackedRefit:
         n, b = 16, 200
         xs = (g.random((n, 2)) < 0.5).astype(float)
         y = xs @ g.normal(size=2) + g.normal(size=n)
+        z_cols = chunk_draws([1, 0] * (n // 2), 43, b)
         with counted_eigvalsh() as seen:
-            _refit_rw_columns(xs, y, chunk_draws([1, 0] * (n // 2), 43, b), g.normal(size=(2, b)))
+            _refit_rw_columns(refit_basis(xs, y), z_cols, g.normal(size=(2, b)))
         assert len(seen) == 1 and 0 < seen[0] < b
 
     @settings(max_examples=60, deadline=None)
@@ -601,7 +608,7 @@ class TestStackedRefit:
         for i in range(b):
             z_cols[g.permutation(n)[: n // 2], i] = 1.0
         deltas = g.normal(size=(p, b))
-        values, failures, fallbacks = _refit_rw_columns(xs, y, z_cols, deltas)
+        values, failures, fallbacks = _refit_rw_columns(refit_basis(xs, y), z_cols, deltas)
 
         live = varying_columns(xs)
         q, _ = np.linalg.qr(np.column_stack([np.ones(n), xs[:, live], y]))
@@ -625,6 +632,22 @@ class TestStackedRefit:
         np.testing.assert_array_equal(np.isinf(values), failed)
         assert failures == np.count_nonzero(failed)
         assert (np.abs(values[~failed] - expected[~failed]) <= 100 * scales[~failed]).all()
+
+    def test_one_basis_per_dataset(self, monkeypatch, rng):
+        # the observed column and both chunks of B=1100 read one QR of
+        # [1 | covariates | outcome]; with no fallback there is no other QR
+        calls = []
+        original = np.linalg.qr
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        d = random_dataset(rng, n=200, p=3)
+        res = permutation_test(d, "rw", b=1100, seed=8, weight_policy="refit")
+        assert res.n_refit_fallback == 0
+        assert calls == [(200, 5)]
 
     def test_rw_repeatable_across_chunk_boundary(self, rng):
         # a sparse binary covariate sends some columns of every chunk to
