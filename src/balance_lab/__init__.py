@@ -8,19 +8,11 @@ diagnostics, and a Monte Carlo power engine.
 __version__ = "0.1.0"
 
 from . import errors
-from .balance import BalanceReport, compute_balance_report
+from .balance import BalanceReport, Diagnostics, compute_balance_report, diagnostics
 from .data import Dataset, load_dataset
 from .permutation import PermutationResult, permutation_test
 from .regression import RegressionFit, control_arm_weights, raw_form, treatment_arm_weights
-from .simulation import (
-    DgpConfig,
-    Diagnostics,
-    PowerStudyResult,
-    StudyConfig,
-    diagnostics,
-    generate_dataset,
-    run_power_study,
-)
+from .simulation import DgpConfig, PowerStudyResult, StudyConfig, generate_dataset, run_power_study
 from .variance import (
     VarianceReport,
     enumeration_oracle,

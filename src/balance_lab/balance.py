@@ -20,9 +20,11 @@ Hotelling statistic (``whitened``) and the refit basis (``refit_basis``),
 so one call standardizes, whitens and factors each dataset once. Weights
 and fits are standardized, so ``rw`` ignores the scale;
 ``_statistic_columns`` puts the mean differences on it (a raw one is s_j
-times the standardized one). The Hotelling statistic is a
-function of kq (``_kq``), the R^2 of the assignment on the covariates, which
-``simulation.diagnostics`` reports as the imbalance R^2 from these kernels.
+times the standardized one). The Hotelling statistic is a function of kq
+(``_kq``), the R^2 of the assignment on the covariates over every unit:
+T^2 = (N - 2) kq / (1 - kq). ``diagnostics`` fits no regression of its
+own: it reports kq as the imbalance R^2, and as the prognosis R^2 that of
+the control-arm fit that gives the prognosis weights (``control_arm_weights``).
 
 The observed regression-weighted sum is also computed as the difference
 between the fitted treatment-group mean and the observed control-group
@@ -31,16 +33,19 @@ difference) and the report verifies the identity numerically.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, RefitBasis, _scale_factors
+from .data import Dataset, RefitBasis, _scale_factors, varying_columns
 from .errors import InternalNumericalError, RankDeficient
 from .regression import RCOND_GATE, RegressionFit, _lstsq, _weight_vector, control_arm_weights
 
 __all__ = [
     "BalanceReport",
+    "Diagnostics",
     "compute_balance_report",
+    "diagnostics",
 ]
 
 STATISTIC_NAMES = ("uw", "rw", "hotelling")
@@ -303,6 +308,19 @@ def _checked_weighted_sum(d: Dataset, weights: RegressionFit, weighted_sum) -> f
     return fitted_diff
 
 
+def _check_fit(weights: RegressionFit | None, control_only: bool = False) -> None:
+    """The rule for a ``weights`` argument: None, or an arm fit, whose arm,
+    intercept and R^2 the callers read, else ``TypeError``; with
+    ``control_only``, a fit of the control arm, else ``ValueError``."""
+    if weights is None:
+        return
+    if not isinstance(weights, RegressionFit):
+        kind = type(weights).__name__
+        raise TypeError(f"weights must be an arm fit such as control_arm_weights(d), got {kind}")
+    if control_only and weights.arm != "control":
+        raise ValueError(f"prognosis needs a control-arm fit, got a {weights.arm!r} fit")
+
+
 def compute_balance_report(
     d: Dataset, scale: str = "standardized", weights: RegressionFit | None = None
 ) -> BalanceReport:
@@ -319,12 +337,10 @@ def compute_balance_report(
     dataset with one column, so under the same fixed weights they equal its
     ``observed`` values bit for bit.
     """
+    _check_fit(weights)
     p, units = d.p, _scale_factors(d, scale)[None]
     if weights is None:
         weights = control_arm_weights(d)
-    if not isinstance(weights, RegressionFit):
-        kind = type(weights).__name__
-        raise TypeError(f"weights must be an arm fit such as control_arm_weights(d), got {kind}")
     deltas, whitened, rw = np.zeros((1, p, 1)), np.zeros((1, p, 1)), np.zeros((1, 1))
     w = _weight_vector(weights, p)
     _column_products(d, _observed_column(d), w, deltas[0], whitened[0], rw[0])
@@ -341,4 +357,78 @@ def compute_balance_report(
         scale=scale,
         hotelling_used_pinv=d.whitened[1],
         fitted_mean_difference=fitted_diff,
+    )
+
+
+@dataclass(frozen=True)
+class Diagnostics:
+    """Figure-1 style coordinates plus optional lagged-outcome correlations.
+
+    ``prognosis_r2`` is the R^2 of the control-arm fit that gives the
+    prognosis weights; ``imbalance_r2`` that of the assignment indicator
+    on the covariates over every unit, the Hotelling kernel's kq. Both are
+    0.0 when no covariate varies.
+    """
+
+    prognosis_r2: float
+    imbalance_r2: float
+    lagged_correlation_control: Optional[float] = None
+    lagged_correlation_full: Optional[float] = None
+
+
+def _correlation(a: np.ndarray, b: np.ndarray) -> Optional[float]:
+    if not varying_columns(np.column_stack([a, b])).all():
+        return None
+    return float(np.corrcoef(a, b)[0, 1])
+
+
+def diagnostics(
+    d: Dataset, lag: Optional[np.ndarray] = None, weights: RegressionFit | None = None
+) -> Diagnostics:
+    """Prognosis and imbalance R-squared for one dataset.
+
+    Prognosis is the R^2 of observed outcomes on all covariates within the
+    control arm, read from ``weights``, a control-arm fit of ``d`` such as
+    the one the balance report uses (``_check_fit``: ValueError for another
+    arm's fit). It defaults to ``control_arm_weights(d)``, the fit that
+    ``test`` makes on either scale. Imbalance is the R^2 of the assignment
+    indicator on all covariates over every unit (linear probability fit),
+    read as kq from the Hotelling kernel on the whitened covariates
+    (``Dataset.whitened``), so T^2 = (N - 2) R^2 / (1 - R^2): it is
+    shift- and scale-invariant, and covariates collinear over all units
+    give the R^2 of the directions the whitening keeps. It is capped at
+    1.0 where rounding takes kq above 1 (perfect separation). With no
+    varying covariate both values are 0.0 and nothing is fit. When a
+    lagged outcome column is supplied, its Pearson correlation with the
+    observed outcome is reported for the control arm and for the full
+    data; it is None (undefined) where either vector is constant. A lag
+    column of another length or with a non-finite value raises ValueError.
+    """
+    _check_fit(weights, control_only=True)
+    prognosis = imbalance = 0.0
+    if len(d.constant_columns) < d.p:
+        if weights is None:
+            weights = control_arm_weights(d)
+        prognosis = weights.r_squared
+        # The observed column of compute_balance_report's Hotelling statistic.
+        whitened = np.zeros((d.p, 1))
+        _column_products(d, _observed_column(d), None, None, whitened, None)
+        imbalance = min(float(_kq(whitened, d.n1, d.n0)[0]), 1.0)
+
+    lag_control = lag_full = None
+    if lag is not None:
+        lag = np.asarray(lag, dtype=np.float64)
+        if lag.shape != (d.n,):
+            raise ValueError(f"lag column must have length {d.n}")
+        if not np.isfinite(lag).all():
+            raise ValueError("lag column must hold finite values")
+        control = d.control_rows()
+        lag_control = _correlation(lag[control], d.y_obs[control])
+        lag_full = _correlation(lag, d.y_obs)
+
+    return Diagnostics(
+        prognosis_r2=prognosis,
+        imbalance_r2=imbalance,
+        lagged_correlation_control=lag_control,
+        lagged_correlation_full=lag_full,
     )

@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .balance import compute_balance_report
+from .balance import compute_balance_report, diagnostics
 from .data import Dataset, MissingRowsDropped, load_dataset
 from .errors import (
     BalanceLabError,
@@ -44,7 +44,7 @@ from .reports import (
     write_csv,
     write_json,
 )
-from .simulation import StudyConfig, _code_version, build_grid, diagnostics, run_power_study
+from .simulation import StudyConfig, _code_version, build_grid, run_power_study
 from .variance import normal_approx_test, variance_report
 
 _DELIMITERS = {"comma": ",", "tab": "\t"}

@@ -1,5 +1,5 @@
 """Monte Carlo engine: synthetic datasets with controlled imbalance and
-prognosis, rejection-rate grids, and the prognosis/imbalance diagnostics.
+prognosis, and rejection-rate grids.
 
 The generator fixes a balanced assignment vector and builds covariates as
 linear loadings on its standardized version plus Gaussian noise:
@@ -24,12 +24,6 @@ covariate views and control-arm weights itself, and computes their
 standardized biases as one stack. Every member gets the bits it would get
 alone, so results do not depend on how the replicates are grouped. A
 replicate's outcome is its p-values and bias, or the error its test returned.
-
-``diagnostics`` fits no regression of its own. It reads the prognosis R^2
-from a control-arm fit (``regression.control_arm_weights``), the one that
-gives the prognosis weights, and the imbalance R^2 from the Hotelling
-kernel of ``balance``: kq, the R^2 of the assignment on the covariates
-over every unit, with T^2 = (N - 2) kq / (1 - kq).
 """
 
 import functools
@@ -44,21 +38,17 @@ from typing import Optional, Sequence, get_origin
 
 import numpy as np
 
-from .balance import _column_products, _kq, _observed_column
-from .data import Dataset, population_sd, varying_columns
+from .data import Dataset, population_sd
 from .errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from .permutation import STATISTIC_NAMES, permutation_pvalues
-from .regression import RegressionFit, control_arm_weights
 from .rng import STREAM_VERSION, derive_seed, stream
 
 __all__ = [
     "DgpConfig",
     "StudyConfig",
     "PowerStudyResult",
-    "Diagnostics",
     "generate_dataset",
     "run_power_study",
-    "diagnostics",
     "build_grid",
 ]
 
@@ -488,8 +478,8 @@ def run_power_study(
         raise ConfigError("grid must contain at least one cell")
     statistics = tuple(statistics)
     _check_run_settings(statistics, replicates, b_permutations, alpha, weight_policy)
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads!r}")
+    if not _is_number(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
     small = [cfg for cfg in grid if cfg.n // 2 <= cfg.p + 1]
     if "rw" in statistics and small:
         raise ConfigError(
@@ -542,75 +532,3 @@ def run_power_study(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return results
-
-
-@dataclass(frozen=True)
-class Diagnostics:
-    """Figure-1 style coordinates plus optional lagged-outcome correlations.
-
-    ``prognosis_r2`` is the R^2 of the control-arm fit that gives the
-    prognosis weights; ``imbalance_r2`` that of the assignment indicator
-    on the covariates over every unit, the Hotelling kernel's kq. Both are
-    0.0 when no covariate varies.
-    """
-
-    prognosis_r2: float
-    imbalance_r2: float
-    lagged_correlation_control: Optional[float] = None
-    lagged_correlation_full: Optional[float] = None
-
-
-def _correlation(a: np.ndarray, b: np.ndarray) -> Optional[float]:
-    if not varying_columns(np.column_stack([a, b])).all():
-        return None
-    return float(np.corrcoef(a, b)[0, 1])
-
-
-def diagnostics(
-    d: Dataset, lag: Optional[np.ndarray] = None, weights: RegressionFit | None = None
-) -> Diagnostics:
-    """Prognosis and imbalance R-squared for one dataset.
-
-    Prognosis is the R^2 of observed outcomes on all covariates within the
-    control arm, read from ``weights``, a control-arm fit of ``d`` such as
-    the one the balance report uses (ValueError for another arm's fit). It
-    defaults to ``control_arm_weights(d)``, the fit that ``test`` makes on
-    either scale. Imbalance is the R^2 of the assignment
-    indicator on all covariates over every unit (linear probability fit),
-    read as kq from the Hotelling kernel on the whitened covariates
-    (``Dataset.whitened``), so T^2 = (N - 2) R^2 / (1 - R^2): it is
-    shift- and scale-invariant, and covariates collinear over all units
-    give the R^2 of the directions the whitening keeps. It is capped at
-    1.0 where rounding takes kq above 1 (perfect separation). With no
-    varying covariate both values are 0.0 and nothing is fit. When a
-    lagged outcome column is supplied, its Pearson correlation with the
-    observed outcome is reported for the control arm and for the full
-    data; it is None (undefined) where either vector is constant.
-    """
-    if weights is not None and weights.arm != "control":
-        raise ValueError(f"prognosis needs a control-arm fit, got a {weights.arm!r} fit")
-    prognosis = imbalance = 0.0
-    if len(d.constant_columns) < d.p:
-        if weights is None:
-            weights = control_arm_weights(d)
-        prognosis = weights.r_squared
-        # The observed column of compute_balance_report's Hotelling statistic.
-        whitened = np.zeros((d.p, 1))
-        _column_products(d, _observed_column(d), None, None, whitened, None)
-        imbalance = min(float(_kq(whitened, d.n1, d.n0)[0]), 1.0)
-
-    lag_control = lag_full = None
-    if lag is not None:
-        lag = np.asarray(lag, dtype=np.float64)
-        if lag.shape != (d.n,):
-            raise ValueError(f"lag column must have length {d.n}")
-        control = d.control_rows()
-        lag_control = _correlation(lag[control], d.y_obs[control])
-        lag_full = _correlation(lag, d.y_obs)
-
-    return Diagnostics(
-        prognosis_r2=prognosis,
-        imbalance_r2=imbalance,
-        lagged_correlation_control=lag_control,
-        lagged_correlation_full=lag_full,
-    )

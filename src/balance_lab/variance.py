@@ -54,13 +54,6 @@ class OracleResult:
     statistic: str
 
 
-def _check_sizes(n: int, n1: int, n0: int) -> None:
-    if n1 < 1 or n0 < 1:
-        raise DegenerateAssignment(f"both arms must be non-empty, got n1={n1}, n0={n0}")
-    if n1 + n0 != n:
-        raise ValueError(f"n1 + n0 = {n1 + n0} does not match {n} rows")
-
-
 def variance_report(
     d: Dataset, weights: Sequence[float], scale: str = "standardized"
 ) -> VarianceReport:
@@ -137,7 +130,8 @@ def enumeration_oracle(
     x = _covariate_matrix(x)
     n, p = x.shape
     n0 = n - n1
-    _check_sizes(n, n1, n0)
+    if n1 < 1 or n0 < 1:
+        raise DegenerateAssignment(f"both arms must be non-empty, got n1={n1}, n0={n0}")
 
     if statistic == "uw":
         scores = x.sum(axis=1)

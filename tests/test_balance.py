@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from balance_lab import Dataset, compute_balance_report, control_arm_weights
+from balance_lab import Dataset, compute_balance_report, control_arm_weights, diagnostics
 from balance_lab.errors import WeightDimensionMismatch
 from balance_lab.permutation import permutation_pvalues
 from balance_lab.regression import RegressionFit
@@ -162,6 +162,8 @@ class TestDeltaRegressionWeighted:
         d = random_dataset(rng, p=3)
         with pytest.raises(TypeError, match="arm fit"):
             compute_balance_report(d, weights=np.ones(3))
+        with pytest.raises(TypeError, match="arm fit"):
+            diagnostics(d, weights=np.ones(3))
 
     def test_dimension_mismatch(self, rng):
         d = random_dataset(rng, p=3)

@@ -282,6 +282,7 @@ class TestRunPowerStudy:
             pytest.param(dict(statistics=()), id="statistics-empty"),
             pytest.param(dict(statistics=("rw", "rw")), id="statistics-repeated"),
             pytest.param(dict(threads=0), id="threads-zero"),
+            pytest.param(dict(threads=1.5), id="threads-not-integer"),
         ],
     )
     def test_invalid_settings_refused_before_any_work(self, setting, tmp_path, monkeypatch):
@@ -691,6 +692,15 @@ class TestDiagnostics:
         d = Dataset(x=x, z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
         with pytest.raises(ValueError):
             diagnostics(d, lag=np.ones(5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_lag_must_be_finite(self, rng, value):
+        x = rng.normal(size=(10, 1))
+        d = Dataset(x=x, z=np.array([1, 0] * 5), y_obs=rng.normal(size=10))
+        lag = rng.normal(size=10)
+        lag[3] = value
+        with pytest.raises(ValueError, match="finite"):
+            diagnostics(d, lag=lag)
 
     def test_arm_fit_is_read(self, rng):
         x = rng.normal(size=(30, 2))
