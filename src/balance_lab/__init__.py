@@ -5,43 +5,36 @@ design-based variances, permutation p-values, prognosis/imbalance
 diagnostics, and a Monte Carlo power engine.
 """
 
-__version__ = "0.1.0"
+import importlib
 
 from . import errors
-from .balance import BalanceReport, Diagnostics, compute_balance_report, diagnostics
-from .data import Dataset, load_dataset
-from .permutation import PermutationResult, permutation_test
-from .regression import RegressionFit, control_arm_weights, raw_form, treatment_arm_weights
-from .simulation import DgpConfig, PowerStudyResult, StudyConfig, generate_dataset, run_power_study
-from .variance import (
-    VarianceReport,
-    enumeration_oracle,
-    normal_approx_test,
-    variance_report,
-)
 
-__all__ = [
-    "__version__",
-    "errors",
-    "Dataset",
-    "load_dataset",
-    "RegressionFit",
-    "control_arm_weights",
-    "treatment_arm_weights",
-    "raw_form",
-    "BalanceReport",
-    "compute_balance_report",
-    "VarianceReport",
-    "variance_report",
-    "enumeration_oracle",
-    "normal_approx_test",
-    "PermutationResult",
-    "permutation_test",
-    "DgpConfig",
-    "StudyConfig",
-    "PowerStudyResult",
-    "Diagnostics",
-    "generate_dataset",
-    "run_power_study",
-    "diagnostics",
-]
+__version__ = "0.1.0"
+
+# The omnibus statistics, in report order; here so the CLI parser needs no numpy.
+STATISTIC_NAMES = ("uw", "rw", "hotelling")
+
+# Each public name is imported from its module on first use (PEP 562), so
+# importing the package, or ``balance_lab.cli`` for ``--help``, loads no numpy.
+_EXPORTS = {
+    "data": ("Dataset", "load_dataset"),
+    "regression": ("RegressionFit", "control_arm_weights", "treatment_arm_weights", "raw_form"),
+    "balance": ("BalanceReport", "compute_balance_report", "Diagnostics", "diagnostics"),
+    "variance": ("VarianceReport", "variance_report", "enumeration_oracle", "normal_approx_test"),
+    "permutation": ("PermutationResult", "permutation_test"),
+    "simulation": ("DgpConfig", "StudyConfig", "PowerStudyResult", "generate_dataset", "run_power_study"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", "errors", *_MODULE_OF]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -37,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import STATISTIC_NAMES
 from .data import Dataset, RefitBasis, _scale_factors, varying_columns
 from .errors import InternalNumericalError, RankDeficient
 from .regression import RCOND_GATE, RegressionFit, _lstsq, _weight_vector, control_arm_weights
@@ -47,8 +48,6 @@ __all__ = [
     "compute_balance_report",
     "diagnostics",
 ]
-
-STATISTIC_NAMES = ("uw", "rw", "hotelling")
 
 
 @dataclass(frozen=True)

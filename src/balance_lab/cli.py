@@ -2,21 +2,20 @@
 
 Exit codes: 0 = computed (p-values are results, never errors), 2 = usage or
 validation error, 3 = internal numerical failure.
+
+This module imports only what building the parser and dispatching need, so
+``--help``, ``--version`` and usage errors load no numpy. Each command
+imports the modules it runs: ``diagnose`` the data, regression, balance and
+reports layers; ``test`` also ``variance`` and ``permutation``; only
+``simulate`` loads ``simulation``.
 """
 
 import argparse
-import json
 import os
-import secrets
 import sys
 import warnings
-from dataclasses import asdict, replace
 
-import numpy as np
-
-from . import __version__
-from .balance import compute_balance_report, diagnostics
-from .data import Dataset, MissingRowsDropped, load_dataset
+from . import STATISTIC_NAMES, __version__
 from .errors import (
     BalanceLabError,
     CellFailure,
@@ -26,26 +25,6 @@ from .errors import (
     MissingColumn,
     ZeroVariance,
 )
-from .permutation import STATISTIC_NAMES, permutation_pvalues
-from .regression import control_arm_weights, raw_form
-from .reports import (
-    PLOT_FIELDS,
-    RESULTS_FIELDS,
-    bytes_digest,
-    facets,
-    file_digest,
-    make_manifest,
-    plot_data_rows,
-    power_curve_svg,
-    render_diagnose_report,
-    render_test_report,
-    results_table_rows,
-    utc_now,
-    write_csv,
-    write_json,
-)
-from .simulation import StudyConfig, _code_version, build_grid, run_power_study
-from .variance import normal_approx_test, variance_report
 
 _DELIMITERS = {"comma": ",", "tab": "\t"}
 
@@ -150,12 +129,6 @@ def _resolve_threads(value) -> int:
     return value or os.cpu_count() or 1
 
 
-def _resolve_seed(value):
-    if value is not None:
-        return int(value), False
-    return secrets.randbits(62), True
-
-
 def _covariate_list(raw: str) -> list[str]:
     names = [c.strip() for c in raw.split(",") if c.strip()]
     if not names:
@@ -164,6 +137,8 @@ def _covariate_list(raw: str) -> list[str]:
 
 
 def _load_from_args(args):
+    from .data import Dataset, MissingRowsDropped, load_dataset
+
     names = _covariate_list(args.covariates)
     lag_name = args.lag_column
     roles = {args.treatment: "treatment", args.outcome: "outcome"}
@@ -206,6 +181,8 @@ def _dataset_summary(d, rows_dropped) -> dict:
 
 
 def _maybe_asymptotic(value: float, variance) -> float | None:
+    from .variance import normal_approx_test
+
     if variance is None:
         return None
     try:
@@ -217,6 +194,8 @@ def _maybe_asymptotic(value: float, variance) -> float | None:
 def _write_report(out_dir: str, stem: str, report: dict, render) -> str:
     """Write ``report`` as ``<stem>.json`` and its rendering as ``<stem>.txt``
     in ``out_dir`` (made if missing); returns the rendering."""
+    from .reports import write_json
+
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, f"{stem}.json"), report)
     text = render(report)
@@ -226,8 +205,20 @@ def _write_report(out_dir: str, stem: str, report: dict, render) -> str:
 
 
 def cmd_test(args) -> int:
+    import secrets
+    from dataclasses import asdict
+
+    import numpy as np
+
+    from .balance import compute_balance_report, diagnostics
+    from .permutation import permutation_pvalues
+    from .regression import control_arm_weights, raw_form
+    from .reports import file_digest, make_manifest, render_test_report, utc_now
+    from .variance import variance_report
+
     started = utc_now()
-    seed, generated = _resolve_seed(args.seed)
+    generated = args.seed is None
+    seed = secrets.randbits(62) if generated else args.seed
     threads = _resolve_threads(args.threads)  # validated and recorded, no effect here
     d, lag, rows_dropped = _load_from_args(args)
 
@@ -338,7 +329,13 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    started = utc_now()
+    import json
+    from dataclasses import asdict, replace
+
+    from . import reports
+    from .simulation import StudyConfig, _code_version, build_grid, run_power_study
+
+    started = reports.utc_now()
     threads = _resolve_threads(args.threads)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -374,22 +371,22 @@ def cmd_simulate(args) -> int:
         progress=progress,
     )
 
-    config_digest = bytes_digest(
+    config_digest = reports.bytes_digest(
         json.dumps(asdict(study), sort_keys=True).encode("utf-8")
     )
     results_path = os.path.join(args.out_dir, "results.csv")
-    write_csv(results_path, RESULTS_FIELDS, results_table_rows(results))
+    reports.write_csv(results_path, reports.RESULTS_FIELDS, reports.results_table_rows(results))
     plot_path = os.path.join(args.out_dir, "plot_data.csv")
-    write_csv(plot_path, PLOT_FIELDS, plot_data_rows(results))
+    reports.write_csv(plot_path, reports.PLOT_FIELDS, reports.plot_data_rows(results))
 
     svg_paths = []
-    for label, stem, cells in facets(results):
+    for label, stem, cells in reports.facets(results):
         prognosis = [r.config.rho_x1_y for r in cells]
         series = {
             name: [r.rejection_rate[name] for r in cells] for name in study.statistics
         }
         bias = [r.standardized_bias for r in cells]
-        svg = power_curve_svg(label, prognosis, series, bias, config_digest)
+        svg = reports.power_curve_svg(label, prognosis, series, bias, config_digest)
         path = os.path.join(args.out_dir, f"{stem}.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -402,20 +399,25 @@ def cmd_simulate(args) -> int:
         "threads": threads,
         "resume": args.resume,
     }
-    payload = make_manifest(
-        "simulate", configuration, study.seed, file_digest(args.config), started
+    payload = reports.make_manifest(
+        "simulate", configuration, study.seed, reports.file_digest(args.config), started
     )
     payload["code_version"] = _code_version()
     payload["outputs"] = {
-        os.path.basename(path): file_digest(path)
+        os.path.basename(path): reports.file_digest(path)
         for path in [results_path, plot_path, *svg_paths]
     }
-    write_json(os.path.join(args.out_dir, "manifest.json"), payload)
+    reports.write_json(os.path.join(args.out_dir, "manifest.json"), payload)
     sys.stdout.write(f"wrote {results_path}\n")
     return 0
 
 
 def cmd_diagnose(args) -> int:
+    from dataclasses import asdict
+
+    from .balance import diagnostics
+    from .reports import file_digest, make_manifest, render_diagnose_report, utc_now
+
     started = utc_now()
     d, lag, rows_dropped = _load_from_args(args)
     diag = diagnostics(d, lag)
@@ -441,10 +443,13 @@ def cmd_diagnose(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every command runs on numpy; --help, --version and usage errors have exited
+    from numpy.linalg import LinAlgError
+
     handlers = {"test": cmd_test, "simulate": cmd_simulate, "diagnose": cmd_diagnose}
     try:
         return handlers[args.command](args)
-    except (InternalNumericalError, CellFailure, np.linalg.LinAlgError) as exc:
+    except (InternalNumericalError, CellFailure, LinAlgError) as exc:
         sys.stderr.write(f"error: internal numerical failure: {exc}\n")
         return 3
     except BalanceLabError as exc:

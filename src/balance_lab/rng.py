@@ -41,7 +41,7 @@ __all__ = ["STREAM_VERSION", "stream", "derive_seed"]
 STREAM_VERSION = 5
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
+def stream(seed: int, *key: int) -> "np.random.Generator":  # quoted: numpy.random loads on first use
     """Return the Generator for stream ``key`` under master ``seed``.
 
     The same (seed, key) pair always yields the same stream, regardless

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from balance_lab import Diagnostics, balance, cli, load_dataset, regression, simulation
+from balance_lab import Diagnostics, balance, cli, load_dataset, regression, reports, simulation
 from conftest import lstsq
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "null_small.csv")
@@ -59,13 +59,13 @@ class TestCmdTest:
     def test_report_round_trip(self, tmp_path, monkeypatch):
         # the re-parsed machine report must equal the in-memory structure
         captured = {}
-        original = cli.write_json
+        original = reports.write_json
 
         def capture(path, payload):
             captured[os.path.basename(path)] = payload
             original(path, payload)
 
-        monkeypatch.setattr(cli, "write_json", capture)
+        monkeypatch.setattr(reports, "write_json", capture)
         run_cli(BASE_ARGS + ["--out-dir", str(tmp_path)])
         parsed = json.load(open(tmp_path / "balance_report.json"))
         assert parsed == captured["balance_report.json"]
@@ -354,7 +354,7 @@ def test_covariates_the_statistics_handle_exit_0(table, kept, tmp_path, monkeypa
     assert run_cli(test + ["--out-dir", str(tmp_path / "test")]) == 0
     # the raw scale fits the same standardized design
     assert run_cli(test + ["--scale", "raw", "--out-dir", str(tmp_path / "raw")]) == 0
-    monkeypatch.setattr(cli, "diagnostics", lambda d, lag, weights: Diagnostics(0.0, 0.0))
+    monkeypatch.setattr(balance, "diagnostics", lambda d, lag, weights: Diagnostics(0.0, 0.0))
     assert run_cli(test + ["--out-dir", str(tmp_path / "stubbed")]) == 0
     reports = {
         name: json.load(open(next((tmp_path / name).glob("*.json"))))
@@ -700,6 +700,16 @@ def test_constant_lag_column_correlation_is_null(command, tmp_path):
     assert "lagged-outcome correlation: control arm undefined (constant), full data undefined (constant)\n" in text
 
 
+def test_linear_algebra_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # main imports numpy's LinAlgError only after parsing, and still maps it
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(balance, "compute_balance_report", fail)
+    assert run_cli(BASE_ARGS + ["--out-dir", str(tmp_path)]) == 3
+    assert "error: internal numerical failure: forced" in capsys.readouterr().err
+
+
 class TestThreadResolution:
     def test_explicit_value(self):
         assert cli._resolve_threads(3) == 3
@@ -714,38 +724,67 @@ class TestThreadResolution:
 
 
 def test_cli_import_defers_scipy():
-    # scipy is needed only by the pivoted QR; importing it costs every call
+    # scipy is needed only by the pivoted QR; importing it costs every call.
+    # Numpy too: importing the package or the CLI, help, the version and a
+    # usage error all end before any command runs, and load neither.
     package_root = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root))
-    probe = "import sys, balance_lab.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    probe = (
+        "import json, sys\n"
+        "import balance_lab\n"
+        "from balance_lab import cli\n"
+        "codes = []\n"
+        "for args in (['--help'], ['--version'], ['test']):\n"
+        "    try:\n"
+        "        cli.main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "loaded = sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout.splitlines()[-1]) == {"codes": [0, 0, 2], "loaded": []}
 
 
 def test_commands_load_no_scipy(tmp_path):
-    # every least-squares fit is numpy's QR: no command loads any scipy module
+    # every least-squares fit is numpy's QR: no command loads any scipy module.
+    # Each command loads what it runs: diagnose neither the permutation
+    # machinery nor numpy.random, test not simulation.
     package_root = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root))
-    calls = [
+    calls = [["diagnose", "--input", FIXTURE, "--treatment", "z", "--outcome", "y",
+              "--covariates", "x1,x2,x3", "--out-dir", str(tmp_path / "diagnose")]]
+    calls += [
         BASE_ARGS + ["--weight-policy", policy, "--out-dir", str(tmp_path / policy)]
         for policy in ("fixed", "refit")
     ]
-    calls.append(["diagnose", "--input", FIXTURE, "--treatment", "z", "--outcome", "y",
-                  "--covariates", "x1,x2,x3", "--out-dir", str(tmp_path / "diagnose")])
     config = write_config(tmp_path / "study.json", replicates=3)
     calls.append(["simulate", "--config", config, "--threads", "1",
                   "--out-dir", str(tmp_path / "simulate")])
+    # modules that must still be absent after each call, in call order
+    unused = [
+        ["balance_lab.simulation", "balance_lab.permutation", "balance_lab.variance",
+         "concurrent.futures.process", "numpy.random"],
+        ["balance_lab.simulation"],
+        ["balance_lab.simulation"],
+        [],
+    ]
     probe = (
         "import json, sys\n"
         "from balance_lab import cli\n"
-        "codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps({'codes': codes, 'scipy': loaded}))"
+        "codes, loaded = [], []\n"
+        "for args, names in zip(*json.loads(sys.argv[1])):\n"
+        "    codes.append(cli.main(args))\n"
+        "    loaded.append([m for m in names if m in sys.modules])\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded, 'scipy': scipy}))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(calls)],
+        [sys.executable, "-c", probe, json.dumps([calls, unused])],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(out.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert json.loads(out.stdout.splitlines()[-1]) == {
+        "codes": [0, 0, 0, 0], "loaded": [[], [], [], []], "scipy": []
+    }
