@@ -26,6 +26,7 @@ views equal, bit for bit, the ones it would compute alone.
 
 import csv
 import io
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -226,6 +227,17 @@ def _covariate_matrix(x) -> np.ndarray:
     """``x`` as a float64 array with one row per unit: a 1-d vector is one covariate."""
     x = np.asarray(x, dtype=np.float64)
     return x[:, None] if x.ndim == 1 else x
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: ``operator.index`` takes it and it is no bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _by_rows(x: np.ndarray) -> np.ndarray:

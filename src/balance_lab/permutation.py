@@ -32,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .balance import STATISTIC_NAMES, _column_products, _observed_column, _statistic_columns
-from .data import Dataset, _scale_factors, stack_views
+from .data import Dataset, _is_integer, _scale_factors, stack_views
 from .errors import BalanceLabError, InternalNumericalError
 from .regression import RegressionFit, _weight_vector, control_arm_coefficients, control_arm_weights
 from .rng import stream
@@ -170,7 +170,8 @@ def permutation_pvalues(
     ``RegressionFit`` or a weight vector, standardized whatever ``scale`` is,
     which sets the units of ``uw`` only) applies to the ``fixed`` policy only
     and is refused under ``refit``. Returns a dict of ``PermutationResult``
-    by statistic.
+    by statistic. A ``b`` that is a bool or no integer (``operator.index``),
+    and ``statistics`` that name a statistic twice, raise ``ValueError``.
 
     ``d`` may also be a stack: a sequence of datasets that share one shape
     and one assignment vector (ValueError otherwise), with one seed per
@@ -187,10 +188,14 @@ def permutation_pvalues(
     The chunks are evaluated in order in the calling process; parallel work
     belongs to ``run_power_study``, which spreads groups of whole replicates.
     """
+    if not _is_integer(b):
+        raise ValueError(f"b must be an integer, got {b!r}")
     if b < 1:
         raise ValueError("need at least one permutation")
     if not statistics:
         raise ValueError("need at least one statistic")
+    if len(set(statistics)) < len(statistics):
+        raise ValueError(f"statistics must not repeat a statistic, got {list(statistics)!r}")
     unknown = set(statistics) - set(STATISTIC_NAMES)
     if unknown:
         raise ValueError(f"unknown statistics: {sorted(unknown)}")

@@ -3,17 +3,18 @@
 Everything here is fully observable: the only randomness is which n1 of the
 N units are treated, and the covariates are seen for every unit regardless
 of arm. The closed forms are validated against an exhaustive enumeration
-oracle that walks every possible assignment.
+oracle that lists every possible treated set and sums each one on its own.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _covariate_matrix, _scale_factors
-from .errors import DegenerateAssignment, TooManyAssignments, ZeroVariance
+from .data import Dataset, _covariate_matrix, _is_integer, _scale_factors
+from .errors import DegenerateAssignment, NonNumericValue, TooManyAssignments, ZeroVariance
 from .regression import _weight_vector
 
 __all__ = [
@@ -26,10 +27,7 @@ __all__ = [
 ]
 
 MAX_ENUMERATED_ASSIGNMENTS = 10**6
-
-# Incremental subset sums are re-anchored with exact summation this often,
-# bounding float drift over long enumerations.
-_REFRESH_INTERVAL = 1024
+_CHUNK = 4096  # treated sets per index array of the enumeration, whatever C(N, n1) is
 
 
 @dataclass(frozen=True)
@@ -82,29 +80,6 @@ def variance_report(
     )
 
 
-def _revolving_door_swaps(n: int, k: int):
-    """Yield (out, in) swaps visiting every k-subset of range(n) exactly once.
-
-    The walk starts at {0, ..., k-1}; consecutive subsets differ by a
-    single exchanged element (revolving-door Gray code), so any statistic
-    linear in the treated set updates in O(1) per step.
-    """
-
-    def forward(n, k):
-        if 0 < k < n:
-            yield from forward(n - 1, k)
-            yield (k - 2, n - 1) if k >= 2 else (n - 2, n - 1)
-            yield from backward(n - 1, k - 1)
-
-    def backward(n, k):
-        if 0 < k < n:
-            yield from forward(n - 1, k - 1)
-            yield (n - 1, k - 2) if k >= 2 else (n - 1, n - 2)
-            yield from backward(n - 1, k)
-
-    yield from forward(n, k)
-
-
 def enumeration_oracle(
     x: np.ndarray,
     n1: int,
@@ -114,24 +89,24 @@ def enumeration_oracle(
 ) -> OracleResult:
     """Exact distribution of a balance statistic over all assignments.
 
-    Brute force over every way of choosing the n1 treated units, kept
-    independent of the closed-form variance module so it can validate it.
-
-    Parameters
-    ----------
-    x : (N, p) array, or a length-N vector of one covariate
-        Covariates on whatever scale the statistic should use.
-    n1 : int
-        Treated-arm size; all C(N, n1) assignments are visited.
-    statistic : {"uw", "rw", "delta_j"}
-    weights : length-p vector, required for "rw"
-    j : column index, required for "delta_j"
+    Brute force over every way of choosing the n1 treated units among the N
+    rows of ``x``, kept independent of the closed-form variance module so it
+    can validate it. ``x`` is (N, p), or a length-N vector of one covariate,
+    on whatever scale the statistic should use. ``statistic`` is "uw", "rw"
+    (which needs the length-p ``weights``) or "delta_j" (which needs the
+    column index ``j``). ``values[i]`` belongs to the i-th treated set in the
+    lexicographic order of ``itertools.combinations(range(N), n1)`` and is
+    summed from that set's own n1 scores.
     """
     x = _covariate_matrix(x)
+    if not np.isfinite(x).all():
+        raise NonNumericValue("covariate matrix contains non-finite values")
+    if not _is_integer(n1) or not (j is None or _is_integer(j)):
+        raise TypeError(f"n1 and j must be integers, got n1={n1!r}, j={j!r}")
     n, p = x.shape
+    if not 0 < n1 < n:
+        raise DegenerateAssignment(f"need 0 < n1 < N for two non-empty arms, got n1={n1}, N={n}")
     n0 = n - n1
-    if n1 < 1 or n0 < 1:
-        raise DegenerateAssignment(f"both arms must be non-empty, got n1={n1}, n0={n0}")
 
     if statistic == "uw":
         scores = x.sum(axis=1)
@@ -146,34 +121,24 @@ def enumeration_oracle(
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
 
-    total_assignments = math.comb(n, n1)
-    if total_assignments > MAX_ENUMERATED_ASSIGNMENTS:
+    total = math.comb(n, n1)
+    if total > MAX_ENUMERATED_ASSIGNMENTS:
         raise TooManyAssignments(
-            f"C({n}, {n1}) = {total_assignments} exceeds the "
-            f"{MAX_ENUMERATED_ASSIGNMENTS} assignment guard"
+            f"C({n}, {n1}) = {total} exceeds the {MAX_ENUMERATED_ASSIGNMENTS} assignment guard"
         )
 
-    # delta(S) = coef * sum_{i in S} scores_i + const for treated set S.
+    # delta(S) = coef * sum_{i in S} scores_i + const for treated set S. Each row
+    # of idx is one set, in the order itertools.combinations yields them.
     coef = 1.0 / n1 + 1.0 / n0
     const = -math.fsum(scores) / n0
+    members = itertools.chain.from_iterable(itertools.combinations(range(n), n1))
+    values = np.empty(total)
+    for start in range(0, total, _CHUNK):
+        idx = np.fromiter(itertools.islice(members, _CHUNK * n1), np.intp).reshape(-1, n1)
+        values[start : start + len(idx)] = coef * scores[idx].sum(axis=1) + const
 
-    members = np.zeros(n, dtype=bool)
-    members[:n1] = True
-    subset_sum = math.fsum(scores[:n1])
-
-    values = np.empty(total_assignments)
-    values[0] = coef * subset_sum + const
-    for step, (out_i, in_i) in enumerate(_revolving_door_swaps(n, n1), start=1):
-        members[out_i] = False
-        members[in_i] = True
-        if step % _REFRESH_INTERVAL == 0:
-            subset_sum = math.fsum(scores[members])
-        else:
-            subset_sum += scores[in_i] - scores[out_i]
-        values[step] = coef * subset_sum + const
-
-    mean = math.fsum(values) / total_assignments
-    variance = math.fsum((v - mean) ** 2 for v in values) / total_assignments
+    mean = math.fsum(values) / total
+    variance = math.fsum((values - mean) ** 2) / total
     return OracleResult(mean=mean, variance=variance, values=values, statistic=statistic)
 
 

@@ -299,6 +299,27 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test(d, "uw", b=10, seed=1, weight_policy="sometimes")
 
+    def test_repeated_statistic_refused(self, rng):
+        d = random_dataset(rng)
+        with pytest.raises(ValueError, match="must not repeat"):
+            permutation_pvalues(d, ("uw", "uw"), 10, 1)
+        with pytest.raises(ValueError, match="must not repeat"):
+            permutation_pvalues([d, d], ["rw", "hotelling", "rw"], 10, [1, 2])
+
+    @pytest.mark.parametrize("b", [2.5, 10.0, True, False, np.True_, "10", None])
+    def test_non_integer_b_refused(self, rng, b):
+        d = random_dataset(rng)
+        with pytest.raises(ValueError, match="b must be an integer"):
+            permutation_pvalues(d, ("uw",), b, 1)
+
+    @pytest.mark.parametrize("b", [np.int64(37), np.int32(37), np.uint16(37)])
+    def test_numpy_integer_b_accepted(self, rng, b):
+        d = random_dataset(rng)
+        got = permutation_test(d, "uw", b=b, seed=4)
+        want = permutation_test(d, "uw", b=37, seed=4)
+        assert np.array_equal(got.permuted_values, want.permuted_values)
+        assert got.p_value == want.p_value
+
 
 def naive_differences(d):
     """Arm-mean difference of each standardized covariate, taken directly."""

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,12 @@ from balance_lab import (
     normal_approx_test,
     variance_report,
 )
-from balance_lab.errors import DegenerateAssignment, TooManyAssignments, ZeroVariance
-from balance_lab.variance import _revolving_door_swaps
+from balance_lab.errors import (
+    DegenerateAssignment,
+    NonNumericValue,
+    TooManyAssignments,
+    ZeroVariance,
+)
 
 
 def standardized(values):
@@ -142,24 +147,6 @@ class TestVarianceReport:
         assert np.linalg.eigvalsh(report.cov_delta).min() >= -1e-10
 
 
-class TestRevolvingDoor:
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 10), k=st.integers(1, 9))
-    def test_visits_each_subset_once_by_single_swaps(self, n, k):
-        if k >= n:
-            return
-        current = set(range(k))
-        seen = {frozenset(current)}
-        for out_i, in_i in _revolving_door_swaps(n, k):
-            assert out_i in current and in_i not in current
-            current.remove(out_i)
-            current.add(in_i)
-            key = frozenset(current)
-            assert key not in seen
-            seen.add(key)
-        assert len(seen) == math.comb(n, k)
-
-
 class TestEnumerationOracle:
     def test_mean_zero(self, rng):
         x = rng.normal(size=(8, 2))
@@ -220,8 +207,8 @@ class TestEnumerationOracle:
             assert np.isclose(dj.variance, report.var_delta_j[j], rtol=1e-10)
 
     def test_long_walk_stays_exact(self, rng):
-        # 48620 assignments: exercises the periodic exact re-anchoring of
-        # the incremental subset sums
+        # 48620 assignments, a dozen index chunks: every value is summed
+        # from its own treated set, so no error carries along the walk
         x = rng.normal(size=(18, 2))
         z = np.zeros(18, dtype=int)
         z[:9] = 1
@@ -235,6 +222,62 @@ class TestEnumerationOracle:
     def test_guard(self):
         with pytest.raises(TooManyAssignments):
             enumeration_oracle(np.ones((30, 1)), 15, "uw")
+
+    def test_guard_refuses_before_allocating(self):
+        # C(23, 11) = 1,352,078 sets, just past the guard: their values alone
+        # would take 10.8 MB
+        x = np.ones((23, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyAssignments, match="1352078"):
+                enumeration_oracle(x, 11, "uw")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_values_follow_the_treated_sets_in_order(self, n, data):
+        # With scores 2^i every treated set has its own sum, so each value
+        # names its set: values[i] belongs to the i-th set itertools yields.
+        n1 = data.draw(st.integers(1, n - 1))
+        scores = 2.0 ** np.arange(n)
+        res = enumeration_oracle(scores, n1, "uw")
+        sets = list(itertools.combinations(range(n), n1))
+        sums = np.array([sum(2.0**i for i in s) for s in sets])
+        expected = sums / n1 - (scores.sum() - sums) / (n - n1)
+        assert res.values.size == len(sets) == math.comb(n, n1)
+        assert np.unique(res.values).size == len(sets)
+        np.testing.assert_allclose(res.values, expected, rtol=0, atol=1e-9)
+
+    def test_non_finite_covariate_refused(self):
+        with pytest.raises(NonNumericValue):
+            enumeration_oracle(np.array([1.0, np.nan, 2.0, 3.0]), 2)
+        with pytest.raises(NonNumericValue):
+            enumeration_oracle(np.array([[1.0, 2.0], [np.inf, 0.0], [2.0, 1.0], [3.0, 5.0]]), 2)
+
+    @pytest.mark.parametrize("n1", [3.0, np.float64(3.0), True, np.True_, "3", None])
+    def test_non_integer_n1_refused(self, n1):
+        with pytest.raises(TypeError, match="must be integers"):
+            enumeration_oracle(np.arange(6.0), n1)
+
+    @pytest.mark.parametrize("j", [True, False, 1.0, "1"])
+    def test_non_integer_j_refused(self, j):
+        with pytest.raises(TypeError, match="must be integers"):
+            enumeration_oracle(np.ones((6, 2)), 3, "delta_j", j=j)
+
+    def test_numpy_integers_accepted(self):
+        x = np.arange(12.0).reshape(6, 2)
+        got = enumeration_oracle(x, np.int64(3), "delta_j", j=np.int32(1))
+        want = enumeration_oracle(x, 3, "delta_j", j=1)
+        assert got.variance == want.variance
+        np.testing.assert_array_equal(got.values, want.values)
+
+    def test_n1_beyond_n_named(self):
+        message = r"^need 0 < n1 < N for two non-empty arms, got n1=5, N=4$"
+        with pytest.raises(DegenerateAssignment, match=message):
+            enumeration_oracle(np.arange(4.0), 5)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateAssignment):
