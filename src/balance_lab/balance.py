@@ -6,7 +6,8 @@ permutation draws, so both are computed by the same arithmetic. The
 products of a member's covariates with its assignment columns, and its
 regression-weighted sums, are formed one member at a time
 (``_column_products``); the rest of every statistic runs once for the
-whole stack (``_statistic_columns``). ``compute_balance_report`` runs
+whole stack (``_statistic_columns``). Both compute ``uw`` and Hotelling
+always, and ``rw`` only when requested. ``compute_balance_report`` runs
 them on the observed column alone, so its statistics are the permutation
 test's observed values, bit for bit. Under the ``refit`` weight policy
 ``_refit_rw_columns`` fits the control arms of a batch together from one
@@ -37,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import STATISTIC_NAMES
 from .data import Dataset, RefitBasis, _scale_factors, varying_columns
 from .errors import InternalNumericalError, RankDeficient
 from .regression import RCOND_GATE, RegressionFit, _lstsq, _weight_vector, control_arm_weights
@@ -234,56 +234,46 @@ def _refit_rw_columns(
 def _column_products(d, z_cols, w_fixed, deltas, whitened, rw) -> tuple[int, int]:
     """Write what dataset ``d``'s assignment columns ``z_cols`` contribute
     to its rows of a stack's arrays, and return the numbers of failed
-    refits and of fallback refits. Each array may be None, when
-    no requested statistic reads it.
+    refits and of fallback refits.
 
     ``deltas`` receives the standardized mean differences and ``whitened``
     the sums ``xw' z`` (see ``Dataset.whitened``) in its first
     ``xw.shape[1]`` rows; the zeros below add nothing to a sum of squares.
-    ``rw`` receives ``w_fixed @ deltas`` under fixed weights, else the sums
-    with weights refit on each column's own control arm. The treated sums of
-    ``xs`` and ``xw`` come from one product, ``[xs | xw]' z_cols`` with the
-    operand cached on the dataset (``Dataset.treated_sum_operand``), whichever
-    statistics are requested: the last bits of a BLAS product depend on its
-    operands' layout and on a column's place among the columns, so each
-    statistic keeps one set of bits whatever the others.
+    Both come from one product, ``[xs | xw]' z_cols`` with the operand
+    cached on the dataset (``Dataset.treated_sum_operand``), so both are
+    always written. ``rw``, None when ``rw`` is not requested (nothing is
+    then fit), receives ``w_fixed @ deltas`` under fixed weights, else the
+    sums with weights refit on each column's own control arm.
     """
-    xs = d.standardized_x
+    p = d.p
     sums = d.treated_sum_operand.T @ z_cols
-    p = xs.shape[1]
-    if deltas is not None or rw is not None:
-        # Mean differences, elementwise: a slice of the columns gets its bits in the whole.
-        totals = xs.sum(axis=0)[:, None]
-        columns = sums[:p] * (1.0 / d.n1 + 1.0 / d.n0) - totals / d.n0
-        if deltas is not None:
-            deltas[...] = columns
-    if whitened is not None:
-        whitened[: sums.shape[0] - p] = sums[p:]
+    # Mean differences, elementwise: a slice of the columns gets its bits in the whole.
+    columns = sums[:p] * (1.0 / d.n1 + 1.0 / d.n0) - d.standardized_x.sum(axis=0)[:, None] / d.n0
+    deltas[...] = columns
+    whitened[: sums.shape[0] - p] = sums[p:]
     if rw is None:
         return 0, 0
     if w_fixed is not None:
+        # The fresh contiguous columns: a product over a strided view can round differently.
         rw[...] = w_fixed @ columns
         return 0, 0
     rw[...], failures, fallbacks = _refit_rw_columns(d.refit_basis, z_cols, columns)
     return failures, fallbacks
 
 
-def _statistic_columns(statistics, units, deltas, whitened, rw, n1, n0) -> dict[str, np.ndarray]:
-    """Each requested statistic for every assignment column of a stack of R
-    datasets, as (R, B) arrays, from the arrays ``_column_products`` filled:
-    ``deltas`` and ``whitened``, (R, p, B), and the weighted sums ``rw``,
-    (R, B), returned as they are; ``deltas`` is first multiplied in place by
-    ``units`` (R, p), each member's ``data._scale_factors``. Every column's
-    sums run over its p values in order, so a column's statistics do not
-    depend on the other columns or members of the stack, nor on their number."""
-    out: dict[str, np.ndarray] = {}
-    if "uw" in statistics:
-        deltas *= units[:, :, None]
-        out["uw"] = _row_sums(deltas)
-    if "rw" in statistics:
+def _statistic_columns(units, deltas, whitened, rw, n1, n0) -> dict[str, np.ndarray]:
+    """``uw``, Hotelling and, when ``rw`` is given, ``rw`` for every assignment
+    column of a stack of R datasets, as (R, B) arrays, from the arrays
+    ``_column_products`` filled: ``deltas`` and ``whitened``, (R, p, B), and
+    the weighted sums ``rw``, (R, B), returned as they are; ``deltas`` is
+    first multiplied in place by ``units`` (R, p), each member's
+    ``data._scale_factors``. Every column's sums run over its p values in
+    order, so a column's statistics depend on no other column or member of
+    the stack, nor on their number."""
+    deltas *= units[:, :, None]
+    out = {"uw": _row_sums(deltas), "hotelling": _hotelling(whitened, n1, n0)}
+    if rw is not None:
         out["rw"] = rw
-    if "hotelling" in statistics:
-        out["hotelling"] = _hotelling(whitened, n1, n0)
     return out
 
 
@@ -343,7 +333,7 @@ def compute_balance_report(
     deltas, whitened, rw = np.zeros((1, p, 1)), np.zeros((1, p, 1)), np.zeros((1, 1))
     w = _weight_vector(weights, p)
     _column_products(d, _observed_column(d), w, deltas[0], whitened[0], rw[0])
-    values = _statistic_columns(STATISTIC_NAMES, units, deltas, whitened, rw, d.n1, d.n0)
+    values = _statistic_columns(units, deltas, whitened, rw, d.n1, d.n0)
     delta_rw = float(values["rw"][0, 0])
     fitted_diff = _checked_weighted_sum(d, weights, delta_rw)
 
@@ -410,8 +400,8 @@ def diagnostics(
             weights = control_arm_weights(d)
         prognosis = weights.r_squared
         # The observed column of compute_balance_report's Hotelling statistic.
-        whitened = np.zeros((d.p, 1))
-        _column_products(d, _observed_column(d), None, None, whitened, None)
+        deltas, whitened = np.zeros((2, d.p, 1))
+        _column_products(d, _observed_column(d), None, deltas, whitened, None)
         imbalance = min(float(_kq(whitened, d.n1, d.n0)[0]), 1.0)
 
     lag_control = lag_full = None

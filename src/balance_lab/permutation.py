@@ -17,21 +17,22 @@ another in the calling process.
 One call tests a stack of datasets that share one shape and one
 assignment vector, such as a group of ``simulate``'s replicates; a single
 dataset is a stack of one. The call prepares its stack: its covariate
-views and control-arm weights. Each member draws its own assignments and
-forms its own products with them; the statistics and their counts are then
-computed once for the whole stack, by the column kernels in ``balance``,
-with each member's observed assignment as one more column beside its
-draws, as the balance report computes it.
+views and, for ``rw``, its control-arm weights. Each member draws its own
+assignments and forms its own products with them; ``uw``, Hotelling and a
+requested ``rw`` are then computed once for the whole stack, by the column
+kernels in ``balance``, with each member's observed assignment as one more
+column beside its draws, as the balance report computes it.
 """
 
 # Unused: perfbench's tracer patches this binding until ROADMAP item 1 drops it.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .balance import STATISTIC_NAMES, _column_products, _observed_column, _statistic_columns
+from . import STATISTIC_NAMES
+from .balance import _column_products, _observed_column, _statistic_columns
 from .data import Dataset, _is_integer, _scale_factors, stack_views
 from .errors import BalanceLabError, InternalNumericalError
 from .regression import RegressionFit, _weight_vector, control_arm_coefficients, control_arm_weights
@@ -170,24 +171,28 @@ def permutation_pvalues(
     ``RegressionFit`` or a weight vector, standardized whatever ``scale`` is,
     which sets the units of ``uw`` only) applies to the ``fixed`` policy only
     and is refused under ``refit``. Returns a dict of ``PermutationResult``
-    by statistic. A ``b`` that is a bool or no integer (``operator.index``),
-    and ``statistics`` that name a statistic twice, raise ``ValueError``.
+    by statistic. ``ValueError`` is raised for a bool or non-integer ``b`` or
+    seed (``operator.index``), a negative seed, and ``statistics`` that are
+    one string, not a sequence such as ``("uw",)``, or repeat a name.
 
     ``d`` may also be a stack: a sequence of datasets that share one shape
-    and one assignment vector (ValueError otherwise), with one seed per
-    member in ``seed``. The call makes the stack's views (``data.stack_views``)
-    and fits its weights (``regression.control_arm_coefficients``), so a
-    stack takes no ``weights``. The result is then a list with each
-    member's dict or, in its place, the ``BalanceLabError`` that member's
-    test (or fit) raised; a single dataset is a stack of one whose error is
-    raised. Each member
+    and one assignment vector (ValueError otherwise), with a sequence of
+    seeds, one per member. The call makes the stack's views
+    (``data.stack_views``) and fits its weights
+    (``regression.control_arm_coefficients``), so a stack takes no
+    ``weights``. The result is then a list with each member's dict or, in
+    its place, the ``BalanceLabError`` that member's test (or fit) raised;
+    a single dataset is a stack of one whose error is raised. Each member
     draws its own assignments and forms its own product ``[xs | xw]' Z``
-    (and, under ``refit``, its own refits); the statistics and
-    the counts are then computed once for the whole stack. A member's
-    results equal, bit for bit, those it gets as a stack of one.
+    (and, under ``refit``, its own refits); the statistics and the counts
+    are then computed once for the whole stack. A member's results equal,
+    bit for bit, those it gets as a stack of one.
     The chunks are evaluated in order in the calling process; parallel work
     belongs to ``run_power_study``, which spreads groups of whole replicates.
     """
+    if isinstance(statistics, str):
+        raise ValueError(f"statistics must be a sequence such as ('uw',), got {statistics!r}")
+    statistics = tuple(statistics)
     if not _is_integer(b):
         raise ValueError(f"b must be an integer, got {b!r}")
     if b < 1:
@@ -208,7 +213,12 @@ def permutation_pvalues(
         d, seed = [d], [seed]
     elif weights is not None:
         raise ValueError("a stack fits its own weights; weights apply to a single dataset")
+    elif not isinstance(seed, Iterable):
+        raise ValueError(f"a stack needs a sequence of seeds, got {seed!r}")
     datasets, seeds = list(d), list(seed)
+    for s in seeds:
+        if not _is_integer(s) or s < 0:
+            raise ValueError(f"a seed must be a non-negative integer, got {s!r}")
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")
     if not datasets:
@@ -216,7 +226,7 @@ def permutation_pvalues(
     first = datasets[0]
     if any(e.x.shape != first.x.shape or not np.array_equal(e.z, first.z) for e in datasets):
         raise ValueError("the datasets must share one shape and one assignment vector")
-    outcomes = _stack_pvalues(datasets, tuple(statistics), b, seeds, weight_policy, scale, weights)
+    outcomes = _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights)
     if not single:
         return outcomes
     if isinstance(outcomes[0], BalanceLabError):
@@ -245,8 +255,7 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
     elif "rw" in statistics and weight_policy == "fixed":
         fits = control_arm_coefficients(datasets)
     # One row of columns per member: the observed assignment, then B draws.
-    deltas = np.zeros((r, p, 1 + b)) if "uw" in statistics else None
-    whitened = np.zeros((r, p, 1 + b)) if "hotelling" in statistics else None
+    deltas, whitened = np.zeros((2, r, p, 1 + b))
     rw = np.zeros((r, 1 + b)) if "rw" in statistics else None
     # Each member's scale factors; a failed member's row stays 0, as its other rows do.
     units = np.zeros((r, p))
@@ -260,8 +269,8 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
             units[i] = _scale_factors(d, scale)
             for cols, z_cols in _assignment_columns(d, seed, b):
                 f, fb = _column_products(
-                    d, z_cols, w_fixed,
-                    *(None if a is None else a[i, ..., cols] for a in (deltas, whitened, rw)),
+                    d, z_cols, w_fixed, deltas[i, :, cols], whitened[i, :, cols],
+                    None if rw is None else rw[i, cols],
                 )
                 if cols.start:
                     failed[i] += f
@@ -274,10 +283,10 @@ def _stack_pvalues(datasets, statistics, b, seeds, weight_policy, scale, weights
             outcomes[i] = exc
 
     n1, n0 = datasets[0].n1, datasets[0].n0
-    values = _statistic_columns(statistics, units, deltas, whitened, rw, n1, n0)
+    values = _statistic_columns(units, deltas, whitened, rw, n1, n0)
     counts = {
-        name: np.count_nonzero(np.abs(v[:, 1:]) >= np.abs(v[:, :1]), axis=1)
-        for name, v in values.items()
+        name: np.count_nonzero(np.abs(values[name][:, 1:]) >= np.abs(values[name][:, :1]), axis=1)
+        for name in statistics
     }
     for i, seed in enumerate(seeds):
         if outcomes[i] is not None:

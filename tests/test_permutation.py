@@ -26,6 +26,10 @@ from conftest import lstsq, random_dataset, stack_member
 
 # prefix lengths on both sides of the chunk boundary at 1024
 FIRST_K = (1, 5, 1024, 1030)
+# every non-empty subset of the statistics, in report order
+STATISTIC_SUBSETS = [
+    names for k in (1, 2, 3) for names in itertools.combinations(STATISTIC_NAMES, k)
+]
 
 
 def chunk_draws(z, seed, b):
@@ -240,11 +244,22 @@ class TestPermutationTest:
         assert np.array_equal(a.permuted_values, b.permuted_values)
         assert a.p_value == b.p_value
 
-    def test_statistics_share_draws(self, rng):
+    @pytest.mark.parametrize("weight_policy", ["fixed", "refit"])
+    @pytest.mark.parametrize("statistics", STATISTIC_SUBSETS, ids="+".join)
+    def test_statistics_share_draws(self, rng, statistics, weight_policy):
         d = random_dataset(rng, n=30, p=2)
         joint = permutation_pvalues(d, ("uw", "hotelling"), 64, seed=5)
         solo = permutation_test(d, "uw", 64, seed=5)
         assert np.array_equal(joint["uw"].permuted_values, solo.permuted_values)
+        # a subset of the statistics gets what a request for all three gives it
+        every = permutation_pvalues(d, STATISTIC_NAMES, 64, seed=5, weight_policy=weight_policy)
+        subset = permutation_pvalues(d, statistics, 64, seed=5, weight_policy=weight_policy)
+        assert list(subset) == list(statistics)
+        for name in statistics:
+            got, want = subset[name], every[name]
+            for field in ("observed", "p_value", "p_conservative", "n_failed", "n_refit_fallback"):
+                assert getattr(got, field) == getattr(want, field), (name, field)
+            assert np.array_equal(got.permuted_values, want.permuted_values)
 
     def test_zero_weight_covariate_leaves_rw_distribution_unchanged(self, rng):
         d = random_dataset(rng, n=40, p=2)
@@ -305,6 +320,59 @@ class TestPermutationTest:
             permutation_pvalues(d, ("uw", "uw"), 10, 1)
         with pytest.raises(ValueError, match="must not repeat"):
             permutation_pvalues([d, d], ["rw", "hotelling", "rw"], 10, [1, 2])
+
+    def test_statistics_string_refused(self, rng):
+        d = random_dataset(rng)
+        for statistics in ("uw", "rw", "hotelling"):
+            with pytest.raises(ValueError, match=r"a sequence such as \('uw',\)"):
+                permutation_pvalues(d, statistics, 10, 1)
+            with pytest.raises(ValueError, match=r"a sequence such as \('uw',\)"):
+                permutation_pvalues([d, d], statistics, 10, [1, 2])
+
+    def test_statistics_any_iterable(self, rng):
+        d = random_dataset(rng)
+        names = ("uw", "hotelling")
+        want = permutation_pvalues(d, names, 20, 1)
+        for statistics in (list(names), (s for s in names), iter(names)):
+            got = permutation_pvalues(d, statistics, 20, 1)
+            assert list(got) == ["uw", "hotelling"]
+            for name in got:
+                assert np.array_equal(got[name].permuted_values, want[name].permuted_values)
+                assert got[name].p_value == want[name].p_value
+        with pytest.raises(ValueError, match="must not repeat"):
+            permutation_pvalues(d, (s for s in ("rw", "rw")), 10, 1)
+
+    @pytest.mark.parametrize("seed", [None, True, False, np.True_, -1, np.int64(-1), 1.5, 1.0, "1"])
+    def test_bad_seed_refused(self, rng, seed):
+        d = random_dataset(rng)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            permutation_test(d, "uw", 10, seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            permutation_pvalues(d, STATISTIC_NAMES, 10, seed, weight_policy="refit")
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            permutation_pvalues([d, d], ("uw",), 10, [1, seed])
+
+    @pytest.mark.parametrize("seed", [1, np.int64(1), None, 1.5])
+    def test_stack_needs_a_sequence_of_seeds(self, rng, seed):
+        d = random_dataset(rng)
+        with pytest.raises(ValueError, match="a stack needs a sequence of seeds"):
+            permutation_pvalues([d, d], ("uw",), 10, seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(1), np.int64(1), np.uint8(1)])
+    def test_numpy_integer_seed_accepted(self, rng, seed):
+        # b crosses a chunk boundary, so a second chunk's stream is keyed by the seed too
+        d = random_dataset(rng, n=30, p=2)
+        for policy in ("fixed", "refit"):
+            got = permutation_pvalues(d, STATISTIC_NAMES, 1100, seed, weight_policy=policy)
+            want = permutation_pvalues(d, STATISTIC_NAMES, 1100, 1, weight_policy=policy)
+            stacked = permutation_pvalues([d, d], STATISTIC_NAMES, 30, [seed, 2], policy)
+            plain = permutation_pvalues([d, d], STATISTIC_NAMES, 30, [1, 2], policy)
+            for name in STATISTIC_NAMES:
+                assert got[name].observed == want[name].observed
+                assert np.array_equal(got[name].permuted_values, want[name].permuted_values)
+                assert got[name].p_value == want[name].p_value
+                first, second = stacked[0][name], plain[0][name]
+                assert np.array_equal(first.permuted_values, second.permuted_values)
 
     @pytest.mark.parametrize("b", [2.5, 10.0, True, False, np.True_, "10", None])
     def test_non_integer_b_refused(self, rng, b):
