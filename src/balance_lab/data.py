@@ -35,6 +35,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import STATISTIC_NAMES
 from .errors import (
     AllColumnsConstant,
     DegenerateAssignment,
@@ -229,15 +230,40 @@ def _covariate_matrix(x) -> np.ndarray:
     return x[:, None] if x.ndim == 1 else x
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer: ``operator.index`` takes it and it is no bool."""
-    if isinstance(value, bool):
-        return False
+# The argument rules of the library and of ``simulation``'s configs, one each:
+# each raises ``ValueError``, and a ``_checked_`` rule returns the normal form.
+def _checked_integer(name: str, value, least: Optional[int] = None) -> int:
+    """``value`` as a Python int, unless ``operator.index`` refuses it, it is
+    a bool, or it is below ``least``: 0 for a seed, 1 for a count."""
     try:
-        operator.index(value)
+        if not isinstance(value, bool) and (least is None or operator.index(value) >= least):
+            return operator.index(value)
     except TypeError:
-        return False
-    return True
+        pass
+    kind = {None: "an integer", 0: "a non-negative integer", 1: "an integer of at least 1"}[least]
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _checked_statistics(statistics) -> tuple:
+    """``statistics`` read once into a tuple of known, distinct names; a bare
+    string is refused, and a member that is no string is unknown."""
+    if isinstance(statistics, str) or not isinstance(statistics, Iterable):
+        raise ValueError(f"statistics must be a sequence such as ('uw',), got {statistics!r}")
+    statistics = tuple(statistics)
+    if not statistics:
+        raise ValueError("need at least one statistic")
+    unknown = [s for s in statistics if not (isinstance(s, str) and s in STATISTIC_NAMES)]
+    if unknown:
+        raise ValueError(f"unknown statistics: {unknown}")
+    if len(set(statistics)) < len(statistics):
+        raise ValueError(f"statistics must not repeat a name, got {list(statistics)!r}")
+    return statistics
+
+
+def _check_weight_policy(weight_policy) -> None:
+    """Refuse a weight policy other than ``"fixed"`` and ``"refit"``."""
+    if weight_policy not in ("fixed", "refit"):
+        raise ValueError(f"unknown weight policy {weight_policy!r}")
 
 
 def _by_rows(x: np.ndarray) -> np.ndarray:

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import STATISTIC_NAMES
 from .balance import _column_products, _observed_column, _statistic_columns
-from .data import Dataset, _is_integer, _scale_factors, stack_views
+from .data import Dataset, _scale_factors, stack_views
+from .data import _check_weight_policy, _checked_integer, _checked_statistics
 from .errors import BalanceLabError, InternalNumericalError
 from .regression import RegressionFit, _weight_vector, control_arm_coefficients, control_arm_weights
 from .rng import stream
@@ -171,9 +172,9 @@ def permutation_pvalues(
     ``RegressionFit`` or a weight vector, standardized whatever ``scale`` is,
     which sets the units of ``uw`` only) applies to the ``fixed`` policy only
     and is refused under ``refit``. Returns a dict of ``PermutationResult``
-    by statistic. ``ValueError`` is raised for a bool or non-integer ``b`` or
-    seed (``operator.index``), a negative seed, and ``statistics`` that are
-    one string, not a sequence such as ``("uw",)``, or repeat a name.
+    by statistic. ``b``, each seed, ``statistics`` and ``weight_policy`` are
+    checked by ``data``'s argument rules, shared with ``simulation``, which
+    raise ``ValueError`` (see the README's "Argument rules").
 
     ``d`` may also be a stack: a sequence of datasets that share one shape
     and one assignment vector (ValueError otherwise), with a sequence of
@@ -190,22 +191,9 @@ def permutation_pvalues(
     The chunks are evaluated in order in the calling process; parallel work
     belongs to ``run_power_study``, which spreads groups of whole replicates.
     """
-    if isinstance(statistics, str):
-        raise ValueError(f"statistics must be a sequence such as ('uw',), got {statistics!r}")
-    statistics = tuple(statistics)
-    if not _is_integer(b):
-        raise ValueError(f"b must be an integer, got {b!r}")
-    if b < 1:
-        raise ValueError("need at least one permutation")
-    if not statistics:
-        raise ValueError("need at least one statistic")
-    if len(set(statistics)) < len(statistics):
-        raise ValueError(f"statistics must not repeat a statistic, got {list(statistics)!r}")
-    unknown = set(statistics) - set(STATISTIC_NAMES)
-    if unknown:
-        raise ValueError(f"unknown statistics: {sorted(unknown)}")
-    if weight_policy not in ("fixed", "refit"):
-        raise ValueError(f"unknown weight policy {weight_policy!r}")
+    statistics = _checked_statistics(statistics)
+    b = _checked_integer("b", b, 1)
+    _check_weight_policy(weight_policy)
     if weight_policy == "refit" and weights is not None:
         raise ValueError("weights apply to the fixed policy only; refit fits its own")
     single = isinstance(d, Dataset)
@@ -215,10 +203,7 @@ def permutation_pvalues(
         raise ValueError("a stack fits its own weights; weights apply to a single dataset")
     elif not isinstance(seed, Iterable):
         raise ValueError(f"a stack needs a sequence of seeds, got {seed!r}")
-    datasets, seeds = list(d), list(seed)
-    for s in seeds:
-        if not _is_integer(s) or s < 0:
-            raise ValueError(f"a seed must be a non-negative integer, got {s!r}")
+    datasets, seeds = list(d), [_checked_integer("seed", s, 0) for s in seed]
     if len(datasets) != len(seeds):
         raise ValueError("need one seed per dataset")
     if not datasets:

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, get_origin
 
 import numpy as np
 
-from .data import Dataset, population_sd
+from .data import Dataset, _check_weight_policy, _checked_integer, _checked_statistics, population_sd
 from .errors import BalanceLabError, CellFailure, ConfigError, InfeasibleCorrelation
 from .permutation import STATISTIC_NAMES, permutation_pvalues
 from .rng import STREAM_VERSION, derive_seed, stream
@@ -69,12 +69,6 @@ class DgpConfig:
 
     def __post_init__(self):
         _check_shared_fields(self, ("imbalance", "rho_x1_y", "tau"))
-        if self.n < 4 or self.n % 2:
-            raise ConfigError(f"n must be even and at least 4, got {self.n}")
-        if self.p < 1:
-            raise ConfigError(f"p must be positive, got {self.p}")
-        if self.imbalance_covariate > self.p:
-            raise ConfigError("imbalance on x2 requires p >= 2")
         for name in ("imbalance", "rho_x1_y"):
             rho = getattr(self, name)
             if abs(rho) > 1.0:
@@ -126,13 +120,18 @@ class StudyConfig:
     def __post_init__(self):
         _check_shared_fields(self, ("tau",))
         for name in ("imbalance_levels", "prognosis_levels"):
-            levels = getattr(self, name)
-            if not all(_is_number(level) for level in levels):
-                raise ConfigError(f"{name} must hold finite numbers, got {list(levels)!r}")
-            _check_distinct(name, levels)
-        _check_run_settings(
+            levels = tuple(getattr(self, name))
+            if not levels or not all(_is_number(level) for level in levels):
+                raise ConfigError(f"{name} must hold one or more finite numbers, got {list(levels)!r}")
+            # a set compares by ==, so 0.0 and -0.0 are one level
+            if len(set(levels)) < len(levels):
+                raise ConfigError(f"{name} must not repeat a value, got {list(levels)!r}")
+            object.__setattr__(self, name, levels)
+        settings = _run_settings(
             self.statistics, self.replicates, self.permutations, self.alpha, self.weight_policy
         )
+        for name, value in zip(("statistics", "replicates", "permutations"), settings):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
@@ -142,70 +141,56 @@ class StudyConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(raw)
         for key in ("imbalance_levels", "prognosis_levels", "statistics"):
-            if key in coerced:
-                if not isinstance(coerced[key], list):
-                    raise ConfigError(f"{key} must be a list, got {coerced[key]!r}")
-                coerced[key] = tuple(coerced[key])
-        try:
-            return cls(**coerced)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+            if not isinstance(raw.get(key, []), list):
+                raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
+        return cls(**raw)
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """``isinstance(value, kind)`` and finite, where a bool is no number."""
-    return isinstance(value, kind) and not isinstance(value, bool) and -math.inf < value < math.inf
+def _is_number(value) -> bool:
+    """Whether ``value`` is a finite int or float, where a bool is no number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -math.inf < value < math.inf
+
+
+def _config_rule(rule, *args):
+    """``rule(*args)``, an argument rule of ``data``, raising ``ConfigError``."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_shared_fields(cfg, numbers) -> None:
-    """Raise ``ConfigError`` unless ``cfg``'s ``imbalance_covariate``, ``n``,
-    ``p`` and ``seed`` are integers, ``seed`` is not negative,
-    ``imbalance_covariate`` is 1 or 2 and each field named in ``numbers`` is
-    a finite number: the rule ``StudyConfig`` and ``DgpConfig`` share for
-    the fields they share."""
-    for name in ("imbalance_covariate", "n", "p", "seed"):
-        value = getattr(cfg, name)
-        if not _is_number(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """Check the fields ``StudyConfig`` and ``DgpConfig`` share, and those in
+    ``numbers`` as finite numbers; store the integer fields as Python ints."""
+    for name, least in (("imbalance_covariate", None), ("n", None), ("p", None), ("seed", 0)):
+        object.__setattr__(cfg, name, _config_rule(_checked_integer, name, getattr(cfg, name), least))
     for name in numbers:
         value = getattr(cfg, name)
         if not _is_number(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     if cfg.imbalance_covariate not in (1, 2):
         raise ConfigError("imbalance_covariate must be 1 or 2")
+    if cfg.n < 4 or cfg.n % 2:
+        raise ConfigError(f"n must be even and at least 4, got {cfg.n}")
+    if cfg.p < 1:
+        raise ConfigError(f"p must be positive, got {cfg.p}")
+    if cfg.imbalance_covariate > cfg.p:
+        raise ConfigError("imbalance on x2 requires p >= 2")
 
 
-def _check_distinct(name: str, values) -> None:
-    """Raise ``ConfigError`` unless ``values`` is non-empty and repeats no value."""
-    if not values:
-        raise ConfigError(f"{name} must be non-empty")
-    # a set compares by ==, so 0.0 and -0.0 are one level
-    if len(set(values)) < len(values):
-        raise ConfigError(f"{name} must not repeat a value, got {list(values)!r}")
-
-
-def _check_run_settings(statistics, replicates, permutations, alpha, weight_policy) -> None:
-    """Raise ``ConfigError`` unless the settings a study runs with are
-    valid: the rule of both ``StudyConfig`` and ``run_power_study``."""
-    for name, value in (("replicates", replicates), ("permutations", permutations)):
-        if not _is_number(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if not _is_number(alpha):
-        raise ConfigError(f"alpha must be a finite number, got {alpha!r}")
-    _check_distinct("statistics", statistics)
-    if replicates < 1 or permutations < 1:
-        raise ConfigError("replicates and permutations must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    if weight_policy not in ("fixed", "refit"):
-        raise ConfigError(f"unknown weight policy {weight_policy!r}")
-    unknown = set(statistics) - set(STATISTIC_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown statistics: {sorted(unknown)}")
+def _run_settings(statistics, replicates, permutations, alpha, weight_policy) -> tuple:
+    """The normal form of ``statistics``, ``replicates`` and ``permutations``,
+    checked with the other run settings of ``StudyConfig`` and ``run_power_study``."""
+    settings = (
+        _config_rule(_checked_statistics, statistics),
+        _config_rule(_checked_integer, "replicates", replicates, 1),
+        _config_rule(_checked_integer, "permutations", permutations, 1),
+    )
+    _config_rule(_check_weight_policy, weight_policy)
+    if not (_is_number(alpha) and 0.0 < alpha < 1.0):
+        raise ConfigError(f"alpha must be a finite number in (0, 1), got {alpha!r}")
+    return settings
 
 
 def build_grid(study: StudyConfig) -> list[DgpConfig]:
@@ -476,10 +461,10 @@ def run_power_study(
     """
     if not grid:
         raise ConfigError("grid must contain at least one cell")
-    statistics = tuple(statistics)
-    _check_run_settings(statistics, replicates, b_permutations, alpha, weight_policy)
-    if not _is_number(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
+    statistics, replicates, b_permutations = _run_settings(
+        statistics, replicates, b_permutations, alpha, weight_policy
+    )
+    threads = _config_rule(_checked_integer, "threads", threads, 1)
     small = [cfg for cfg in grid if cfg.n // 2 <= cfg.p + 1]
     if "rw" in statistics and small:
         raise ConfigError(

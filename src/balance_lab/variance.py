@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, _covariate_matrix, _is_integer, _scale_factors
+from .data import Dataset, _checked_integer, _covariate_matrix, _scale_factors
 from .errors import DegenerateAssignment, NonNumericValue, TooManyAssignments, ZeroVariance
 from .regression import _weight_vector
 
@@ -101,8 +101,10 @@ def enumeration_oracle(
     x = _covariate_matrix(x)
     if not np.isfinite(x).all():
         raise NonNumericValue("covariate matrix contains non-finite values")
-    if not _is_integer(n1) or not (j is None or _is_integer(j)):
-        raise TypeError(f"n1 and j must be integers, got n1={n1!r}, j={j!r}")
+    try:
+        n1, j = _checked_integer("n1", n1), None if j is None else _checked_integer("j", j)
+    except ValueError:
+        raise TypeError(f"n1 and j must be integers, got n1={n1!r}, j={j!r}") from None
     n, p = x.shape
     if not 0 < n1 < n:
         raise DegenerateAssignment(f"need 0 < n1 < N for two non-empty arms, got n1={n1}, N={n}")

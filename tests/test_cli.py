@@ -640,6 +640,7 @@ INVALID_CONFIGS = {
         "test-covariate-is-outcome",
         "test-outcome-is-treatment",
         "test-covariate-repeated",
+        "test-covariates-empty",
         "test-lag-is-outcome",
         "diagnose-lag-is-treatment",
         *INVALID_CONFIGS,
@@ -666,6 +667,7 @@ def test_invalid_input_exits_2(case, tmp_path, monkeypatch, capsys):
         "test-covariate-is-outcome": test + ["--covariates", "x1,y"],
         "test-outcome-is-treatment": test + ["--outcome", "z"],
         "test-covariate-repeated": test + ["--covariates", "x1,x1"],
+        "test-covariates-empty": test + ["--covariates", ","],
         "test-lag-is-outcome": test + ["--lag-column", "y"],
         "diagnose-lag-is-treatment": ["diagnose", *BASE_ARGS[1:9], "--lag-column", "z", "--out-dir", str(tmp_path)],
     }.get(case, simulate)

@@ -311,6 +311,12 @@ class TestPermutationTest:
             permutation_test(d, "uw", b=0, seed=1)
         with pytest.raises(ValueError):
             permutation_test(d, "nope", b=10, seed=1)
+        # a member that is no string is unknown, an unhashable one too
+        for statistics in ([["uw"]], [1]):
+            with pytest.raises(ValueError, match=r"^unknown statistics"):
+                permutation_pvalues(d, statistics, 10, 1)
+            with pytest.raises(ValueError, match=r"^unknown statistics"):
+                permutation_pvalues([d, d], statistics, 10, [1, 2])
         with pytest.raises(ValueError):
             permutation_test(d, "uw", b=10, seed=1, weight_policy="sometimes")
 

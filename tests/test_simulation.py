@@ -60,10 +60,11 @@ class TestDgpConfig:
             case(
                 "seed", -1, "seed must be a non-negative integer, got -1", id="seed-negative"
             ),
-            case("seed", 2.5, "seed must be an integer, got 2.5", id="seed-float"),
-            case("seed", True, "seed must be an integer, got True", id="seed-bool"),
+            case("seed", 2.5, "seed must be a non-negative integer, got 2.5", id="seed-float"),
+            case("seed", True, "seed must be a non-negative integer, got True", id="seed-bool"),
             case("n", 40.0, "n must be an integer, got 40.0", id="n-float"),
             case("p", 3.0, "p must be an integer, got 3.0", id="p-float"),
+            case("p", 0, "p must be positive, got 0", id="p-zero"),
             case(
                 "imbalance_covariate", 1.0, "imbalance_covariate must be an integer, got 1.0",
                 id="imbalance-covariate-float",
@@ -221,6 +222,13 @@ class TestStudyConfig:
             with pytest.raises(ConfigError):
                 StudyConfig(**bad)
 
+    @pytest.mark.parametrize("key", sorted(StudyConfig.__dataclass_fields__))
+    def test_from_dict_refuses_values_of_another_kind(self, key):
+        # a list holding a list (unhashable), a JSON object and null
+        for value in ([["uw"]], {"uw": 1}, None):
+            with pytest.raises(ConfigError):
+                StudyConfig.from_dict({key: value})
+
     def test_round_trip(self):
         study = StudyConfig(imbalance_levels=(0.0, 0.2), prognosis_levels=(0.0, 0.1))
         assert StudyConfig.from_dict(json.loads(json.dumps(asdict(study)))) == study
@@ -277,10 +285,14 @@ class TestRunPowerStudy:
             pytest.param(dict(b_permutations=0), id="permutations-zero"),
             pytest.param(dict(alpha=0.0), id="alpha-zero"),
             pytest.param(dict(alpha=3.0), id="alpha-above-one"),
+            pytest.param(dict(alpha=math.nan), id="alpha-nan"),
             pytest.param(dict(weight_policy="refitted"), id="weight-policy-unknown"),
             pytest.param(dict(statistics=("uw", "median")), id="statistics-unknown"),
             pytest.param(dict(statistics=()), id="statistics-empty"),
             pytest.param(dict(statistics=("rw", "rw")), id="statistics-repeated"),
+            pytest.param(dict(statistics="uw"), id="statistics-string"),
+            pytest.param(dict(statistics="hotelling"), id="statistics-string-repeating-letters"),
+            pytest.param(dict(statistics=[["uw"]]), id="statistics-unhashable"),
             pytest.param(dict(threads=0), id="threads-zero"),
             pytest.param(dict(threads=1.5), id="threads-not-integer"),
         ],
@@ -303,6 +315,34 @@ class TestRunPowerStudy:
             }
             with pytest.raises(ConfigError, match=f"^{re.escape(str(refused.value))}$"):
                 tiny_study(**study_setting)
+
+    def test_numpy_integers_run_as_plain_ints(self, tmp_path):
+        # the integer rule of permutation_pvalues: a numpy integer is read as
+        # the int it holds, and stored and written as a plain int
+        runs = []
+        for kind in (int, np.int64):
+            study = tiny_study(seed=kind(99), n=kind(60), replicates=kind(25))
+            for name in ("seed", "n", "p", "replicates", "permutations", "imbalance_covariate"):
+                assert type(getattr(study, name)) is int, name
+            grid = build_grid(study)
+            ckpt = tmp_path / kind.__name__
+            results = run_power_study(
+                grid, replicates=kind(25), b_permutations=kind(50), threads=kind(1),
+                checkpoint_dir=str(ckpt),
+            )
+            files = {path.name: path.read_bytes() for path in sorted(ckpt.iterdir())}
+            runs.append((study, results, files))
+        (study, want, want_files), (numpy_study, got, got_files) = runs
+        assert numpy_study == study
+        assert got_files == want_files and len(got_files) == 2
+        assert got == want
+        for res, expected in zip(got, want):
+            assert type(res.replicates) is type(res.permutations_per_replicate) is int
+            for name in STATISTIC_NAMES:
+                assert np.array_equal(res.pvalues[name], expected.pvalues[name])
+        cfg = DgpConfig(n=np.int64(20), p=np.int32(2), seed=np.uint64(5))
+        assert (cfg.n, cfg.p, cfg.seed) == (20, 2, 5)
+        assert all(type(v) is int for v in (cfg.n, cfg.p, cfg.seed))
 
     def test_control_arm_too_small_for_rw_refused_before_any_work(self, tmp_path, monkeypatch):
         # n/2 = 4 control units cannot fit p = 3 covariates and an intercept

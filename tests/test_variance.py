@@ -274,6 +274,20 @@ class TestEnumerationOracle:
         assert got.variance == want.variance
         np.testing.assert_array_equal(got.values, want.values)
 
+    @pytest.mark.parametrize(
+        "statistic, kwargs, message",
+        [
+            pytest.param("rw", {}, "^statistic 'rw' requires a weight vector$", id="rw-no-weights"),
+            pytest.param("delta_j", {}, r"requires a column index in \[0, 2\)$", id="delta-j-no-j"),
+            pytest.param("delta_j", {"j": 2}, r"in \[0, 2\)$", id="delta-j-past-p"),
+            pytest.param("delta_j", {"j": -1}, r"in \[0, 2\)$", id="delta-j-negative"),
+            pytest.param("median", {}, "^unknown statistic 'median'$", id="unknown"),
+        ],
+    )
+    def test_statistic_arguments_refused(self, statistic, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            enumeration_oracle(np.arange(12.0).reshape(6, 2), 3, statistic, **kwargs)
+
     def test_n1_beyond_n_named(self):
         message = r"^need 0 < n1 < N for two non-empty arms, got n1=5, N=4$"
         with pytest.raises(DegenerateAssignment, match=message):
