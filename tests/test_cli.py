@@ -530,6 +530,17 @@ class TestCmdSimulate:
         assert run_cli(["simulate", "--config", config, "--out-dir", str(resumed), "--resume"]) == 0
         assert open(resumed / "results.csv", "rb").read() == reference
 
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        flagged, held = tmp_path / "flagged", tmp_path / "held"
+        config = write_config(tmp_path / "seed7.json", replicates=4)
+        args = ["simulate", "--config", config, "--seed", "11", "--out-dir", str(flagged)]
+        assert run_cli(args) == 0
+        config = write_config(tmp_path / "seed11.json", replicates=4, seed=11)
+        assert run_cli(["simulate", "--config", config, "--out-dir", str(held)]) == 0
+        manifest = json.load(open(flagged / "manifest.json"))
+        assert manifest["seed"] == 11
+        assert (flagged / "results.csv").read_bytes() == (held / "results.csv").read_bytes()
+
     def test_resume_over_truncated_checkpoint(self, tmp_path):
         config = write_config(tmp_path / "study.json")
         clean = tmp_path / "clean"

@@ -398,6 +398,148 @@ class TestColumnParse:
             assert d.n == 1000
 
 
+PLAIN_TREATMENTS = ["0", "1", " 1", "0 ", "1.0", "-0", "+1", "1e0"]
+IRREGULAR_TREATMENTS = ["true", "false", "TRUE", "2", "NA", "", '"1"']
+IRREGULAR_CELLS = [
+    "1_0", "", "NA", "N/A", "nan", "NaN", "null", "None", '"1.5"', '"2,5"', "1\x00",
+    "\x0c2", "١٢", "inf", "1e400", "oops", "1\r2",
+]
+
+
+@st.composite
+def numeric_tables(draw):
+    """A table of plain numbers: signs, exponents, space or tab padding,
+    \\n or \\r\\n line ends, blank lines before the header and between
+    records, in some tables a byte-order mark and extra trailing columns.
+    Half the tables also mix in irregular cells and treatments, short
+    records, whitespace-only lines and a lone \\r. Returns the bytes of
+    the file, the covariates and the delimiter."""
+    p = draw(st.integers(1, 3))
+    delimiter = draw(st.sampled_from([",", "\t", ";"]))
+    covariates = [f"x{j + 1}" for j in range(p)]
+    header = draw(st.permutations(["z", "y", *covariates]))
+    width = len(header) + draw(st.integers(0, 2))
+    header += [f"extra{k}" for k in range(width - len(header))]
+    pad = draw(st.sampled_from([" ", "\t"])) if delimiter != "\t" else " "
+    number = st.builds(
+        str.format,
+        st.sampled_from(["{!r}", "{:.9g}", "{:+.3e}", "{:.0f}", pad + "{:g}", "{:g}" + pad]),
+        st.floats(-1e6, 1e6),
+    )
+    treatment, cell = st.sampled_from(PLAIN_TREATMENTS), number
+    irregular = draw(st.booleans())
+    if irregular:
+        treatment = st.one_of(treatment, st.sampled_from(IRREGULAR_TREATMENTS))
+        cell = st.one_of(number, number, st.sampled_from(IRREGULAR_CELLS))
+    lines = [""] * draw(st.integers(0, 2)) + [delimiter.join(header)]
+    for _ in range(draw(st.integers(4, 10))):
+        record = [draw(treatment if name == "z" else cell) for name in header]
+        if draw(st.integers(0, 4)) == 0:
+            record.append(draw(number))
+        if irregular and draw(st.integers(0, 5)) == 0:
+            record = record[: draw(st.integers(0, len(record)))]
+        lines += [""] * draw(st.integers(0, 1)) + [delimiter.join(record)]
+        if irregular and draw(st.integers(0, 8)) == 0:
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [newline] * len(lines)
+    if irregular and draw(st.booleans()):
+        ends[draw(st.integers(0, len(ends) - 1))] = "\r"
+    text = "".join(line + end for line, end in zip(lines, ends))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode("utf-8"), covariates, delimiter
+
+
+def load_outcome(source, covariates, delimiter, lenient):
+    """What ``load_dataset`` gives: a Dataset or the exception it raises,
+    and the warnings it issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = load_dataset(
+                source, "z", "y", covariates, delimiter=delimiter, lenient_missing=lenient
+            )
+        except Exception as exc:
+            got = exc
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+class TestNumericReader:
+    """A path whose table is plain numbers is read by ``np.loadtxt``; every
+    table loads as the csv reader loads it from a stream of the same text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=numeric_tables(), lenient=st.booleans())
+    def test_path_matches_csv_reader(self, table, lenient, tmp_path_factory):
+        raw, covariates, delimiter = table
+        path = tmp_path_factory.getbasetemp() / "numeric_table.csv"
+        path.write_bytes(raw)
+        stream = io.StringIO(raw.decode("utf-8-sig"), newline="")
+        got, got_warnings = load_outcome(str(path), covariates, delimiter, lenient)
+        expected, expected_warnings = load_outcome(stream, covariates, delimiter, lenient)
+        assert got_warnings == expected_warnings
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected) and str(got) == str(expected)
+            return
+        assert isinstance(got, Dataset) and got.column_names == expected.column_names
+        for name in ("x", "z", "y_obs"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_plain_table_skips_csv_reader(self, monkeypatch):
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "null_small.csv"
+        expected = load_dataset(io.StringIO(fixture.read_text()), "z", "y", ["x1", "x2", "x3"])
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a plain numeric table reached the csv reader")
+
+        monkeypatch.setattr(data.csv, "reader", refused)
+        d = load_dataset(str(fixture), "z", "y", ["x1", "x2", "x3"])
+        for name in ("x", "z", "y_obs"):
+            assert getattr(d, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_quoted_delimiter_in_unread_column(self, tmp_path):
+        # split at every comma, the quoted cell is two fields, so columns
+        # z, y and x1 would read each record's tag, z and y: all numbers,
+        # and a 0/1 treatment
+        rows = ['"a,b",1,0,2.5,3', '"c,d",0,1,1.5,4', '"e,f",1,0,0.5,5', '"g,h",0,1,3.5,6']
+        path = tmp_path / "quoted.csv"
+        path.write_text("\n".join(["note,tag,z,y,x1", *rows]) + "\n")
+        d = load_dataset(str(path), "z", "y", ["x1"])
+        assert d.z.tolist() == [0, 1, 0, 1] and d.y_obs.tolist() == [2.5, 1.5, 0.5, 3.5]
+        assert d.x[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("0.25", "0_25"),
+            ("0.25", "NA"),
+            ("0.25", ""),
+            ("0.25", '"0.25"'),
+            ("0.25", "0.25\x00"),
+            ("0.25", "\x0c0.25"),
+            ("0.25", "١٢"),
+            ("0.25", "inf"),
+            ("0,0.25", "2,0.25"),
+            ("0,0.25", "false,0.25"),
+            ("0,0.25,3.0", "0,0.25"),
+            ("\n0,0.25", "\n \n0,0.25"),
+            ("\n0,0.25", "\r0,0.25"),
+            ("z,y,x1\n", "z,y,x1,x1\n"),
+            ("0,0.75,4.0\n", ""),
+        ],
+        ids=[
+            "underscore", "missing-token", "empty", "quoted", "nul", "form-feed",
+            "arabic-digits", "infinite", "non-binary", "true-false", "short-record",
+            "whitespace-line", "lone-cr", "repeated-name", "three-records",
+        ],
+    )
+    def test_irregular_table_is_declined(self, old, new):
+        text = MINIMAL.strip() + "\n"
+        assert data._plain_table(text, ",", ["z", "y", "x1"]) is not None
+        assert data._plain_table(text.replace(old, new), ",", ["z", "y", "x1"]) is None
+
+
 class TestDataset:
     def test_arrays_frozen(self):
         d = load_dataset(csv_stream(MINIMAL), "z", "y", ["x1"])

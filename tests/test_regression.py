@@ -452,3 +452,10 @@ class TestStackedFits:
                 outcome(lambda: member.whitened),
                 outcome(lambda: d.whitened),
             )
+
+    def test_stack_with_two_assignments_refused(self, rng):
+        x, y = rng.normal(size=(12, 2)), rng.normal(size=12)
+        z = np.array([1, 0] * 6)
+        datasets = [Dataset(x=x, z=z, y_obs=y), Dataset(x=x, z=1 - z, y_obs=y)]
+        with pytest.raises(ValueError, match="^the datasets must share one assignment vector$"):
+            regression.control_arm_coefficients(datasets)

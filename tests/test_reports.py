@@ -1,9 +1,10 @@
 import json
+import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from balance_lab import DgpConfig
+from balance_lab import DgpConfig, cli
 from balance_lab.reports import (
     PLOT_FIELDS,
     RESULTS_FIELDS,
@@ -11,6 +12,7 @@ from balance_lab.reports import (
     make_manifest,
     plot_data_rows,
     power_curve_svg,
+    render_test_report,
     results_table_rows,
     write_csv,
 )
@@ -95,3 +97,19 @@ class TestManifest:
         assert payload["command"] == "test"
         assert payload["seed"] == 7
         assert payload["version"]
+
+
+class TestTestReport:
+    def test_failed_replicates_line(self, tmp_path):
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "null_small.csv"
+        args = ["test", "--input", str(fixture), "--treatment", "z", "--outcome", "y",
+                "--covariates", "x1,x2,x3", "--permutations", "50", "--seed", "1",
+                "--out-dir", str(tmp_path)]
+        assert cli.main(args) == 0
+        report = json.load(open(tmp_path / "balance_report.json"))
+        line = "failed permutation replicates (counted as extreme)"
+        assert line not in render_test_report(report)
+        for row in report["statistics"]:
+            if row["name"] == "rw":
+                row["n_failed"] = 3
+        assert f"{line}: {{'rw': 3}}" in render_test_report(report).splitlines()
